@@ -174,8 +174,11 @@ def _apply_overrides(cfg: RunConfig, args, out_dir=None) -> RunConfig:
     if out_dir is not None:
         cfg = dataclasses.replace(cfg, output_dir=out_dir)
     if args.seed is not None:
-        cfg = dataclasses.replace(
-            cfg, train=dataclasses.replace(cfg.train, seed=args.seed))
+        try:
+            train = dataclasses.replace(cfg.train, seed=args.seed)
+        except ValueError as e:
+            raise ConfigError(f"--seed: {e}") from e
+        cfg = dataclasses.replace(cfg, train=train)
     if args.epsilon is not None:
         if not (math.isfinite(args.epsilon) and args.epsilon > 0):
             raise ConfigError(f"--epsilon must be positive, got {args.epsilon}")

@@ -29,7 +29,7 @@ class WindowSample:
         object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
         if self.x.ndim != 1:
             raise ValueError(f"window must be 1-D, got shape {self.x.shape}")
-        if np.max(np.abs(self.x)) > _BOUND or abs(self.y) > _BOUND:
+        if not (np.all(np.abs(self.x) <= _BOUND) and abs(self.y) <= _BOUND):  # also NaN
             raise ValueError(f"sample at t_index {self.t_index} leaves [-1, 1]")
         if self.t_index < len(self.x):
             raise ValueError(f"t_index {self.t_index} precedes its own window")

@@ -382,9 +382,11 @@ class Trajectory:
         n = len(self.times)
         if len(self.z_s) != n or len(self.z_a) != n:
             raise ValueError("times, z_s, z_a must share length")
+        if not (np.all(np.isfinite(self.times)) and np.all(np.diff(self.times) > 0.0)):
+            raise ValueError("times must be finite and strictly increasing")
         for name, arr in (("z_s", self.z_s), ("z_a", self.z_a)):
-            m = float(np.max(np.abs(arr))) if n else 0.0
-            if m > 1.0 + 1e-6:
+            if not np.all(np.abs(arr) <= 1.0 + 1e-6):     # also rejects NaN
+                m = float(np.max(np.abs(arr)))
                 raise ValueError(f"{name} leaves [-1, 1] by {m - 1.0:.3e}")
 
     def __len__(self) -> int:
@@ -412,13 +414,6 @@ def _rhs(rho: np.ndarray, h: np.ndarray, rate: float, chan: ChannelSpec) -> np.n
     return out
 
 
-def lindblad_rhs(rho: np.ndarray, t: float, h: np.ndarray, chan: ChannelSpec) -> np.ndarray:
-    """d rho/dt = -i[H, rho] + rate(t) D[rho], rate clamped."""
-    if rho.shape != h.shape:
-        raise ValueError(f"shape mismatch: rho {rho.shape} vs h {h.shape}")
-    return _rhs(rho, h, chan.rate(t), chan)
-
-
 def evolve(rho0: np.ndarray, grid: TimeGrid, g: float, chan: ChannelSpec,
            initial_state_tag: str = STATE_CUSTOM) -> Trajectory:
     """Fixed-step RK4 over the grid; validates state physicality every step.
@@ -440,8 +435,7 @@ def evolve(rho0: np.ndarray, grid: TimeGrid, g: float, chan: ChannelSpec,
     eval_times = np.concatenate([times, mids])
     with np.errstate(divide="ignore", invalid="ignore"):
         raw = np.asarray(chan.rate_raw(eval_times), dtype=float)
-    clamped = np.clip(np.nan_to_num(raw, nan=chan.rate_clamp, posinf=chan.rate_clamp,
-                                    neginf=0.0), 0.0, chan.rate_clamp)
+        clamped = chan.rate(eval_times)
     n_clamped = int(np.sum((~np.isfinite(raw)) | (raw > chan.rate_clamp) | (raw < 0.0)))
     r_node = clamped[: n + 1]
     r_mid = clamped[n + 1:]

@@ -11,8 +11,6 @@ the ground level. Two-qubit kets are ordered system-first:
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 # ---------- constants ----------
@@ -29,7 +27,6 @@ KET1 = np.array([0, 1], dtype=complex)          # ground
 KET_PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2.0)
 
 SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=complex)  # |1><0|, excited -> ground
-SIGMA_PLUS = np.array([[0, 1], [0, 0]], dtype=complex)   # |0><1|
 
 
 # ---------- checks ----------
@@ -37,11 +34,6 @@ SIGMA_PLUS = np.array([[0, 1], [0, 0]], dtype=complex)   # |0><1|
 def _square(a: np.ndarray) -> None:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-
-
-def _same_shape(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
 
 
 # ---------- operations ----------
@@ -53,43 +45,8 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(a, b)
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if a.shape[-1] != b.shape[0]:
-        raise ValueError(f"inner dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().T
-
-
-def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _same_shape(a, b)
-    return a + b
-
-
-def sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _same_shape(a, b)
-    return a - b
-
-
-def scale(c: complex, a: np.ndarray) -> np.ndarray:
-    return c * a
-
-
-def trace(a: np.ndarray) -> complex:
-    _square(a)
-    return complex(np.trace(a))
-
-
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _same_shape(a, b)
-    return a @ b - b @ a
-
-
-def anticommutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    _same_shape(a, b)
-    return a @ b + b @ a
 
 
 def dm(psi: np.ndarray) -> np.ndarray:
@@ -98,20 +55,3 @@ def dm(psi: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a ket (1-d array), got shape {psi.shape}")
     return np.outer(psi, psi.conj())
 
-
-def expectation(op: np.ndarray, rho: np.ndarray) -> float:
-    """Re Tr(op rho) for Hermitian op; warns if the imaginary part is not noise."""
-    _same_shape(op, rho)
-    val = complex(np.trace(op @ rho))
-    if abs(val.imag) > 1e-9:
-        warnings.warn(
-            f"expectation has imaginary part {val.imag:.3e}; "
-            "operator or state is likely not Hermitian",
-            stacklevel=2,
-        )
-    return val.real
-
-
-def is_hermitian(a: np.ndarray, tol: float = 1e-9) -> bool:
-    _square(a)
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol)

@@ -81,13 +81,6 @@ def revival_count(series, epsilon: float) -> int:
     return sum(heaviside(d - epsilon) for d in np.diff(arr))
 
 
-def normalized_score(series, epsilon: float, n_eval: int) -> float:
-    """revival_count / n_eval; bounded in [0, 1] when n_eval >= len - 1."""
-    if n_eval < 1:
-        raise ValueError(f"n_eval must be >= 1, got {n_eval}")
-    return revival_count(series, epsilon) / n_eval
-
-
 def detect_segments(series, epsilon: float) -> List[Tuple[int, int]]:
     """(start, peak) index pairs of revival runs.
 

@@ -5,6 +5,10 @@ matching the range of the spin observable being regressed. Loss is the plain
 squared residual (y_hat - y)^2 (no 1/2 convention); gradients below are the
 exact chain-rule derivatives of that loss, verified against central finite
 differences. Optimization is Adam with bias-corrected moments.
+
+All weights and biases live in one float64 vector; the per-layer arrays are
+views into it, so training, prediction and the gradient check share one
+forward pass, and each minibatch runs as a few matrix products.
 """
 
 from __future__ import annotations
@@ -22,59 +26,38 @@ from .dataset import WindowDataset, WindowSample, chronological_split, stack
 H1 = 32
 H2 = 16
 
+# Adam moment decay rates and denominator guard
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 _FIELDS = ("w1", "b1", "w2", "b2", "w3", "b3")
 
 
-@dataclass
+def _shapes(n_in: int):
+    """Shape of each parameter block, in the vector order of _FIELDS."""
+    return ((H1, n_in), (H1,), (H2, H1), (H2,), (H2,), ())
+
+
 class MLPParams:
-    w1: np.ndarray          # (H1, n_in)
-    b1: np.ndarray          # (H1,)
-    w2: np.ndarray          # (H2, H1)
-    b2: np.ndarray          # (H2,)
-    w3: np.ndarray          # (H2,)
-    b3: float
+    """Weights and biases as one float64 vector `vec`.
 
-    def __post_init__(self):
-        self.w1 = np.asarray(self.w1, dtype=float)
-        self.b1 = np.asarray(self.b1, dtype=float)
-        self.w2 = np.asarray(self.w2, dtype=float)
-        self.b2 = np.asarray(self.b2, dtype=float)
-        self.w3 = np.asarray(self.w3, dtype=float)
-        self.b3 = float(self.b3)
-        h1, n_in = self.w1.shape
-        h2 = self.w2.shape[0]
-        if (self.b1.shape != (h1,) or self.w2.shape != (h2, h1)
-                or self.b2.shape != (h2,) or self.w3.shape != (h2,)):
-            raise ValueError("inconsistent layer shapes")
+    w1 (H1, n_in), b1 (H1,), w2 (H2, H1), b2 (H2,), w3 (H2,) and b3 (0-d)
+    are reshaped views into `vec`, laid out in that order; writing to a view
+    writes to `vec`.
+    """
 
-    @property
-    def n_in(self) -> int:
-        return self.w1.shape[1]
-
-    def finite(self) -> bool:
-        return all(np.all(np.isfinite(np.asarray(getattr(self, f)))) for f in _FIELDS)
-
-
-@dataclass
-class Cache:
-    x: np.ndarray
-    z1: np.ndarray
-    h1: np.ndarray
-    z2: np.ndarray
-    h2: np.ndarray
-    z3: float
-    y_hat: float
-
-
-@dataclass
-class AdamState:
-    m: MLPParams
-    v: MLPParams
-    step_count: int = 0
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
+    def __init__(self, vec, n_in: int):
+        self.vec = np.asarray(vec, dtype=float)
+        self.n_in = n_in
+        sizes = [math.prod(s) for s in _shapes(n_in)]
+        if self.vec.shape != (sum(sizes),):
+            raise ValueError(f"expected {sum(sizes)} parameters for n_in={n_in}, "
+                             f"got shape {self.vec.shape}")
+        pos = 0
+        for name, shape, size in zip(_FIELDS, _shapes(n_in), sizes):
+            setattr(self, name, self.vec[pos:pos + size].reshape(shape))
+            pos += size
 
 
 @dataclass
@@ -92,44 +75,35 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def init_params(rng: np.random.Generator, n_in: int = 5) -> MLPParams:
-    """Uniform in +-sqrt(1/fan_in) per layer."""
-    def layer(rows, cols):
+    """Uniform in +-sqrt(1/fan_in) per layer, weights drawn before biases."""
+    blocks = []
+    for rows, cols in ((H1, n_in), (H2, H1), (1, H2)):
         s = math.sqrt(1.0 / cols)
-        return rng.uniform(-s, s, size=(rows, cols)), rng.uniform(-s, s, size=rows)
-    w1, b1 = layer(H1, n_in)
-    w2, b2 = layer(H2, H1)
-    w3row, b3 = layer(1, H2)
-    return MLPParams(w1=w1, b1=b1, w2=w2, b2=b2, w3=w3row[0], b3=float(b3[0]))
+        blocks += [rng.uniform(-s, s, size=rows * cols), rng.uniform(-s, s, size=rows)]
+    return MLPParams(np.concatenate(blocks), n_in)
 
 
-def zeros_like_params(p: MLPParams) -> MLPParams:
-    return MLPParams(w1=np.zeros_like(p.w1), b1=np.zeros_like(p.b1),
-                     w2=np.zeros_like(p.w2), b2=np.zeros_like(p.b2),
-                     w3=np.zeros_like(p.w3), b3=0.0)
+def forward(p: MLPParams, xs):
+    """Outputs for one window (n_in,) or a batch of windows (n, n_in).
 
-
-def _map_params(fn, *ps: MLPParams) -> MLPParams:
-    vals = {}
-    for f in _FIELDS:
-        out = fn(*[np.asarray(getattr(p, f), dtype=float) for p in ps])
-        vals[f] = float(out) if f == "b3" else out
-    return MLPParams(**vals)
-
-
-def forward(p: MLPParams, x) -> Tuple[float, Cache]:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (p.n_in,):
-        raise ValueError(f"expected input of shape ({p.n_in},), got {x.shape}")
-    z1 = p.w1 @ x + p.b1
-    h1 = np.maximum(z1, 0.0)
-    z2 = p.w2 @ h1 + p.b2
-    h2 = np.maximum(z2, 0.0)
-    z3 = float(p.w3 @ h2 + p.b3)
-    y_hat = math.tanh(z3)
-    return y_hat, Cache(x=x, z1=z1, h1=h1, z2=z2, h2=h2, z3=z3, y_hat=y_hat)
+    Returns y_hat (a scalar or an (n,) array) and the activations
+    (xs, h1, h2) that backward needs. The same expressions serve batched
+    training and prediction and the finite-difference check's single-window
+    loss evaluations.
+    """
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim not in (1, 2) or xs.shape[-1] != p.n_in:
+        raise ValueError(f"expected input of shape ({p.n_in},) or (n, {p.n_in}), "
+                         f"got {xs.shape}")
+    h1 = np.maximum(xs @ p.w1.T + p.b1, 0.0)
+    h2 = np.maximum(h1 @ p.w2.T + p.b2, 0.0)
+    y_hat = np.tanh(h2 @ p.w3 + p.b3)
+    return y_hat, (xs, h1, h2)
 
 
 def mse(preds, labels) -> float:
@@ -142,44 +116,38 @@ def mse(preds, labels) -> float:
     return float(np.mean((preds - labels) ** 2))
 
 
-def backward(p: MLPParams, cache: Cache, x, y: float) -> MLPParams:
-    """Exact gradient of (y_hat - y)^2; ReLU subgradient at 0 taken as 0.
+def backward(p: MLPParams, acts, y_hat, ys) -> np.ndarray:
+    """Gradient of the batch-mean (y_hat - y)^2, as a vector in p.vec's layout.
 
+    acts and y_hat come from forward on the same input. Per row,
     d loss/d z3 = 2 (y_hat - y) (1 - y_hat^2); the rest is the chain rule
-    through h2 = relu(z2) and h1 = relu(z1).
+    through h2 = relu(z2) and h1 = relu(z1), with the ReLU subgradient at 0
+    taken as 0 (h > 0 exactly where z > 0).
     """
-    x = np.asarray(x, dtype=float)
-    r = 2.0 * (cache.y_hat - y) * (1.0 - cache.y_hat ** 2)
-    g_w3 = r * cache.h2
-    g_b3 = r
-    d_z2 = np.where(cache.z2 > 0.0, r * p.w3, 0.0)
-    g_w2 = np.outer(d_z2, cache.h1)
-    g_b2 = d_z2
-    d_z1 = np.where(cache.z1 > 0.0, p.w2.T @ d_z2, 0.0)
-    g_w1 = np.outer(d_z1, x)
-    g_b1 = d_z1
-    return MLPParams(w1=g_w1, b1=g_b1, w2=g_w2, b2=g_b2, w3=g_w3, b3=g_b3)
+    xs, h1, h2 = (np.atleast_2d(a) for a in acts)
+    r = np.atleast_1d(2.0 * (y_hat - ys) * (1.0 - y_hat ** 2)) / len(xs)
+    d2 = np.where(h2 > 0.0, np.outer(r, p.w3), 0.0)
+    d1 = np.where(h1 > 0.0, d2 @ p.w2, 0.0)
+    g = MLPParams(np.empty_like(p.vec), p.n_in)
+    g.w1[...] = d1.T @ xs
+    g.b1[...] = d1.sum(axis=0)
+    g.w2[...] = d2.T @ h1
+    g.b2[...] = d2.sum(axis=0)
+    g.w3[...] = r @ h2
+    g.b3[...] = r.sum()
+    return g.vec
 
 
-def init_adam(p: MLPParams, lr: float = 1e-3, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    return AdamState(m=zeros_like_params(p), v=zeros_like_params(p),
-                     step_count=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-
-
-def adam_step(p: MLPParams, grad: MLPParams, st: AdamState) -> Tuple[MLPParams, AdamState]:
-    t = st.step_count + 1
-    m = _map_params(lambda mo, g: st.beta1 * mo + (1.0 - st.beta1) * g, st.m, grad)
-    v = _map_params(lambda vo, g: st.beta2 * vo + (1.0 - st.beta2) * g * g, st.v, grad)
-    c1 = 1.0 - st.beta1 ** t
-    c2 = 1.0 - st.beta2 ** t
-    p_new = _map_params(
-        lambda w, mo, vo: w - st.lr * (mo / c1) / (np.sqrt(vo / c2) + st.eps),
-        p, m, v)
-    if not p_new.finite():
+def adam_step(p: MLPParams, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
+              t: int, lr: float) -> None:
+    """Adam update number t (from 1) of p.vec and its moments m, v, in place."""
+    m[:] = BETA1 * m + (1.0 - BETA1) * grad
+    v[:] = BETA2 * v + (1.0 - BETA2) * grad * grad
+    c1 = 1.0 - BETA1 ** t
+    c2 = 1.0 - BETA2 ** t
+    p.vec[:] = p.vec - lr * (m / c1) / (np.sqrt(v / c2) + EPS)
+    if not np.all(np.isfinite(p.vec)):
         raise ValueError("optimizer produced non-finite parameters")
-    return p_new, AdamState(m=m, v=v, step_count=t, lr=st.lr, beta1=st.beta1,
-                            beta2=st.beta2, eps=st.eps)
 
 
 def train(ds: WindowDataset, cfg: TrainConfig) -> Tuple[MLPParams, np.ndarray]:
@@ -196,90 +164,53 @@ def train(ds: WindowDataset, cfg: TrainConfig) -> Tuple[MLPParams, np.ndarray]:
     n = len(train_view)
     rng = np.random.default_rng(cfg.seed)
     p = init_params(rng, n_in=ds.window_len)
-    st = init_adam(p, lr=cfg.lr)
+    m = np.zeros_like(p.vec)
+    v = np.zeros_like(p.vec)
+    t = 0
     curve = np.empty(cfg.epochs)
     for epoch in range(cfg.epochs):
         order = rng.permutation(n) if cfg.shuffle_within_train else np.arange(n)
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo:lo + cfg.batch_size]
-            acc = zeros_like_params(p)
-            for i in idx:
-                _, cache = forward(p, xs[i])
-                g = backward(p, cache, xs[i], ys[i])
-                acc = _map_params(lambda a, b: a + b, acc, g)
-            grad = _map_params(lambda a: a / len(idx), acc)
-            p, st = adam_step(p, grad, st)
-        preds = np.array([forward(p, xs[i])[0] for i in range(n)])
-        curve[epoch] = mse(preds, ys)
+            y_hat, acts = forward(p, xs[idx])
+            t += 1
+            adam_step(p, backward(p, acts, y_hat, ys[idx]), m, v, t, cfg.lr)
+        curve[epoch] = mse(forward(p, xs)[0], ys)
     return p, curve
 
 
 def predict_series(p: MLPParams, samples: Sequence[WindowSample]) -> np.ndarray:
-    """One forward pass per sample, order preserved; pure function."""
-    return np.array([forward(p, s.x)[0] for s in samples])
+    """One batched forward pass over the samples, order preserved; pure function."""
+    if not samples:
+        return np.zeros(0)
+    return forward(p, stack(samples)[0])[0]
 
 
 # ---------- finite-difference verifier ----------
 
-def _shapes(p: MLPParams):
-    return [(f, np.asarray(getattr(p, f)).shape) for f in _FIELDS]
+def fd_gradients(p: MLPParams, x, y: float, h: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient of the squared loss, in p.vec's layout.
 
-
-def _to_vector(p: MLPParams) -> np.ndarray:
-    return np.concatenate([np.asarray(getattr(p, f), dtype=float).ravel()
-                           for f in _FIELDS])
-
-
-def _from_vector(vec: np.ndarray, like: MLPParams) -> MLPParams:
-    vals = {}
-    pos = 0
-    for f, shape in _shapes(like):
-        size = int(np.prod(shape, dtype=int)) if shape else 1
-        chunk = vec[pos:pos + size]
-        vals[f] = float(chunk[0]) if f == "b3" else chunk.reshape(shape)
-        pos += size
-    return MLPParams(**vals)
-
-
-def _loss_from_vector(vec: np.ndarray, like: MLPParams, x: np.ndarray, y: float) -> float:
-    # reshape views into the flat vector; cheap enough for dense sweeps
-    n_in = like.n_in
-    h1 = like.w1.shape[0]
-    h2 = like.w2.shape[0]
-    o = 0
-    w1 = vec[o:o + h1 * n_in].reshape(h1, n_in); o += h1 * n_in
-    b1 = vec[o:o + h1]; o += h1
-    w2 = vec[o:o + h2 * h1].reshape(h2, h1); o += h2 * h1
-    b2 = vec[o:o + h2]; o += h2
-    w3 = vec[o:o + h2]; o += h2
-    b3 = vec[o]
-    a1 = np.maximum(w1 @ x + b1, 0.0)
-    a2 = np.maximum(w2 @ a1 + b2, 0.0)
-    y_hat = math.tanh(float(w3 @ a2 + b3))
-    return (y_hat - y) ** 2
-
-
-def fd_gradients(p: MLPParams, x, y: float, h: float = 1e-5) -> MLPParams:
-    """Central-difference gradient of the squared loss over every parameter."""
+    Perturbs one entry of p.vec at a time and restores it afterwards.
+    """
     x = np.asarray(x, dtype=float)
-    vec = _to_vector(p)
-    out = np.empty_like(vec)
-    for j in range(vec.size):
-        keep = vec[j]
-        vec[j] = keep + h
-        up = _loss_from_vector(vec, p, x, y)
-        vec[j] = keep - h
-        dn = _loss_from_vector(vec, p, x, y)
-        vec[j] = keep
+    out = np.empty_like(p.vec)
+    for j in range(p.vec.size):
+        keep = p.vec[j]
+        p.vec[j] = keep + h
+        up = (forward(p, x)[0] - y) ** 2
+        p.vec[j] = keep - h
+        dn = (forward(p, x)[0] - y) ** 2
+        p.vec[j] = keep
         out[j] = (up - dn) / (2.0 * h)
-    return _from_vector(out, p)
+    return out
 
 
 def gradient_max_rel_error(p: MLPParams, x, y: float, h: float = 1e-5) -> float:
     """max_j |analytic_j - fd_j| / max(|analytic_j|, |fd_j|, 1e-8)."""
-    _, cache = forward(p, x)
-    analytic = _to_vector(backward(p, cache, x, y))
-    numeric = _to_vector(fd_gradients(p, x, y, h))
+    y_hat, acts = forward(p, x)
+    analytic = backward(p, acts, y_hat, y)
+    numeric = fd_gradients(p, x, y, h)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     return float(np.max(np.abs(analytic - numeric) / denom))
 
@@ -287,11 +218,7 @@ def gradient_max_rel_error(p: MLPParams, x, y: float, h: float = 1e-5) -> float:
 # ---------- parameter and loss-curve files ----------
 
 def save_params(p: MLPParams, path) -> None:
-    obj = {
-        "w1": p.w1.tolist(), "b1": p.b1.tolist(),
-        "w2": p.w2.tolist(), "b2": p.b2.tolist(),
-        "w3": p.w3.tolist(), "b3": p.b3,
-    }
+    obj = {f: getattr(p, f).tolist() for f in _FIELDS}
     with open(path, "w") as f:
         json.dump(obj, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -303,9 +230,16 @@ def load_params(path) -> MLPParams:
     missing = [k for k in _FIELDS if k not in obj]
     if missing:
         raise ValueError(f"parameter file {path} missing keys {missing}")
-    return MLPParams(w1=np.array(obj["w1"]), b1=np.array(obj["b1"]),
-                     w2=np.array(obj["w2"]), b2=np.array(obj["b2"]),
-                     w3=np.array(obj["w3"]), b3=float(obj["b3"]))
+    blocks = [np.asarray(obj[k], dtype=float) for k in _FIELDS]
+    n_in = blocks[0].shape[1] if blocks[0].ndim == 2 else 0
+    for name, block, shape in zip(_FIELDS, blocks, _shapes(n_in)):
+        if block.shape != shape:
+            raise ValueError(f"inconsistent layer shapes in {path}: {name} has "
+                             f"shape {block.shape}, expected {shape}")
+    vec = np.concatenate([b.ravel() for b in blocks])
+    if not np.all(np.isfinite(vec)):
+        raise ValueError(f"parameter file {path} holds non-finite values")
+    return MLPParams(vec, n_in)
 
 
 def write_loss_curve(curve, path) -> None:

@@ -96,6 +96,7 @@ def test_simulate_noise_free_zero_clamp_events(tmp_path, capsys):
     lambda d: d.update(output_dir=""),
     lambda d: d.update(emit_plots="yes"),
     lambda d: d["channel"].update(kind="thermal"),
+    lambda d: d["train"].update(seed=-1),
 ])
 def test_invalid_config_exits_2(tmp_path, mutate, capsys):
     doc = rtn_doc(tmp_path / "run")
@@ -128,6 +129,19 @@ def test_malformed_trajectory_exits_5(tmp_path, capsys):
     (run / "trajectory.csv").write_text("wrong,header,row\n1,2,3\n")
     cfg = write_doc(tmp_path, rtn_doc(run))
     assert cli.main(["dataset", "--config", cfg]) == cli.EXIT_MALFORMED
+
+
+def test_nan_or_unordered_trajectory_exits_5(tmp_path, capsys):
+    run = tmp_path / "run"
+    run.mkdir()
+    cfg = write_doc(tmp_path, rtn_doc(run))
+    rows = [f"{0.1 * i:.12g},0.5,0.25" for i in range(8)]
+    bad_value = rows[:3] + ["0.3,nan,0.25"] + rows[4:]
+    bad_order = rows[:3] + ["0.2,0.5,0.25"] + rows[4:]
+    for body in (bad_value, bad_order):
+        (run / "trajectory.csv").write_text("\n".join(["t,z_s,z_a"] + body) + "\n")
+        assert cli.main(["dataset", "--config", cfg]) == cli.EXIT_MALFORMED
+        assert not (run / "dataset.csv").exists()
 
 
 def test_unusable_dataset_exits_5(tmp_path, capsys):
@@ -190,6 +204,12 @@ def test_seed_override_changes_params(tmp_path, capsys):
         assert cli.main([stage, "--config", cfg_b]) == 0
     assert cli.main(["train", "--config", cfg_b, "--seed", "7"]) == 0
     assert (run_a / "params.json").read_bytes() != (run_b / "params.json").read_bytes()
+
+
+def test_negative_seed_override_exits_2(tmp_path, capsys):
+    cfg = write_doc(tmp_path, rtn_doc(tmp_path / "run"))
+    assert cli.main(["train", "--config", cfg, "--seed", "-1"]) == cli.EXIT_CONFIG
+    assert "seed" in capsys.readouterr().err
 
 
 def test_epsilon_override_reaches_report(tmp_path, capsys):

@@ -95,6 +95,15 @@ def test_out_of_range_values_rejected():
     # Trajectory itself rejects out-of-range z_s before windowing can
     with pytest.raises(ValueError):
         _traj(bad, z)
+    # NaN fails every range check, so it is rejected as out of range
+    nan = z.copy()
+    nan[4] = np.nan
+    for zs, za in ((nan, z), (z, nan)):
+        with pytest.raises(ValueError):
+            _traj(zs, za)
+    for x, y in (([0.1, np.nan], 0.0), ([0.1, 0.2], np.nan)):
+        with pytest.raises(ValueError, match="leaves"):
+            dset.WindowSample(x=np.array(x), y=y, t_index=5)
 
 
 def test_stack_shapes():

@@ -306,8 +306,9 @@ def test_cross_integrator_markovian():
     rho0 = dy.initial_state(dy.STATE_EXCITED_EXCITED)
 
     def rhs(t, y):
+        # d rho/dt = -i[H, rho] + rate(t) D[rho], written out independently of evolve
         rho = y.reshape(4, 4)
-        return dy.lindblad_rhs(rho, t, h, chan).ravel()
+        return (-1j * (h @ rho - rho @ h) + chan.rate(t) * chan.dissipator(rho)).ravel()
 
     sol = solve_ivp(rhs, (0.0, 4.0), rho0.ravel().astype(complex),
                     t_eval=np.linspace(0.0, 4.0, 81), rtol=1e-10, atol=1e-12)

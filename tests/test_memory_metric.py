@@ -43,13 +43,14 @@ def test_count_edge_cases():
 
 
 def test_normalized_score_examples():
-    assert mm.normalized_score(WORKED, 0.015, 6) == pytest.approx(4.0 / 6.0)
+    # score = n_rev / n_eval with n_eval = number of predictions
+    assert mm.score_pipeline(WORKED, 0.015).score == pytest.approx(4.0 / 6.0)
     # published-scale arithmetic
     assert 4 / 200 == pytest.approx(0.02)
     assert 7 / 500 == pytest.approx(0.014)
     assert 16 / 500 == pytest.approx(0.032)
     with pytest.raises(ValueError):
-        mm.normalized_score(WORKED, 0.015, 0)
+        mm.score_pipeline(WORKED[:1], 0.015)
 
 
 def test_horizon_invariance():
@@ -62,8 +63,8 @@ def test_horizon_invariance():
         ck = mm.revival_count(tiled, 0.015)
         # boundary step 0.0 -> 0.0 adds no count, so counts scale exactly
         assert ck == k * c1
-        assert mm.normalized_score(tiled, 0.015, k * len(pattern)) == \
-            pytest.approx(mm.normalized_score(pattern, 0.015, len(pattern)))
+        assert mm.score_pipeline(tiled, 0.015).score == \
+            pytest.approx(mm.score_pipeline(pattern, 0.015).score)
     # random series: smaller epsilon never yields fewer counts
     for _ in range(20):
         s = rng.uniform(-1, 1, 40)

@@ -1,5 +1,6 @@
 """Forward/backward, optimizer, training, and file-format tests."""
 
+import json
 import os
 
 import numpy as np
@@ -14,23 +15,28 @@ def _params(seed=0):
     return mlp.init_params(np.random.default_rng(seed))
 
 
+def _zero_params():
+    return mlp.MLPParams(np.zeros(737), n_in=5)
+
+
 def test_forward_zero_params():
-    p = mlp.zeros_like_params(_params())
-    y, cache = mlp.forward(p, np.zeros(5))
+    p = _zero_params()
+    y, (_, h1, h2) = mlp.forward(p, np.zeros(5))
     assert y == 0.0
-    assert cache.y_hat == 0.0
+    assert np.all(h1 == 0.0) and np.all(h2 == 0.0)
     y2, _ = mlp.forward(p, np.array([0.5, -0.5, 1.0, -1.0, 0.2]))
     assert y2 == 0.0
 
 
 def test_forward_dead_second_layer():
     # W1 = 0 with positive b1 keeps h1 > 0, but W2 = 0, b2 = 0 zeroes h2
-    p = mlp.zeros_like_params(_params())
-    p.b1 = np.full(mlp.H1, 0.7)
-    p.w3 = np.ones(mlp.H2)
-    y, cache = mlp.forward(p, np.array([0.1, 0.2, 0.3, 0.4, 0.5]))
-    assert np.all(cache.h1 == 0.7)
-    assert np.all(cache.h2 == 0.0)
+    p = _zero_params()
+    p.b1[:] = 0.7
+    p.w3[:] = 1.0
+    assert np.count_nonzero(p.vec) == mlp.H1 + mlp.H2   # views write the vector
+    y, (_, h1, h2) = mlp.forward(p, np.array([0.1, 0.2, 0.3, 0.4, 0.5]))
+    assert np.all(h1 == 0.7)
+    assert np.all(h2 == 0.0)
     assert y == 0.0
 
 
@@ -48,6 +54,16 @@ def test_forward_rejects_wrong_shape():
         mlp.forward(_params(), np.zeros(4))
 
 
+def test_params_layout():
+    p = _params(1)
+    assert p.vec.shape == (737,)
+    assert (p.w1.shape, p.b1.shape, p.w2.shape) == ((mlp.H1, 5), (mlp.H1,), (mlp.H2, mlp.H1))
+    assert (p.b2.shape, p.w3.shape, p.b3.shape) == ((mlp.H2,), (mlp.H2,), ())
+    assert np.array_equal(p.vec[:5], p.w1[0]) and p.vec[-1] == p.b3
+    with pytest.raises(ValueError):
+        mlp.MLPParams(np.zeros(736), n_in=5)
+
+
 def test_mse_examples():
     assert mlp.mse([0.1, 0.2], [0.1, 0.2]) == 0.0
     assert mlp.mse([0.0, 0.0], [1.0, -1.0]) == 1.0
@@ -61,18 +77,33 @@ def test_mse_examples():
 def test_backward_zero_residual():
     p = _params(2)
     x = np.array([0.2, 0.4, -0.3, 0.1, 0.6])
-    y_hat, cache = mlp.forward(p, x)
-    g = mlp.backward(p, cache, x, y_hat)
-    assert mlp._to_vector(g) == pytest.approx(np.zeros(737), abs=0.0)
+    y_hat, acts = mlp.forward(p, x)
+    g = mlp.backward(p, acts, y_hat, y_hat)
+    assert np.array_equal(g, np.zeros(737))
 
 
 def test_backward_b3_closed_form():
     p = _params(3)
     x = np.array([0.3, -0.2, 0.8, 0.1, -0.5])
     y = 0.4
-    y_hat, cache = mlp.forward(p, x)
-    g = mlp.backward(p, cache, x, y)
+    y_hat, acts = mlp.forward(p, x)
+    g = mlp.MLPParams(mlp.backward(p, acts, y_hat, y), n_in=5)
     assert g.b3 == pytest.approx(2.0 * (y_hat - y) * (1.0 - y_hat ** 2), rel=1e-15)
+
+
+def test_batch_gradient_is_mean_of_row_gradients():
+    p = _params(9)
+    rng = np.random.default_rng(9)
+    xs = rng.uniform(-1.0, 1.0, size=(8, 5))
+    ys = rng.uniform(-1.0, 1.0, size=8)
+    y_hat, acts = mlp.forward(p, xs)
+    rows = [mlp.forward(p, x) for x in xs]
+    # matrix-matrix and matrix-vector products may round differently
+    np.testing.assert_allclose(y_hat, [y for y, _ in rows], rtol=1e-12, atol=0.0)
+    g = mlp.backward(p, acts, y_hat, ys)
+    mean = np.mean([mlp.backward(p, a, y1, y) for (y1, a), y in zip(rows, ys)], axis=0)
+    assert np.count_nonzero(g) > 0
+    assert np.max(np.abs(g - mean)) <= 1e-12 * np.max(np.abs(mean))
 
 
 def test_gradient_matches_finite_differences():
@@ -88,31 +119,31 @@ def test_gradient_matches_finite_differences():
 
 def test_adam_zero_gradient():
     p = _params(4)
-    st = mlp.init_adam(p)
-    p2, st2 = mlp.adam_step(p, mlp.zeros_like_params(p), st)
-    assert np.array_equal(mlp._to_vector(p2), mlp._to_vector(p))
-    assert st2.step_count == 1
+    before = p.vec.copy()
+    m, v = np.zeros(737), np.zeros(737)
+    mlp.adam_step(p, np.zeros(737), m, v, 1, 1e-3)
+    assert np.array_equal(p.vec, before)
+    assert not m.any() and not v.any()
 
 
 def test_adam_first_step_hand_value():
     # with m_hat = g and v_hat = g^2 the first update is -lr * g/(|g| + eps)
-    p = mlp.zeros_like_params(_params())
-    g = mlp.zeros_like_params(p)
-    g.b3 = 0.5
-    st = mlp.init_adam(p, lr=1e-3)
-    p2, _ = mlp.adam_step(p, g, st)
-    assert p2.b3 == pytest.approx(-1e-3 * 0.5 / (0.5 + 1e-8), rel=1e-12)
-    assert np.all(p2.w1 == 0.0)
+    p = _zero_params()
+    g = _zero_params()
+    g.b3[...] = 0.5
+    mlp.adam_step(p, g.vec, np.zeros(737), np.zeros(737), 1, 1e-3)
+    assert p.b3 == pytest.approx(-1e-3 * 0.5 / (0.5 + 1e-8), rel=1e-12)
+    assert np.all(p.w1 == 0.0)
 
 
 def test_adam_constant_gradient_step_magnitude():
-    p = mlp.zeros_like_params(_params())
-    g = mlp.zeros_like_params(p)
-    g.b3 = 0.2
-    st = mlp.init_adam(p, lr=1e-3)
-    prev = p.b3
-    for _ in range(400):
-        p, st = mlp.adam_step(p, g, st)
+    p = _zero_params()
+    g = _zero_params()
+    g.b3[...] = 0.2
+    m, v = np.zeros(737), np.zeros(737)
+    prev = float(p.b3)
+    for t in range(1, 401):
+        mlp.adam_step(p, g.vec, m, v, t, 1e-3)
     step = abs(p.b3 - prev) / 400.0
     assert step == pytest.approx(1e-3, rel=0.05)   # sign-like unit step times lr
 
@@ -139,7 +170,7 @@ def test_train_deterministic():
     p1, c1 = mlp.train(ds, cfg)
     p2, c2 = mlp.train(ds, cfg)
     assert np.array_equal(c1, c2)
-    assert np.array_equal(mlp._to_vector(p1), mlp._to_vector(p2))
+    assert np.array_equal(p1.vec, p2.vec)
 
 
 def test_train_learns_exchange_oscillation():
@@ -163,6 +194,10 @@ def test_predict_series_basics():
     out = mlp.predict_series(p, [s])
     assert out.shape == (1,)
     assert out[0] == mlp.forward(p, s.x)[0]
+    s2 = dset.WindowSample(x=np.array([0.2, 0.3, 0.4, 0.5, 0.6]), y=0.0, t_index=6)
+    both = mlp.predict_series(p, [s, s2])
+    np.testing.assert_allclose(both, [mlp.forward(p, s.x)[0], mlp.forward(p, s2.x)[0]],
+                               rtol=1e-12, atol=0.0)
     again = mlp.predict_series(p, [s])
     assert np.array_equal(out, again)
     assert np.all(np.abs(out) < 1.0)
@@ -184,6 +219,8 @@ def test_train_config_validation():
         mlp.TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
         mlp.TrainConfig(lr=0.0)
+    with pytest.raises(ValueError):
+        mlp.TrainConfig(seed=-1)
 
 
 def test_params_roundtrip(tmp_path):
@@ -191,7 +228,7 @@ def test_params_roundtrip(tmp_path):
     path = os.path.join(tmp_path, "p.json")
     mlp.save_params(p, path)
     back = mlp.load_params(path)
-    assert np.array_equal(mlp._to_vector(back), mlp._to_vector(p))
+    assert np.array_equal(back.vec, p.vec)
     second = os.path.join(tmp_path, "p2.json")
     mlp.save_params(back, second)
     with open(path, "rb") as f1, open(second, "rb") as f2:
@@ -199,6 +236,20 @@ def test_params_roundtrip(tmp_path):
     with open(path, "w") as f:
         f.write('{"w1": [[0]]}')
     with pytest.raises(ValueError, match="missing"):
+        mlp.load_params(path)
+    # right total size (737), wrong split between b2 and w3
+    with open(second) as f:
+        obj = json.load(f)
+    obj["w3"].append(obj["b2"].pop())
+    with open(path, "w") as f:
+        json.dump(obj, f)
+    with pytest.raises(ValueError, match="inconsistent layer shapes"):
+        mlp.load_params(path)
+    obj["b2"].append(obj["w3"].pop())
+    obj["b3"] = float("nan")
+    with open(path, "w") as f:
+        json.dump(obj, f)
+    with pytest.raises(ValueError, match="non-finite"):
         mlp.load_params(path)
 
 
