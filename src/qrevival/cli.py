@@ -5,13 +5,14 @@ stage can be invoked on its own or chained end to end by `run-all`. Every
 output is deterministic for a fixed config and seed, and every exported file
 round-trips byte-for-byte through its reader/writer pair.
 
-Exit codes: 2 config validation, 3 integration-invariant failure, 4 missing
-stage inputs, 5 malformed stage files (including an unusable dataset split),
-6 run-all config mismatch.
+Stages only do their work: they raise StageError for a missing input, an
+integration failure or a run-all mismatch, and ValueError for a malformed
+input. `main` alone turns failures into exit codes: 2 config validation,
+3 integration-invariant failure, 4 missing stage inputs, 5 malformed stage
+files (including an unusable dataset split), 6 run-all config mismatch.
 """
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -25,6 +26,7 @@ from . import dataset as dsmod
 from . import dynamics as dy
 from . import memory_metric as mm
 from . import mlp
+from .table import read_table, write_table
 
 EXIT_CONFIG = 2
 EXIT_INTEGRATION = 3
@@ -50,6 +52,14 @@ _STATE_TAGS = (dy.STATE_EXCITED_EXCITED, dy.STATE_PLUS_EXCITED,
 
 class ConfigError(ValueError):
     """Raised on any run-config schema or value violation."""
+
+
+class StageError(Exception):
+    """A stage failure that is not a malformed input; carries its exit code."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
 
 
 # ---------- run configuration ----------
@@ -80,19 +90,9 @@ def _check_keys(obj: dict, allowed, required, where: str) -> None:
 
 def _channel_from_doc(doc: dict, where: str) -> dy.ChannelSpec:
     _check_keys(doc, ("kind", "params", "rate_clamp"), ("kind",), where)
-    kind = doc["kind"]
-    params = doc.get("params", {})
-    if kind == dy.KIND_AD:
-        _check_keys(params, ("b", "lambda"), ("b", "lambda"), f"{where}.params")
-    elif kind == dy.KIND_RTN:
-        _check_keys(params, ("v", "kappa"), ("v", "kappa"), f"{where}.params")
-    elif kind == dy.KIND_NONE:
-        _check_keys(params, (), (), f"{where}.params")
-    else:
-        raise ConfigError(f"unknown channel kind {kind!r} in {where}")
     try:
         return dy.ChannelSpec.from_dict(doc)
-    except (ValueError, TypeError, KeyError) as e:
+    except ValueError as e:
         raise ConfigError(f"{where}: {e}") from e
 
 
@@ -183,7 +183,7 @@ def _apply_overrides(cfg: RunConfig, args, out_dir=None) -> RunConfig:
         if not (math.isfinite(args.epsilon) and args.epsilon > 0):
             raise ConfigError(f"--epsilon must be positive, got {args.epsilon}")
         cfg = dataclasses.replace(cfg, epsilon=args.epsilon)
-    if args.plots:
+    if getattr(args, "plots", False):
         cfg = dataclasses.replace(cfg, emit_plots=True)
     return cfg
 
@@ -196,143 +196,97 @@ def _err(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _inputs(cfg: RunConfig, *names):
+    """Paths of a stage's input files; StageError (exit 4) for the first absent one."""
+    paths = [_path(cfg, name) for name in names]
+    for p in paths:
+        if not os.path.exists(p):
+            raise StageError(EXIT_MISSING, f"missing input: {p}")
+    return paths
+
+
+def _evolve(cfg: RunConfig) -> dy.Trajectory:
+    """The config's trajectory; a broken physicality invariant is exit 3."""
+    try:
+        return dy.evolve(dy.initial_state(cfg.initial_state), cfg.grid, cfg.g,
+                         cfg.channel, initial_state_tag=cfg.initial_state)
+    except ValueError as e:
+        raise StageError(EXIT_INTEGRATION, f"integration failure: {e}") from e
+
+
 # ---------- pipeline stages ----------
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def cmd_simulate(cfg: RunConfig) -> None:
     os.makedirs(cfg.output_dir, exist_ok=True)
-    rho0 = dy.initial_state(cfg.initial_state)
-    try:
-        traj = dy.evolve(rho0, cfg.grid, cfg.g, cfg.channel,
-                         initial_state_tag=cfg.initial_state)
-    except ValueError as e:
-        _err(f"integration failure: {e}")
-        return EXIT_INTEGRATION
+    traj = _evolve(cfg)
     dy.write_trajectory(traj, _path(cfg, TRAJECTORY_CSV))
     print(f"regime: {cfg.channel.regime()}")
     print(f"clamp events: {traj.clamp_events}")
-    return 0
 
 
-def cmd_dataset(cfg: RunConfig) -> int:
-    src = _path(cfg, TRAJECTORY_CSV)
-    if not os.path.exists(src):
-        _err(f"missing input: {src}")
-        return EXIT_MISSING
-    try:
-        traj = dy.read_trajectory(src)
-        ds = dsmod.build_windows(traj, cfg.window_len)
-        dsmod.write_dataset(ds, _path(cfg, DATASET_CSV))
-    except ValueError as e:
-        _err(f"malformed input: {e}")
-        return EXIT_MALFORMED
+def cmd_dataset(cfg: RunConfig) -> None:
+    [src] = _inputs(cfg, TRAJECTORY_CSV)
+    ds = dsmod.build_windows(dy.read_trajectory(src), cfg.window_len)
+    dsmod.write_dataset(ds, _path(cfg, DATASET_CSV))
     print(f"windows: {len(ds)} (split at {ds.split_index})")
-    return 0
 
 
-def cmd_train(cfg: RunConfig) -> int:
-    src = _path(cfg, DATASET_CSV)
-    if not os.path.exists(src):
-        _err(f"missing input: {src}")
-        return EXIT_MISSING
-    try:
-        ds = dsmod.read_dataset(src)
-        params, curve = mlp.train(ds, cfg.train)
-    except ValueError as e:
-        _err(f"malformed input: {e}")
-        return EXIT_MALFORMED
+def cmd_train(cfg: RunConfig) -> None:
+    [src] = _inputs(cfg, DATASET_CSV)
+    params, curve = mlp.train(dsmod.read_dataset(src), cfg.train)
     mlp.save_params(params, _path(cfg, PARAMS_JSON))
     mlp.write_loss_curve(curve, _path(cfg, LOSS_CSV))
     print(f"final train mse: {curve[-1]:.6e}")
-    return 0
 
 
 def write_predictions(t_indices, preds, path) -> None:
     """CSV `t_index,y_hat` at 12 significant digits."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["t_index", "y_hat"])
-        for ti, y in zip(t_indices, preds):
-            w.writerow([str(int(ti)), f"{y:.12g}"])
+    write_table(path, ["t_index", "y_hat"],
+                ((int(ti), float(y)) for ti, y in zip(t_indices, preds)))
 
 
 def read_predictions(path):
-    t_indices, preds = [], []
-    with open(path, newline="") as f:
-        r = csv.reader(f)
-        header = next(r, None)
-        if header != ["t_index", "y_hat"]:
-            raise ValueError(f"bad predictions header {header!r} in {path}")
-        for row in r:
-            if len(row) != 2:
-                raise ValueError(f"bad predictions row {row!r} in {path}")
-            t_indices.append(int(row[0]))
-            preds.append(float(row[1]))
-    return np.array(t_indices, dtype=int), np.array(preds, dtype=float)
+    _, rows = read_table(path, ["t_index", "y_hat"])
+    return (np.array([int(row[0]) for row in rows], dtype=int),
+            np.array([float(row[1]) for row in rows], dtype=float))
 
 
-def cmd_predict(cfg: RunConfig) -> int:
-    ds_path = _path(cfg, DATASET_CSV)
-    params_path = _path(cfg, PARAMS_JSON)
-    for p in (ds_path, params_path):
-        if not os.path.exists(p):
-            _err(f"missing input: {p}")
-            return EXIT_MISSING
-    try:
-        ds = dsmod.read_dataset(ds_path)
-        params = mlp.load_params(params_path)
-        _, test = dsmod.chronological_split(ds)
-        if not test:
-            raise ValueError("test split is empty")
-        preds = mlp.predict_series(params, test)
-    except ValueError as e:
-        _err(f"malformed input: {e}")
-        return EXIT_MALFORMED
-    write_predictions([s.t_index for s in test], preds,
-                      _path(cfg, PREDICTIONS_CSV))
+def cmd_predict(cfg: RunConfig) -> None:
+    ds_path, params_path = _inputs(cfg, DATASET_CSV, PARAMS_JSON)
+    ds = dsmod.read_dataset(ds_path)
+    params = mlp.load_params(params_path)
+    _, test = dsmod.chronological_split(ds)
+    if not test:
+        raise ValueError("test split is empty")
+    preds = mlp.predict_series(params, test)
+    write_predictions([s.t_index for s in test], preds, _path(cfg, PREDICTIONS_CSV))
     print(f"predictions: {len(preds)}")
-    return 0
 
 
-def cmd_score(cfg: RunConfig, on_truth: bool = False) -> int:
+def cmd_score(cfg: RunConfig, on_truth: bool = False) -> None:
     if on_truth:
         # diagnostic: score the simulated test labels instead of predictions
-        src = _path(cfg, DATASET_CSV)
-        if not os.path.exists(src):
-            _err(f"missing input: {src}")
-            return EXIT_MISSING
-        try:
-            ds = dsmod.read_dataset(src)
-            _, test = dsmod.chronological_split(ds)
-            series = np.array([s.y for s in test])
-            report = mm.score_pipeline(series, cfg.epsilon)
-        except ValueError as e:
-            _err(f"malformed input: {e}")
-            return EXIT_MALFORMED
+        [src] = _inputs(cfg, DATASET_CSV)
+        _, test = dsmod.chronological_split(dsmod.read_dataset(src))
+        report = mm.score_pipeline(np.array([s.y for s in test]), cfg.epsilon)
         mm.write_report(report, _path(cfg, TRUTH_REPORT_JSON))
     else:
-        src = _path(cfg, PREDICTIONS_CSV)
-        if not os.path.exists(src):
-            _err(f"missing input: {src}")
-            return EXIT_MISSING
-        try:
-            _, series = read_predictions(src)
-            report = mm.score_pipeline(series, cfg.epsilon)
-        except ValueError as e:
-            _err(f"malformed input: {e}")
-            return EXIT_MALFORMED
+        [src] = _inputs(cfg, PREDICTIONS_CSV)
+        _, series = read_predictions(src)
+        report = mm.score_pipeline(series, cfg.epsilon)
         mm.write_report(report, _path(cfg, REPORT_JSON))
         mm.write_segments_csv(report, _path(cfg, SEGMENTS_CSV))
     print(f"n_rev={report.n_rev} n_eval={report.n_eval} "
           f"score={report.score:.6f} epsilon={report.epsilon:g}")
-    return 0
 
 
 def run_pipeline(cfg: RunConfig) -> int:
-    """All five stages in order; stops at the first failing stage."""
+    """All five stages in order, then the figures if `emit_plots`.
+
+    Returns 0; a failing stage raises StageError or ValueError.
+    """
     for stage in (cmd_simulate, cmd_dataset, cmd_train, cmd_predict, cmd_score):
-        rc = stage(cfg)
-        if rc != 0:
-            return rc
+        stage(cfg)
     if cfg.emit_plots:
         emit_plots(cfg)
     return 0
@@ -340,16 +294,14 @@ def run_pipeline(cfg: RunConfig) -> int:
 
 # ---------- regime comparison ----------
 
-def cmd_run_all(ad_cfg: RunConfig, rtn_cfg: RunConfig, comparison_dir: str) -> int:
+def cmd_run_all(ad_cfg: RunConfig, rtn_cfg: RunConfig, comparison_dir: str) -> None:
+    """Both pipelines, then `comparison.json`; raises like run_pipeline."""
     if (ad_cfg.grid != rtn_cfg.grid or ad_cfg.epsilon != rtn_cfg.epsilon
             or ad_cfg.window_len != rtn_cfg.window_len):
-        _err("config mismatch: run-all requires a shared grid, epsilon, "
-             "and window length")
-        return EXIT_MISMATCH
+        raise StageError(EXIT_MISMATCH, "config mismatch: run-all requires a "
+                         "shared grid, epsilon, and window length")
     for cfg in (ad_cfg, rtn_cfg):
-        rc = run_pipeline(cfg)
-        if rc != 0:
-            return rc
+        run_pipeline(cfg)
     ad_rep = mm.read_report(_path(ad_cfg, REPORT_JSON))
     rtn_rep = mm.read_report(_path(rtn_cfg, REPORT_JSON))
     ratio = rtn_rep.score / ad_rep.score if ad_rep.score > 0 else None
@@ -371,7 +323,6 @@ def cmd_run_all(ad_cfg: RunConfig, rtn_cfg: RunConfig, comparison_dir: str) -> i
     print(f"ad_score={ad_rep.score:.6f} ({ad_rep.n_rev}/{ad_rep.n_eval}) "
           f"rtn_score={rtn_rep.score:.6f} ({rtn_rep.n_rev}/{rtn_rep.n_eval}) "
           f"ratio={ratio_txt}")
-    return 0
 
 
 # ---------- SVG emission ----------
@@ -474,8 +425,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="override output directory")
         p.add_argument("--seed", type=int, help="override train.seed")
         p.add_argument("--epsilon", type=float, help="override epsilon")
-        p.add_argument("--plots", action="store_true",
-                       help="emit SVG figures")
+        if name == "run-all":
+            p.add_argument("--plots", action="store_true",
+                           help="emit SVG figures")
         if name == "score":
             p.add_argument("--on-truth", action="store_true",
                            help="score the simulated test labels instead of "
@@ -487,33 +439,29 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "run-all":
-            ad_cfg, rtn_cfg = load_pair_config(args.config)
-            if args.out is not None:
-                ad_cfg = _apply_overrides(ad_cfg, args,
-                                          os.path.join(args.out, "ad"))
-                rtn_cfg = _apply_overrides(rtn_cfg, args,
-                                           os.path.join(args.out, "rtn"))
-                comparison_dir = args.out
-            else:
-                ad_cfg = _apply_overrides(ad_cfg, args)
-                rtn_cfg = _apply_overrides(rtn_cfg, args)
-                comparison_dir = "."
-            return cmd_run_all(ad_cfg, rtn_cfg, comparison_dir)
+            ad_cfg, rtn_cfg = (
+                _apply_overrides(cfg, args, None if args.out is None
+                                 else os.path.join(args.out, key))
+                for key, cfg in zip(("ad", "rtn"), load_pair_config(args.config)))
+            cmd_run_all(ad_cfg, rtn_cfg, "." if args.out is None else args.out)
+            return 0
         cfg = _apply_overrides(load_run_config(args.config), args, args.out)
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        if args.command == "dataset":
-            return cmd_dataset(cfg)
-        if args.command == "train":
-            return cmd_train(cfg)
-        if args.command == "predict":
-            return cmd_predict(cfg)
-        if args.command == "score":
-            return cmd_score(cfg, on_truth=args.on_truth)
-        raise AssertionError(f"unhandled command {args.command}")
+        # built per call, so a wrapper set on this module's cmd_* functions
+        # (bench/spans.py times the stages that way) is the one that runs
+        stages = {"simulate": cmd_simulate, "dataset": cmd_dataset,
+                  "train": cmd_train, "predict": cmd_predict,
+                  "score": lambda c: cmd_score(c, on_truth=args.on_truth)}
+        stages[args.command](cfg)
+        return 0
     except ConfigError as e:
         _err(f"config error: {e}")
         return EXIT_CONFIG
+    except StageError as e:
+        _err(str(e))
+        return e.code
+    except ValueError as e:
+        _err(f"malformed input: {e}")
+        return EXIT_MALFORMED
 
 
 if __name__ == "__main__":

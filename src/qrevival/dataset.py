@@ -8,13 +8,13 @@ the second half tests, with no shuffling across the boundary.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .dynamics import Trajectory
+from .table import read_table, write_table
 
 _BOUND = 1.0 + 1e-6
 
@@ -97,39 +97,28 @@ def stack(samples: Sequence[WindowSample]) -> Tuple[np.ndarray, np.ndarray]:
     return xs, ys
 
 
+def _header(window_len: int) -> List[str]:
+    return [f"x{j + 1}" for j in range(window_len)] + ["y", "t_index", "split"]
+
+
 def write_dataset(ds: WindowDataset, path) -> None:
     """CSV `x1..xw,y,t_index,split` at 12 significant digits."""
-    w = ds.window_len
-    header = [f"x{j + 1}" for j in range(w)] + ["y", "t_index", "split"]
-    with open(path, "w", newline="") as f:
-        wr = csv.writer(f)
-        wr.writerow(header)
-        for i, s in enumerate(ds.samples):
-            tag = "train" if i < ds.split_index else "test"
-            row = [f"{v:.12g}" for v in s.x] + [f"{s.y:.12g}", str(s.t_index), tag]
-            wr.writerow(row)
+    write_table(path, _header(ds.window_len),
+                ([*s.x, s.y, s.t_index, "train" if i < ds.split_index else "test"]
+                 for i, s in enumerate(ds.samples)))
 
 
 def read_dataset(path) -> WindowDataset:
     """Load a dataset CSV; validates ordering and the floor split rule."""
-    with open(path, newline="") as f:
-        r = csv.reader(f)
-        header = next(r, None)
-        if (header is None or len(header) < 4 or header[-3:] != ["y", "t_index", "split"]
-                or header[:-3] != [f"x{j + 1}" for j in range(len(header) - 3)]):
-            raise ValueError(f"bad dataset header {header!r} in {path}")
-        w = len(header) - 3
-        samples = []
-        tags = []
-        for row in r:
-            if len(row) != w + 3:
-                raise ValueError(f"bad dataset row {row!r} in {path}")
-            samples.append(WindowSample(
-                x=np.array([float(v) for v in row[:w]]),
-                y=float(row[w]), t_index=int(row[w + 1])))
-            tags.append(row[w + 2])
-    ds = WindowDataset(samples=samples)
+    header, rows = read_table(path)
+    w = len(header) - 3
+    if w < 1 or header != _header(w):
+        raise ValueError(f"bad dataset header {header!r} in {path}")
+    ds = WindowDataset(samples=[
+        WindowSample(x=np.array([float(v) for v in row[:w]]), y=float(row[w]),
+                     t_index=int(row[w + 1]))
+        for row in rows])
     expect = ["train"] * ds.split_index + ["test"] * (len(ds) - ds.split_index)
-    if tags != expect:
+    if [row[w + 2] for row in rows] != expect:
         raise ValueError(f"split column inconsistent with floor rule in {path}")
     return ds

@@ -21,7 +21,6 @@ counted in the trajectory metadata.
 from __future__ import annotations
 
 import cmath
-import csv
 import json
 import math
 import os
@@ -31,6 +30,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg as la
+from .table import read_table, write_table
 
 # ---------- fixed operators ----------
 
@@ -42,6 +42,9 @@ ATA_AD = la.dagger(A_AD) @ A_AD                  # = I (x) |0><0|
 KIND_AD = "amplitude_damping"
 KIND_RTN = "rtn_dephasing"
 KIND_NONE = "noise_free"
+
+# parameter names of each channel kind, as they appear in configs and sidecars
+PARAM_NAMES = {KIND_AD: ("b", "lambda"), KIND_RTN: ("v", "kappa"), KIND_NONE: ()}
 
 STATE_EXCITED_EXCITED = "excited_excited"
 STATE_PLUS_EXCITED = "plus_excited"
@@ -122,18 +125,6 @@ def amplitude_damping_G(t, p: ADParams):
     return out if out.ndim else float(out)
 
 
-def amplitude_damping_G_dot(t, p: ADParams):
-    """Closed-form dG/dt = -(lam/d) exp(-b t/2) sinh(d t/2); series limit at d=0."""
-    t = np.asarray(t, dtype=float)
-    env = np.exp(-p.b * t / 2.0)
-    d = p.d
-    if d == 0:
-        out = -p.lam * env * (t / 2.0)  # sinh(dt/2)/d -> t/2
-    else:
-        out = -p.lam * env * np.real(np.sinh(d * t / 2.0) / d)
-    return out if out.ndim else float(out)
-
-
 def gamma_ad(t, p: ADParams):
     """Time-local amplitude-damping rate -2 Re[G'/G]; unclamped, may diverge."""
     t = np.asarray(t, dtype=float)
@@ -172,19 +163,6 @@ def rtn_lambda(t, p: RTNParams):
     else:
         x = chi * p.kappa * t
         out = env * np.real(np.cos(x) + np.sin(x) / chi)
-    return out if out.ndim else float(out)
-
-
-def rtn_lambda_dot(t, p: RTNParams):
-    """Closed-form dL/dt = -(4 v^2/kappa) exp(-kappa t) sin(chi kappa t)/chi."""
-    t = np.asarray(t, dtype=float)
-    env = np.exp(-p.kappa * t)
-    chi = p.chi
-    if chi == 0:
-        out = -(4.0 * p.v ** 2 / p.kappa) * env * (p.kappa * t)  # sin(x)/chi -> kappa t
-    else:
-        x = chi * p.kappa * t
-        out = -(4.0 * p.v ** 2 / p.kappa) * env * np.real(np.sin(x) / chi)
     return out if out.ndim else float(out)
 
 
@@ -295,16 +273,24 @@ class ChannelSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "ChannelSpec":
-        kind = d["kind"]
-        clamp = float(d.get("rate_clamp", 1e3))
+        """Inverse of to_dict; `params` must hold exactly the kind's parameter names."""
+        kind = d.get("kind")
+        if not isinstance(kind, str) or kind not in PARAM_NAMES:
+            raise ValueError(f"unknown channel kind {kind!r}")
         params = d.get("params", {})
+        names = PARAM_NAMES[kind]
+        if not isinstance(params, dict) or sorted(params) != sorted(names):
+            raise ValueError(f"{kind} params must be exactly {list(names)}, got {params!r}")
+        try:
+            values = [float(params[k]) for k in names]
+            clamp = float(d.get("rate_clamp", 1e3))
+        except TypeError as e:
+            raise ValueError(f"{kind} params must be numbers: {e}") from e
         if kind == KIND_AD:
-            return ChannelSpec.amplitude_damping(float(params["b"]), float(params["lambda"]), clamp)
+            return ChannelSpec.amplitude_damping(*values, rate_clamp=clamp)
         if kind == KIND_RTN:
-            return ChannelSpec.rtn_dephasing(float(params["v"]), float(params["kappa"]), clamp)
-        if kind == KIND_NONE:
-            return ChannelSpec(kind=KIND_NONE, rate_clamp=clamp)
-        raise ValueError(f"unknown channel kind {kind!r}")
+            return ChannelSpec.rtn_dephasing(*values, rate_clamp=clamp)
+        return ChannelSpec(kind=KIND_NONE, rate_clamp=clamp)
 
 
 # ---------- grid, states, validation ----------
@@ -315,20 +301,19 @@ class TimeGrid:
 
     t_end: float
     n_steps: int
-    t_start: float = 0.0
 
     def __post_init__(self):
-        if not (self.t_end > self.t_start):
-            raise ValueError(f"t_end must exceed t_start, got {self.t_start}..{self.t_end}")
+        if not (self.t_end > 0):
+            raise ValueError(f"t_end must be positive, got {self.t_end}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
 
     @property
     def dt(self) -> float:
-        return (self.t_end - self.t_start) / self.n_steps
+        return self.t_end / self.n_steps
 
     def times(self) -> np.ndarray:
-        return self.t_start + self.dt * np.arange(self.n_steps + 1)
+        return self.dt * np.arange(self.n_steps + 1)
 
 
 def build_xy_hamiltonian(g: float) -> np.ndarray:
@@ -468,52 +453,29 @@ def evolve(rho0: np.ndarray, grid: TimeGrid, g: float, chan: ChannelSpec,
 
 # ---------- trajectory files ----------
 
-def write_trajectory(traj: Trajectory, csv_path, meta_path=None) -> None:
-    """CSV `t,z_s,z_a` at 12 significant digits plus a JSON meta sidecar.
+TRAJECTORY_HEADER = ("t", "z_s", "z_a")
 
-    meta_path defaults to `<csv_path>.meta.json`.
-    """
-    if meta_path is None:
-        meta_path = str(csv_path) + ".meta.json"
-    with open(csv_path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["t", "z_s", "z_a"])
-        for t, zs, za in zip(traj.times, traj.z_s, traj.z_a):
-            w.writerow([f"{t:.12g}", f"{zs:.12g}", f"{za:.12g}"])
-    with open(meta_path, "w") as f:
+
+def write_trajectory(traj: Trajectory, csv_path) -> None:
+    """CSV `t,z_s,z_a` plus a JSON meta sidecar `<csv_path>.meta.json`."""
+    write_table(csv_path, TRAJECTORY_HEADER, zip(traj.times, traj.z_s, traj.z_a))
+    with open(str(csv_path) + ".meta.json", "w") as f:
         json.dump(traj.meta_dict(), f, indent=2, sort_keys=True)
         f.write("\n")
 
 
-def read_trajectory(csv_path, meta_path=None) -> Trajectory:
+def read_trajectory(csv_path) -> Trajectory:
     """Load a trajectory CSV; picks up `<csv_path>.meta.json` when present."""
-    times, z_s, z_a = [], [], []
-    with open(csv_path, newline="") as f:
-        r = csv.reader(f)
-        header = next(r, None)
-        if header != ["t", "z_s", "z_a"]:
-            raise ValueError(f"bad trajectory header {header!r} in {csv_path}")
-        for row in r:
-            if len(row) != 3:
-                raise ValueError(f"bad trajectory row {row!r} in {csv_path}")
-            times.append(float(row[0]))
-            z_s.append(float(row[1]))
-            z_a.append(float(row[2]))
-    if meta_path is None:
-        default = str(csv_path) + ".meta.json"
-        meta_path = default if os.path.exists(default) else ""
-    channel = None
-    g = math.nan
-    tag = STATE_CUSTOM
-    clamp_events = 0
-    if meta_path:
+    _, rows = read_table(csv_path, TRAJECTORY_HEADER)
+    times, z_s, z_a = np.array([[float(v) for v in row] for row in rows]).reshape(-1, 3).T
+    meta_path = str(csv_path) + ".meta.json"
+    meta = {}
+    if os.path.exists(meta_path):
         with open(meta_path) as f:
             meta = json.load(f)
-        if meta.get("channel") is not None:
-            channel = ChannelSpec.from_dict(meta["channel"])
-        g = float(meta.get("g", math.nan))
-        tag = meta.get("initial_state", STATE_CUSTOM)
-        clamp_events = int(meta.get("clamp_events", 0))
-    return Trajectory(times=np.array(times), z_s=np.array(z_s), z_a=np.array(z_a),
-                      channel=channel, g=g, initial_state_tag=tag,
-                      clamp_events=clamp_events)
+    chan = meta.get("channel")
+    return Trajectory(times=times, z_s=z_s, z_a=z_a,
+                      channel=None if chan is None else ChannelSpec.from_dict(chan),
+                      g=float(meta.get("g", math.nan)),
+                      initial_state_tag=meta.get("initial_state", STATE_CUSTOM),
+                      clamp_events=int(meta.get("clamp_events", 0)))

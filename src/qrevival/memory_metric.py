@@ -9,13 +9,14 @@ is the last strictly-rising point of that run.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
+
+from .table import write_table
 
 
 @dataclass
@@ -78,7 +79,7 @@ def revival_count(series, epsilon: float) -> int:
     arr = _check_series(series)
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    return sum(heaviside(d - epsilon) for d in np.diff(arr))
+    return int(np.count_nonzero(np.diff(arr) > epsilon))
 
 
 def detect_segments(series, epsilon: float) -> List[Tuple[int, int]]:
@@ -126,8 +127,4 @@ def read_report(path) -> RevivalReport:
 
 
 def write_segments_csv(report: RevivalReport, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["t1", "t2"])
-        for t1, t2 in report.segments:
-            w.writerow([str(t1), str(t2)])
+    write_table(path, ["t1", "t2"], report.segments)

@@ -13,7 +13,6 @@ forward pass, and each minibatch runs as a few matrix products.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -22,6 +21,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .dataset import WindowDataset, WindowSample, chronological_split, stack
+from .table import read_table, write_table
 
 H1 = 32
 H2 = 16
@@ -243,22 +243,12 @@ def load_params(path) -> MLPParams:
 
 
 def write_loss_curve(curve, path) -> None:
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["epoch", "mse"])
-        for i, val in enumerate(np.asarray(curve, dtype=float), start=1):
-            w.writerow([str(i), f"{val:.12g}"])
+    write_table(path, ["epoch", "mse"], enumerate(np.asarray(curve, dtype=float), start=1))
 
 
 def read_loss_curve(path) -> np.ndarray:
-    vals = []
-    with open(path, newline="") as f:
-        r = csv.reader(f)
-        header = next(r, None)
-        if header != ["epoch", "mse"]:
-            raise ValueError(f"bad loss-curve header {header!r} in {path}")
-        for k, row in enumerate(r, start=1):
-            if len(row) != 2 or int(row[0]) != k:
-                raise ValueError(f"bad loss-curve row {row!r} in {path}")
-            vals.append(float(row[1]))
-    return np.array(vals)
+    _, rows = read_table(path, ["epoch", "mse"])
+    for k, row in enumerate(rows, start=1):
+        if int(row[0]) != k:
+            raise ValueError(f"bad loss-curve row {row!r} in {path}")
+    return np.array([float(row[1]) for row in rows])

@@ -50,6 +50,17 @@ def chain(cfg_path, *stages):
 ALL_STAGES = ("simulate", "dataset", "train", "predict", "score")
 
 
+def failing_ad_doc(out_dir):
+    # rate_clamp 1000 on a 20-step grid: the first RK4 step leaves the
+    # physical states ("positivity violated" at t=0.15)
+    return rtn_doc(out_dir,
+                   channel={"kind": "amplitude_damping",
+                            "params": {"b": 5.0, "lambda": 1.0},
+                            "rate_clamp": 1000.0},
+                   grid={"t_end": 3.0, "n_steps": 20},
+                   initial_state="tilted_excited")
+
+
 def test_simulate_writes_trajectory_and_prints_regime(tmp_path, capsys):
     cfg = write_doc(tmp_path, rtn_doc(tmp_path / "run"))
     assert cli.main(["simulate", "--config", cfg]) == 0
@@ -121,6 +132,67 @@ def test_stage_missing_inputs_exit_4(tmp_path, capsys):
     assert cli.main(["train", "--config", cfg]) == cli.EXIT_MISSING
     assert cli.main(["predict", "--config", cfg]) == cli.EXIT_MISSING
     assert cli.main(["score", "--config", cfg]) == cli.EXIT_MISSING
+    assert cli.main(["score", "--config", cfg, "--on-truth"]) == cli.EXIT_MISSING
+    assert capsys.readouterr().err.count("missing input: ") == 5
+
+
+def test_integration_failure_exits_3(tmp_path, capsys):
+    run = tmp_path / "run"
+    cfg = write_doc(tmp_path, failing_ad_doc(run))
+    assert cli.main(["simulate", "--config", cfg]) == cli.EXIT_INTEGRATION
+    assert capsys.readouterr().err.startswith(
+        "integration failure: positivity violated")
+    assert not (run / "trajectory.csv").exists()
+    with pytest.raises(cli.StageError) as exc:
+        cli.run_pipeline(cli.load_run_config(cfg))
+    assert exc.value.code == cli.EXIT_INTEGRATION
+    # run-all stops at the failing stage and exits with its code
+    doc = {"ad": failing_ad_doc(tmp_path / "pair" / "ad"),
+           "rtn": rtn_doc(tmp_path / "pair" / "rtn",
+                          grid={"t_end": 3.0, "n_steps": 20})}
+    pair = write_doc(tmp_path, doc, "pair.json")
+    out = tmp_path / "out"
+    assert cli.main(["run-all", "--config", pair, "--out", str(out)]) \
+        == cli.EXIT_INTEGRATION
+    assert capsys.readouterr().err.startswith("integration failure: ")
+    assert not (out / "rtn").exists()
+    assert not (out / "comparison.json").exists()
+
+
+def sidecar(channel):
+    return json.dumps({"channel": channel, "g": 1.0})
+
+
+@pytest.mark.parametrize("stage, name, body", [
+    ("predict", "params.json", "not json {"),
+    ("predict", "params.json", '{"w1": [[0]]}'),
+    ("score", "predictions.csv", "t_index,y_hat\n5,0.5,0.25\n"),
+    ("score", "predictions.csv", "t_index,y_hat\n5,half\n"),
+    ("score", "predictions.csv", "t,y\n5,0.5\n"),
+    # trajectory sidecars whose channel params are missing, short, extra,
+    # not numbers, or of an unknown or absent kind
+    ("dataset", "trajectory.csv.meta.json", sidecar({"kind": "rtn_dephasing"})),
+    ("dataset", "trajectory.csv.meta.json",
+     sidecar({"kind": "rtn_dephasing", "params": {"v": 1.0}})),
+    ("dataset", "trajectory.csv.meta.json",
+     sidecar({"kind": "rtn_dephasing", "params": {"v": 1.0, "kappa": 0.5, "b": 1.0}})),
+    ("dataset", "trajectory.csv.meta.json",
+     sidecar({"kind": "rtn_dephasing", "params": {"v": 1.0, "kappa": None}})),
+    ("dataset", "trajectory.csv.meta.json", sidecar({"kind": "thermal", "params": {}})),
+    ("dataset", "trajectory.csv.meta.json", sidecar({"params": {}})),
+])
+def test_malformed_stage_file_exits_5(tmp_path, stage, name, body, capsys):
+    run = tmp_path / "run"
+    cfg = write_doc(tmp_path, rtn_doc(run))
+    assert cli.main(["simulate", "--config", cfg]) == 0
+    if stage != "dataset":
+        assert cli.main(["dataset", "--config", cfg]) == 0
+    (run / name).write_text(body)
+    capsys.readouterr()
+    assert cli.main([stage, "--config", cfg]) == cli.EXIT_MALFORMED
+    assert capsys.readouterr().err.startswith("malformed input: ")
+    if stage == "dataset":
+        assert not (run / "dataset.csv").exists()
 
 
 def test_malformed_trajectory_exits_5(tmp_path, capsys):
@@ -251,6 +323,7 @@ def test_run_all_grid_mismatch_exits_6(tmp_path, capsys):
     doc = pair_doc(tmp_path, grid={"t_end": 3.0, "n_steps": 64})
     cfg = write_doc(tmp_path, doc, "pair.json")
     assert cli.main(["run-all", "--config", cfg]) == cli.EXIT_MISMATCH
+    assert capsys.readouterr().err.startswith("config mismatch: ")
 
 
 def test_run_all_epsilon_mismatch_exits_6(tmp_path, capsys):
@@ -323,3 +396,11 @@ def test_plots_emitted(tmp_path, capsys):
             body = (out / key / name).read_text()
             assert body.startswith("<svg"), (key, name)
             assert "polyline" in body
+
+
+@pytest.mark.parametrize("stage", ALL_STAGES)
+def test_plots_flag_only_on_run_all(tmp_path, stage, capsys):
+    cfg = write_doc(tmp_path, rtn_doc(tmp_path / "run"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main([stage, "--config", cfg, "--plots"])
+    assert exc.value.code == 2

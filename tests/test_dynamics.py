@@ -395,6 +395,17 @@ def test_channel_spec_serialization():
         assert back == spec
     with pytest.raises(ValueError):
         dy.ChannelSpec.from_dict({"kind": "pink_noise"})
+    for kind, params in (("amplitude_damping", {}),
+                         ("amplitude_damping", {"b": 1.0}),
+                         ("amplitude_damping", {"b": 1.0, "lambda": 2.0, "v": 1.0}),
+                         ("amplitude_damping", {"b": 1.0, "lambda": None}),
+                         ("rtn_dephasing", {"b": 1.0, "lambda": 2.0}),
+                         ("noise_free", {"v": 1.0})):
+        with pytest.raises(ValueError, match="params"):
+            dy.ChannelSpec.from_dict({"kind": kind, "params": params})
+    for doc in ({"params": {}}, {"kind": ["noise_free"]}):
+        with pytest.raises(ValueError, match="kind"):
+            dy.ChannelSpec.from_dict(doc)
 
 
 def test_trajectory_roundtrip(tmp_path):
