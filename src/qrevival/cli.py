@@ -76,6 +76,21 @@ class RunConfig:
     epsilon: float = 0.015
     emit_plots: bool = False
 
+    def __post_init__(self):
+        if not (math.isfinite(self.g) and self.g > 0):
+            raise ValueError(f"g must be positive and finite, got {self.g}")
+        if self.initial_state not in _STATE_TAGS:
+            raise ValueError(f"initial_state must be one of {_STATE_TAGS}, "
+                             f"got {self.initial_state!r}")
+        if self.window_len < 2:
+            raise ValueError(f"window_len must be >= 2, got {self.window_len}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not isinstance(self.output_dir, str) or not self.output_dir:
+            raise ValueError("output_dir must be a non-empty string")
+        if not isinstance(self.emit_plots, bool):
+            raise ValueError("emit_plots must be a boolean")
+
 
 def _check_keys(obj: dict, allowed, required, where: str) -> None:
     if not isinstance(obj, dict):
@@ -88,21 +103,14 @@ def _check_keys(obj: dict, allowed, required, where: str) -> None:
         raise ConfigError(f"missing keys {missing} in {where}")
 
 
-def _channel_from_doc(doc: dict, where: str) -> dy.ChannelSpec:
-    _check_keys(doc, ("kind", "params", "rate_clamp"), ("kind",), where)
-    try:
-        return dy.ChannelSpec.from_dict(doc)
-    except ValueError as e:
-        raise ConfigError(f"{where}: {e}") from e
-
-
 def run_config_from_dict(doc: dict, where: str = "config") -> RunConfig:
     _check_keys(doc,
                 ("channel", "g", "grid", "initial_state", "window_len",
                  "train", "epsilon", "output_dir", "emit_plots"),
                 ("channel", "g", "grid", "initial_state", "output_dir"),
                 where)
-    channel = _channel_from_doc(doc["channel"], f"{where}.channel")
+    _check_keys(doc["channel"], ("kind", "params", "rate_clamp"), ("kind",),
+                f"{where}.channel")
     grid_doc = doc["grid"]
     _check_keys(grid_doc, ("t_end", "n_steps"), ("t_end", "n_steps"),
                 f"{where}.grid")
@@ -111,39 +119,25 @@ def run_config_from_dict(doc: dict, where: str = "config") -> RunConfig:
                 ("epochs", "batch_size", "lr", "seed", "shuffle_within_train"),
                 (), f"{where}.train")
     try:
-        g = float(doc["g"])
-        grid = dy.TimeGrid(t_end=float(grid_doc["t_end"]),
-                           n_steps=int(grid_doc["n_steps"]))
-        train = mlp.TrainConfig(
-            epochs=int(train_doc.get("epochs", 500)),
-            batch_size=int(train_doc.get("batch_size", 32)),
-            lr=float(train_doc.get("lr", 1e-3)),
-            seed=int(train_doc.get("seed", 0)),
-            shuffle_within_train=bool(train_doc.get("shuffle_within_train", True)),
-        )
-        window_len = int(doc.get("window_len", 5))
-        epsilon = float(doc.get("epsilon", 0.015))
+        return RunConfig(
+            channel=dy.ChannelSpec.from_dict(doc["channel"]),
+            g=float(doc["g"]),
+            grid=dy.TimeGrid(t_end=float(grid_doc["t_end"]),
+                             n_steps=int(grid_doc["n_steps"])),
+            initial_state=doc["initial_state"],
+            train=mlp.TrainConfig(
+                epochs=int(train_doc.get("epochs", 500)),
+                batch_size=int(train_doc.get("batch_size", 32)),
+                lr=float(train_doc.get("lr", 1e-3)),
+                seed=int(train_doc.get("seed", 0)),
+                shuffle_within_train=bool(train_doc.get("shuffle_within_train", True)),
+            ),
+            output_dir=doc["output_dir"],
+            window_len=int(doc.get("window_len", 5)),
+            epsilon=float(doc.get("epsilon", 0.015)),
+            emit_plots=doc.get("emit_plots", False))
     except (ValueError, TypeError) as e:
         raise ConfigError(f"{where}: {e}") from e
-    if not (math.isfinite(g) and g > 0):
-        raise ConfigError(f"{where}.g must be positive and finite, got {g}")
-    tag = doc["initial_state"]
-    if tag not in _STATE_TAGS:
-        raise ConfigError(f"{where}.initial_state must be one of {_STATE_TAGS}, "
-                          f"got {tag!r}")
-    if window_len < 2:
-        raise ConfigError(f"{where}.window_len must be >= 2, got {window_len}")
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ConfigError(f"{where}.epsilon must be positive, got {epsilon}")
-    output_dir = doc["output_dir"]
-    if not isinstance(output_dir, str) or not output_dir:
-        raise ConfigError(f"{where}.output_dir must be a non-empty string")
-    emit_plots = doc.get("emit_plots", False)
-    if not isinstance(emit_plots, bool):
-        raise ConfigError(f"{where}.emit_plots must be a boolean")
-    return RunConfig(channel=channel, g=g, grid=grid, initial_state=tag,
-                     train=train, output_dir=output_dir, window_len=window_len,
-                     epsilon=epsilon, emit_plots=emit_plots)
 
 
 def _load_json(path):
@@ -171,21 +165,16 @@ def load_pair_config(path):
 
 
 def _apply_overrides(cfg: RunConfig, args, out_dir=None) -> RunConfig:
-    if out_dir is not None:
-        cfg = dataclasses.replace(cfg, output_dir=out_dir)
-    if args.seed is not None:
-        try:
-            train = dataclasses.replace(cfg.train, seed=args.seed)
-        except ValueError as e:
-            raise ConfigError(f"--seed: {e}") from e
-        cfg = dataclasses.replace(cfg, train=train)
-    if args.epsilon is not None:
-        if not (math.isfinite(args.epsilon) and args.epsilon > 0):
-            raise ConfigError(f"--epsilon must be positive, got {args.epsilon}")
-        cfg = dataclasses.replace(cfg, epsilon=args.epsilon)
-    if getattr(args, "plots", False):
-        cfg = dataclasses.replace(cfg, emit_plots=True)
-    return cfg
+    try:
+        return dataclasses.replace(
+            cfg,
+            output_dir=cfg.output_dir if out_dir is None else out_dir,
+            train=(cfg.train if args.seed is None
+                   else dataclasses.replace(cfg.train, seed=args.seed)),
+            epsilon=cfg.epsilon if args.epsilon is None else args.epsilon,
+            emit_plots=cfg.emit_plots or getattr(args, "plots", False))
+    except (ValueError, TypeError) as e:
+        raise ConfigError(f"command-line override: {e}") from e
 
 
 def _path(cfg: RunConfig, name: str) -> str:
@@ -253,13 +242,9 @@ def read_predictions(path):
 
 def cmd_predict(cfg: RunConfig) -> None:
     ds_path, params_path = _inputs(cfg, DATASET_CSV, PARAMS_JSON)
-    ds = dsmod.read_dataset(ds_path)
-    params = mlp.load_params(params_path)
-    _, test = dsmod.chronological_split(ds)
-    if not test:
-        raise ValueError("test split is empty")
-    preds = mlp.predict_series(params, test)
-    write_predictions([s.t_index for s in test], preds, _path(cfg, PREDICTIONS_CSV))
+    _, test = dsmod.chronological_split(dsmod.read_dataset(ds_path))
+    preds = mlp.predict_series(mlp.load_params(params_path), test.xs)
+    write_predictions(test.t_index, preds, _path(cfg, PREDICTIONS_CSV))
     print(f"predictions: {len(preds)}")
 
 
@@ -268,7 +253,7 @@ def cmd_score(cfg: RunConfig, on_truth: bool = False) -> None:
         # diagnostic: score the simulated test labels instead of predictions
         [src] = _inputs(cfg, DATASET_CSV)
         _, test = dsmod.chronological_split(dsmod.read_dataset(src))
-        report = mm.score_pipeline(np.array([s.y for s in test]), cfg.epsilon)
+        report = mm.score_pipeline(test.ys, cfg.epsilon)
         mm.write_report(report, _path(cfg, TRUTH_REPORT_JSON))
     else:
         [src] = _inputs(cfg, PREDICTIONS_CSV)

@@ -140,13 +140,6 @@ def gamma_ad(t, p: ADParams):
     return out if out.ndim else float(out)
 
 
-def amplitude_damping_loss(t, p: ADParams):
-    """Damping probability 1 - |G|^2; bounded in [0, 1], diagnostic only."""
-    g = np.asarray(amplitude_damping_G(t, p))
-    out = 1.0 - np.abs(g) ** 2
-    return out if out.ndim else float(out)
-
-
 def rtn_lambda(t, p: RTNParams):
     """Dephasing coherence factor L(t), real-valued.
 
@@ -274,6 +267,8 @@ class ChannelSpec:
     @staticmethod
     def from_dict(d: dict) -> "ChannelSpec":
         """Inverse of to_dict; `params` must hold exactly the kind's parameter names."""
+        if not isinstance(d, dict):
+            raise ValueError(f"channel must be a JSON object, got {d!r}")
         kind = d.get("kind")
         if not isinstance(kind, str) or kind not in PARAM_NAMES:
             raise ValueError(f"unknown channel kind {kind!r}")
@@ -333,21 +328,26 @@ def initial_state(tag: str) -> np.ndarray:
     raise ValueError(f"unknown initial state tag {tag!r}")
 
 
-def validate_density_matrix(rho: np.ndarray, herm_tol: float = 1e-9,
-                            trace_tol: float = 1e-9, eig_floor: float = -1e-6,
-                            context: str = "") -> None:
-    """Raise if rho fails hermiticity / unit trace / positivity tolerances."""
+# tolerances of a physical state: max |rho - rho^dag|, |tr rho - 1|, and the
+# lowest eigenvalue allowed
+HERM_TOL = 1e-9
+TRACE_TOL = 1e-9
+EIG_FLOOR = -1e-6
+
+
+def validate_density_matrix(rho: np.ndarray, context: str = "") -> None:
+    """Raise if rho fails the hermiticity / unit trace / positivity tolerances."""
     where = f" ({context})" if context else ""
     if rho.shape != (4, 4):
         raise ValueError(f"density matrix must be 4x4, got {rho.shape}{where}")
     herm_err = float(np.max(np.abs(rho - rho.conj().T)))
-    if herm_err > herm_tol:
+    if herm_err > HERM_TOL:
         raise ValueError(f"hermiticity violated: max |rho - rho^dag| = {herm_err:.3e}{where}")
     tr_err = abs(complex(np.trace(rho)) - 1.0)
-    if tr_err > trace_tol:
+    if tr_err > TRACE_TOL:
         raise ValueError(f"trace violated: |tr - 1| = {tr_err:.3e}{where}")
     min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
-    if min_eig < eig_floor:
+    if min_eig < EIG_FLOOR:
         raise ValueError(f"positivity violated: min eigenvalue = {min_eig:.3e}{where}")
 
 
@@ -373,6 +373,13 @@ class Trajectory:
             if not np.all(np.abs(arr) <= 1.0 + 1e-6):     # also rejects NaN
                 m = float(np.max(np.abs(arr)))
                 raise ValueError(f"{name} leaves [-1, 1] by {m - 1.0:.3e}")
+        if not isinstance(self.g, (int, float)):
+            raise ValueError(f"g must be a number, got {self.g!r}")
+        if not isinstance(self.initial_state_tag, str):
+            raise ValueError(f"initial_state must be a string, got {self.initial_state_tag!r}")
+        if not (isinstance(self.clamp_events, int) and self.clamp_events >= 0):
+            raise ValueError(f"clamp_events must be a non-negative integer, "
+                             f"got {self.clamp_events!r}")
 
     def __len__(self) -> int:
         return len(self.times)
@@ -473,9 +480,11 @@ def read_trajectory(csv_path) -> Trajectory:
     if os.path.exists(meta_path):
         with open(meta_path) as f:
             meta = json.load(f)
+    if not isinstance(meta, dict):
+        raise ValueError(f"trajectory sidecar {meta_path} is not a JSON object")
     chan = meta.get("channel")
     return Trajectory(times=times, z_s=z_s, z_a=z_a,
                       channel=None if chan is None else ChannelSpec.from_dict(chan),
-                      g=float(meta.get("g", math.nan)),
+                      g=meta.get("g", math.nan),
                       initial_state_tag=meta.get("initial_state", STATE_CUSTOM),
-                      clamp_events=int(meta.get("clamp_events", 0)))
+                      clamp_events=meta.get("clamp_events", 0))

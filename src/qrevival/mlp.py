@@ -16,11 +16,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .dataset import WindowDataset, WindowSample, chronological_split, stack
+from .dataset import WindowDataset, chronological_split, stack
 from .table import read_table, write_table
 
 H1 = 32
@@ -157,11 +157,8 @@ def train(ds: WindowDataset, cfg: TrainConfig) -> Tuple[MLPParams, np.ndarray]:
     after each epoch's updates. Fully seeded: initialization and the
     within-train shuffle both draw from cfg.seed.
     """
-    train_view, _ = chronological_split(ds)
-    if not train_view:
-        raise ValueError("empty train split")
-    xs, ys = stack(train_view)
-    n = len(train_view)
+    xs, ys = stack(chronological_split(ds)[0])
+    n = len(ys)
     rng = np.random.default_rng(cfg.seed)
     p = init_params(rng, n_in=ds.window_len)
     m = np.zeros_like(p.vec)
@@ -179,11 +176,9 @@ def train(ds: WindowDataset, cfg: TrainConfig) -> Tuple[MLPParams, np.ndarray]:
     return p, curve
 
 
-def predict_series(p: MLPParams, samples: Sequence[WindowSample]) -> np.ndarray:
-    """One batched forward pass over the samples, order preserved; pure function."""
-    if not samples:
-        return np.zeros(0)
-    return forward(p, stack(samples)[0])[0]
+def predict_series(p: MLPParams, xs) -> np.ndarray:
+    """Predictions for the windows xs (n, n_in), in order; one batched forward pass."""
+    return forward(p, xs)[0]
 
 
 # ---------- finite-difference verifier ----------

@@ -1,5 +1,6 @@
 """CLI stage behavior, config validation, exit codes, and composability."""
 
+import dataclasses
 import json
 import os
 
@@ -170,7 +171,8 @@ def sidecar(channel):
     ("score", "predictions.csv", "t_index,y_hat\n5,half\n"),
     ("score", "predictions.csv", "t,y\n5,0.5\n"),
     # trajectory sidecars whose channel params are missing, short, extra,
-    # not numbers, or of an unknown or absent kind
+    # not numbers, or of an unknown or absent kind, or whose channel is not
+    # an object
     ("dataset", "trajectory.csv.meta.json", sidecar({"kind": "rtn_dephasing"})),
     ("dataset", "trajectory.csv.meta.json",
      sidecar({"kind": "rtn_dephasing", "params": {"v": 1.0}})),
@@ -180,6 +182,17 @@ def sidecar(channel):
      sidecar({"kind": "rtn_dephasing", "params": {"v": 1.0, "kappa": None}})),
     ("dataset", "trajectory.csv.meta.json", sidecar({"kind": "thermal", "params": {}})),
     ("dataset", "trajectory.csv.meta.json", sidecar({"params": {}})),
+    ("dataset", "trajectory.csv.meta.json", sidecar([1, 2])),
+    # trajectory sidecars that are not an object, or whose g, initial_state
+    # or clamp_events has the wrong type or sign
+    ("dataset", "trajectory.csv.meta.json", "[1, 2]"),
+    ("dataset", "trajectory.csv.meta.json", json.dumps({"g": "one"})),
+    ("dataset", "trajectory.csv.meta.json", json.dumps({"g": None})),
+    ("dataset", "trajectory.csv.meta.json", json.dumps({"initial_state": 5})),
+    ("dataset", "trajectory.csv.meta.json", json.dumps({"clamp_events": None})),
+    ("dataset", "trajectory.csv.meta.json", json.dumps({"clamp_events": -1})),
+    ("dataset", "trajectory.csv.meta.json", json.dumps({"clamp_events": 2.5})),
+    ("dataset", "trajectory.csv.meta.json", json.dumps({"clamp_events": "3"})),
 ])
 def test_malformed_stage_file_exits_5(tmp_path, stage, name, body, capsys):
     run = tmp_path / "run"
@@ -284,6 +297,31 @@ def test_negative_seed_override_exits_2(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, word", [
+    (["--epsilon", "-1"], "epsilon"),
+    (["--epsilon", "0"], "epsilon"),
+    (["--epsilon", "nan"], "epsilon"),
+    (["--epsilon", "inf"], "epsilon"),
+    (["--out", ""], "output_dir"),
+])
+def test_bad_override_exits_2(tmp_path, argv, word, capsys):
+    cfg = write_doc(tmp_path, rtn_doc(tmp_path / "run"))
+    assert cli.main(["simulate", "--config", cfg, *argv]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and word in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_run_config_checks_itself(tmp_path):
+    cfg = cli.load_run_config(write_doc(tmp_path, rtn_doc(tmp_path / "run")))
+    assert dataclasses.replace(cfg, epsilon=0.5).epsilon == 0.5
+    for field, value in (("epsilon", -1.0), ("g", 0.0), ("window_len", 1),
+                         ("initial_state", "sideways"), ("output_dir", ""),
+                         ("emit_plots", "yes")):
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(cfg, **{field: value})
+
+
 def test_epsilon_override_reaches_report(tmp_path, capsys):
     run = tmp_path / "run"
     run.mkdir()
@@ -304,7 +342,7 @@ def test_score_on_truth_writes_truth_report(tmp_path, capsys):
     assert not (run / "report.json").exists()
     ds = dsmod.read_dataset(run / "dataset.csv")
     _, test = dsmod.chronological_split(ds)
-    expect = mm.score_pipeline(np.array([s.y for s in test]), epsilon=0.015)
+    expect = mm.score_pipeline(test.ys, epsilon=0.015)
     assert mm.read_report(run / "truth_report.json") == expect
 
 

@@ -1,9 +1,13 @@
 """Window construction, chronological split, and CSV round-trip tests."""
 
+import csv
 import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qrevival import dataset as dset
 from qrevival import dynamics as dy
@@ -21,18 +25,16 @@ def test_windows_from_seven_points():
     z_s = [1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4]
     ds = dset.build_windows(_traj(z_s, z_a))
     assert len(ds) == 2
-    assert np.array_equal(ds.samples[0].x, [0.0, 0.1, 0.2, 0.3, 0.4])
-    assert ds.samples[0].y == 0.5 and ds.samples[0].t_index == 5
-    assert np.array_equal(ds.samples[1].x, [0.1, 0.2, 0.3, 0.4, 0.5])
-    assert ds.samples[1].y == 0.4 and ds.samples[1].t_index == 6
+    assert np.array_equal(ds.xs, [[0.0, 0.1, 0.2, 0.3, 0.4], [0.1, 0.2, 0.3, 0.4, 0.5]])
+    assert np.array_equal(ds.ys, [0.5, 0.4])
+    assert np.array_equal(ds.t_index, [5, 6])
 
 
 def test_constant_trajectory_constant_samples():
     ds = dset.build_windows(_traj([0.25] * 40, [-0.5] * 40))
     assert len(ds) == 35
-    for s in ds.samples:
-        assert np.array_equal(s.x, [-0.5] * 5)
-        assert s.y == 0.25
+    assert np.array_equal(ds.xs, np.full((35, 5), -0.5))
+    assert np.array_equal(ds.ys, np.full(35, 0.25))
 
 
 def test_minimum_length_single_sample():
@@ -45,7 +47,7 @@ def test_minimum_length_single_sample():
 def test_window_len_parameter():
     ds = dset.build_windows(_traj(np.zeros(10), np.arange(10) / 10.0), window_len=3)
     assert len(ds) == 7
-    assert np.array_equal(ds.samples[0].x, [0.0, 0.1, 0.2])
+    assert np.array_equal(ds.xs[0], [0.0, 0.1, 0.2])
     with pytest.raises(ValueError):
         dset.build_windows(_traj(np.zeros(10), np.zeros(10)), window_len=0)
 
@@ -54,22 +56,22 @@ def test_sliding_property():
     rng = np.random.default_rng(3)
     z = rng.uniform(-1.0, 1.0, size=60)
     ds = dset.build_windows(_traj(rng.uniform(-1.0, 1.0, size=60), z))
-    for prev, cur in zip(ds.samples, ds.samples[1:]):
-        assert np.array_equal(cur.x[:-1], prev.x[1:])
-        assert cur.x[-1] == z[cur.t_index - 1]
-        assert cur.t_index == prev.t_index + 1
+    assert np.array_equal(ds.xs[1:, :-1], ds.xs[:-1, 1:])
+    assert np.array_equal(ds.xs[:, -1], z[ds.t_index - 1])
+    assert np.array_equal(np.diff(ds.t_index), np.ones(len(ds) - 1))
 
 
 def test_split_floor_rule():
     ds = dset.build_windows(_traj(np.zeros(15), np.zeros(15)))   # 10 samples
     train, test = dset.chronological_split(ds)
-    assert [s.t_index for s in train] == [5, 6, 7, 8, 9]
-    assert [s.t_index for s in test] == [10, 11, 12, 13, 14]
+    assert train.t_index.tolist() == [5, 6, 7, 8, 9]
+    assert test.t_index.tolist() == [10, 11, 12, 13, 14]
+    assert np.array_equal(np.concatenate([train.xs, test.xs]), ds.xs)
     # odd count: extra sample lands in test
     ds2 = dset.build_windows(_traj(np.zeros(16), np.zeros(16)))  # 11 samples
     train2, test2 = dset.chronological_split(ds2)
     assert len(train2) == 5 and len(test2) == 6
-    assert max(s.t_index for s in train2) < min(s.t_index for s in test2)
+    assert train2.t_index[-1] < test2.t_index[0]
 
 
 def test_pipeline_grid_yields_500_test_samples():
@@ -101,17 +103,30 @@ def test_out_of_range_values_rejected():
     for zs, za in ((nan, z), (z, nan)):
         with pytest.raises(ValueError):
             _traj(zs, za)
-    for x, y in (([0.1, np.nan], 0.0), ([0.1, 0.2], np.nan)):
+    for x, y in (([[0.1, np.nan]], [0.0]), ([[0.1, 0.2]], [np.nan]),
+                 ([[0.1, -1.5]], [0.0])):
         with pytest.raises(ValueError, match="leaves"):
-            dset.WindowSample(x=np.array(x), y=y, t_index=5)
+            dset.WindowDataset(xs=np.array(x), ys=np.array(y), t_index=[5])
+
+
+def test_dataset_checks_shapes_and_t_index():
+    ok = dict(xs=np.zeros((3, 2)), ys=np.zeros(3), t_index=[2, 3, 4])
+    assert len(dset.WindowDataset(**ok)) == 3
+    for bad in (dict(xs=np.zeros(3)), dict(xs=np.zeros((4, 2))), dict(ys=np.zeros((3, 1))),
+                dict(t_index=[2, 3])):
+        with pytest.raises(ValueError, match="shapes"):
+            dset.WindowDataset(**{**ok, **bad})
+    for t_index in ([1, 2, 3], [2, 3, 5], [4, 3, 2]):
+        with pytest.raises(ValueError, match="t_index"):
+            dset.WindowDataset(**{**ok, "t_index": t_index})
 
 
 def test_stack_shapes():
     ds = dset.build_windows(_traj(np.zeros(12), np.zeros(12)))
-    xs, ys = dset.stack(ds.samples)
+    xs, ys = dset.stack(ds)
     assert xs.shape == (7, 5) and ys.shape == (7,)
-    xe, ye = dset.stack([])
-    assert xe.shape[0] == 0 and ye.shape == (0,)
+    xe, ye = dset.stack(dset.WindowDataset(np.zeros((0, 5)), np.zeros(0), []))
+    assert xe.shape == (0, 5) and ye.shape == (0,)
 
 
 def test_determinism():
@@ -120,27 +135,63 @@ def test_determinism():
     z_a = rng.uniform(-1, 1, 30)
     a = dset.build_windows(_traj(z_s, z_a))
     b = dset.build_windows(_traj(z_s, z_a))
-    assert len(a) == len(b)
-    for sa, sb in zip(a.samples, b.samples):
-        assert np.array_equal(sa.x, sb.x) and sa.y == sb.y
+    assert np.array_equal(a.xs, b.xs) and np.array_equal(a.ys, b.ys)
+    assert np.array_equal(a.t_index, b.t_index)
 
 
-def test_csv_roundtrip(tmp_path):
-    rng = np.random.default_rng(21)
-    ds = dset.build_windows(_traj(rng.uniform(-1, 1, 23), rng.uniform(-1, 1, 23)))
+_PROPERTY = settings(max_examples=25, deadline=None,
+                     suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+_to_12_digits = np.vectorize(lambda v: float(f"{v:.12g}"))
+
+
+def _random_dataset(data, w, n):
+    """A dataset of n windows of length w cut from a random trajectory in [-1, 1]."""
+    z = data.draw(arrays(float, (2, n + w), elements=st.floats(-1.0, 1.0)))
+    return dset.build_windows(_traj(z[0], z[1]), window_len=w)
+
+
+@_PROPERTY
+@given(data=st.data(), w=st.integers(1, 6), n=st.integers(1, 60))
+def test_csv_roundtrip(tmp_path, data, w, n):
+    ds = _random_dataset(data, w, n)
     path = os.path.join(tmp_path, "ds.csv")
     dset.write_dataset(ds, path)
     back = dset.read_dataset(path)
-    assert len(back) == len(ds) and back.split_index == ds.split_index
-    for sa, sb in zip(ds.samples, back.samples):
-        assert np.allclose(sa.x, sb.x, atol=1e-12)
-        assert sb.y == pytest.approx(sa.y, abs=1e-12)
-        assert sa.t_index == sb.t_index
+    assert len(back) == n and back.window_len == w
+    assert np.array_equal(back.t_index, ds.t_index)
+    assert back.split_index == ds.split_index == n // 2
+    # each value is the original rounded to 12 significant digits
+    assert np.array_equal(back.xs, _to_12_digits(ds.xs))
+    assert np.array_equal(back.ys, _to_12_digits(ds.ys))
     # re-export is byte-identical
     second = os.path.join(tmp_path, "ds2.csv")
     dset.write_dataset(back, second)
     with open(path, "rb") as f1, open(second, "rb") as f2:
         assert f1.read() == f2.read()
+
+
+@_PROPERTY
+@given(data=st.data(), w=st.integers(1, 6), n=st.integers(1, 60),
+       fault=st.sampled_from(["nan", "range", "gap", "split"]))
+def test_read_rejects_corrupted_cell(tmp_path, data, w, n, fault):
+    assume(fault != "gap" or n >= 2)        # a lone row's t_index has no gap
+    path = os.path.join(tmp_path, "ds.csv")
+    dset.write_dataset(_random_dataset(data, w, n), path)
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    row = rows[1 + data.draw(st.integers(0, n - 1))]
+    if fault in ("nan", "range"):
+        col = data.draw(st.integers(0, w))             # an x cell or y
+        row[col] = "nan" if fault == "nan" else data.draw(st.sampled_from(["1.5", "-2"]))
+    elif fault == "gap":
+        row[w + 1] = str(int(row[w + 1]) + data.draw(st.sampled_from([-1, 1, 2])))
+    else:
+        row[w + 2] = "test" if row[w + 2] == "train" else "train"
+    with open(path, "w", newline="") as f:
+        csv.writer(f).writerows(rows)
+    with pytest.raises(ValueError):
+        dset.read_dataset(path)
 
 
 def test_read_rejects_malformed(tmp_path):

@@ -106,15 +106,6 @@ def test_ad_first_zero_and_spacing():
     assert abs(dy.amplitude_damping_G(z2, p)) < 1e-10
 
 
-def test_ad_loss_tracks_amplitude():
-    p = dy.ADParams(b=0.05, lam=10.0)
-    ts = np.linspace(0.0, 3.0, 301)
-    loss = dy.amplitude_damping_loss(ts, p)
-    g = dy.amplitude_damping_G(ts, p)
-    assert loss == pytest.approx(1.0 - np.abs(g) ** 2, abs=1e-13)
-    assert np.all(loss >= -1e-13) and np.all(loss <= 1.0 + 1e-13)
-
-
 def test_rtn_decoherence_oracle():
     for params, table in ((dy.RTNParams(v=1.0, kappa=4.0), RTN_FAST),
                           (dy.RTNParams(v=1.0, kappa=1.0 / 7.0), RTN_SLOW)):

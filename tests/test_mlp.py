@@ -182,23 +182,22 @@ def test_train_learns_exchange_oscillation():
     ds = dset.build_windows(traj)
     p, _ = mlp.train(ds, mlp.TrainConfig(seed=2))
     _, test = dset.chronological_split(ds)
-    preds = mlp.predict_series(p, test)
-    labels = np.array([s.y for s in test])
-    assert mlp.mse(preds, labels) < 1e-3
+    preds = mlp.predict_series(p, test.xs)
+    assert mlp.mse(preds, test.ys) < 1e-3
 
 
 def test_predict_series_basics():
     p = _params(6)
-    assert mlp.predict_series(p, []).size == 0
-    s = dset.WindowSample(x=np.array([0.1, 0.2, 0.3, 0.4, 0.5]), y=0.0, t_index=5)
-    out = mlp.predict_series(p, [s])
+    assert mlp.predict_series(p, np.zeros((0, 5))).shape == (0,)
+    x = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+    x2 = np.array([0.2, 0.3, 0.4, 0.5, 0.6])
+    out = mlp.predict_series(p, [x])
     assert out.shape == (1,)
-    assert out[0] == mlp.forward(p, s.x)[0]
-    s2 = dset.WindowSample(x=np.array([0.2, 0.3, 0.4, 0.5, 0.6]), y=0.0, t_index=6)
-    both = mlp.predict_series(p, [s, s2])
-    np.testing.assert_allclose(both, [mlp.forward(p, s.x)[0], mlp.forward(p, s2.x)[0]],
+    assert out[0] == mlp.forward(p, x)[0]
+    both = mlp.predict_series(p, [x, x2])
+    np.testing.assert_allclose(both, [mlp.forward(p, x)[0], mlp.forward(p, x2)[0]],
                                rtol=1e-12, atol=0.0)
-    again = mlp.predict_series(p, [s])
+    again = mlp.predict_series(p, [x])
     assert np.array_equal(out, again)
     assert np.all(np.abs(out) < 1.0)
 
