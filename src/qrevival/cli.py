@@ -15,10 +15,9 @@ files (including an unusable dataset split), 6 run-all config mismatch.
 import argparse
 import dataclasses
 import json
-import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from . import dataset as dsmod
 from . import dynamics as dy
 from . import memory_metric as mm
 from . import mlp
-from .table import read_table, write_table
+from .table import count, positive_real, read_table, write_json, write_table
 
 EXIT_CONFIG = 2
 EXIT_INTEGRATION = 3
@@ -45,9 +44,6 @@ SEGMENTS_CSV = "segments.csv"
 COMPARISON_JSON = "comparison.json"
 TRAJECTORY_SVG = "trajectory.svg"
 PREDICTION_SVG = "prediction.svg"
-
-_STATE_TAGS = (dy.STATE_EXCITED_EXCITED, dy.STATE_PLUS_EXCITED,
-               dy.STATE_TILTED_EXCITED)
 
 
 class ConfigError(ValueError):
@@ -70,22 +66,19 @@ class RunConfig:
     g: float
     grid: dy.TimeGrid
     initial_state: str
-    train: mlp.TrainConfig
     output_dir: str
+    train: mlp.TrainConfig = field(default_factory=mlp.TrainConfig)
     window_len: int = 5
     epsilon: float = 0.015
     emit_plots: bool = False
 
     def __post_init__(self):
-        if not (math.isfinite(self.g) and self.g > 0):
-            raise ValueError(f"g must be positive and finite, got {self.g}")
-        if self.initial_state not in _STATE_TAGS:
-            raise ValueError(f"initial_state must be one of {_STATE_TAGS}, "
+        for name in ("g", "epsilon"):
+            object.__setattr__(self, name, positive_real(name, getattr(self, name)))
+        if self.initial_state not in dy.INITIAL_KETS:
+            raise ValueError(f"initial_state must be one of {list(dy.INITIAL_KETS)}, "
                              f"got {self.initial_state!r}")
-        if self.window_len < 2:
-            raise ValueError(f"window_len must be >= 2, got {self.window_len}")
-        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        count("window_len", self.window_len, 2)
         if not isinstance(self.output_dir, str) or not self.output_dir:
             raise ValueError("output_dir must be a non-empty string")
         if not isinstance(self.emit_plots, bool):
@@ -103,39 +96,26 @@ def _check_keys(obj: dict, allowed, required, where: str) -> None:
         raise ConfigError(f"missing keys {missing} in {where}")
 
 
+def _from_doc(cls, doc, where: str, **nested):
+    """cls(**doc), its keys checked against the dataclass fields of cls.
+
+    A field without a default is required; `nested` maps a key to the
+    function that builds the field's value from the JSON value.
+    """
+    fields = cls.__dataclass_fields__
+    required = [k for k, f in fields.items()
+                if f.default is MISSING and f.default_factory is MISSING]
+    _check_keys(doc, fields, required, where)
+    return cls(**{k: nested[k](v) if k in nested else v for k, v in doc.items()})
+
+
 def run_config_from_dict(doc: dict, where: str = "config") -> RunConfig:
-    _check_keys(doc,
-                ("channel", "g", "grid", "initial_state", "window_len",
-                 "train", "epsilon", "output_dir", "emit_plots"),
-                ("channel", "g", "grid", "initial_state", "output_dir"),
-                where)
-    _check_keys(doc["channel"], ("kind", "params", "rate_clamp"), ("kind",),
-                f"{where}.channel")
-    grid_doc = doc["grid"]
-    _check_keys(grid_doc, ("t_end", "n_steps"), ("t_end", "n_steps"),
-                f"{where}.grid")
-    train_doc = doc.get("train", {})
-    _check_keys(train_doc,
-                ("epochs", "batch_size", "lr", "seed", "shuffle_within_train"),
-                (), f"{where}.train")
     try:
-        return RunConfig(
-            channel=dy.ChannelSpec.from_dict(doc["channel"]),
-            g=float(doc["g"]),
-            grid=dy.TimeGrid(t_end=float(grid_doc["t_end"]),
-                             n_steps=int(grid_doc["n_steps"])),
-            initial_state=doc["initial_state"],
-            train=mlp.TrainConfig(
-                epochs=int(train_doc.get("epochs", 500)),
-                batch_size=int(train_doc.get("batch_size", 32)),
-                lr=float(train_doc.get("lr", 1e-3)),
-                seed=int(train_doc.get("seed", 0)),
-                shuffle_within_train=bool(train_doc.get("shuffle_within_train", True)),
-            ),
-            output_dir=doc["output_dir"],
-            window_len=int(doc.get("window_len", 5)),
-            epsilon=float(doc.get("epsilon", 0.015)),
-            emit_plots=doc.get("emit_plots", False))
+        return _from_doc(RunConfig, doc, where, channel=dy.ChannelSpec.from_dict,
+                         grid=lambda d: _from_doc(dy.TimeGrid, d, f"{where}.grid"),
+                         train=lambda d: _from_doc(mlp.TrainConfig, d, f"{where}.train"))
+    except ConfigError:
+        raise
     except (ValueError, TypeError) as e:
         raise ConfigError(f"{where}: {e}") from e
 
@@ -300,10 +280,7 @@ def cmd_run_all(ad_cfg: RunConfig, rtn_cfg: RunConfig, comparison_dir: str) -> N
         "epsilon": ad_rep.epsilon,
     }
     os.makedirs(comparison_dir, exist_ok=True)
-    out = os.path.join(comparison_dir, COMPARISON_JSON)
-    with open(out, "w") as f:
-        json.dump(comparison, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(os.path.join(comparison_dir, COMPARISON_JSON), comparison)
     ratio_txt = "undefined" if ratio is None else f"{ratio:.6f}"
     print(f"ad_score={ad_rep.score:.6f} ({ad_rep.n_rev}/{ad_rep.n_eval}) "
           f"rtn_score={rtn_rep.score:.6f} ({rtn_rep.n_rev}/{rtn_rep.n_eval}) "

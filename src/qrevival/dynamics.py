@@ -21,6 +21,7 @@ counted in the trajectory metadata.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import json
 import math
 import os
@@ -30,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from . import linalg as la
-from .table import read_table, write_table
+from .table import count, positive_real, read_table, write_json, write_table
 
 # ---------- fixed operators ----------
 
@@ -39,12 +40,7 @@ Z_A_OP = la.kron(la.I2, la.Z)                    # ancilla Z readout
 A_AD = la.kron(la.I2, la.SIGMA_MINUS)            # ancilla lowering
 ATA_AD = la.dagger(A_AD) @ A_AD                  # = I (x) |0><0|
 
-KIND_AD = "amplitude_damping"
-KIND_RTN = "rtn_dephasing"
 KIND_NONE = "noise_free"
-
-# parameter names of each channel kind, as they appear in configs and sidecars
-PARAM_NAMES = {KIND_AD: ("b", "lambda"), KIND_RTN: ("v", "kappa"), KIND_NONE: ()}
 
 STATE_EXCITED_EXCITED = "excited_excited"
 STATE_PLUS_EXCITED = "plus_excited"
@@ -56,21 +52,41 @@ STATE_CUSTOM = "custom"
 # upward steps near the 0.015 revival threshold on the standard grid
 TILT_EXCITED_AMPLITUDE = math.sqrt(0.81)
 
+# (system ket, ancilla ket) of each initial-state tag a config may name
+INITIAL_KETS = {
+    STATE_EXCITED_EXCITED: (la.KET0, la.KET0),
+    STATE_PLUS_EXCITED: (la.KET_PLUS, la.KET0),
+    STATE_TILTED_EXCITED: (TILT_EXCITED_AMPLITUDE * la.KET0
+                           + math.sqrt(1.0 - TILT_EXCITED_AMPLITUDE ** 2) * la.KET1,
+                           la.KET0),
+}
+
 
 # ---------- channel parameters ----------
 
+class _ChannelParams:
+    """A noise channel: a frozen dataclass of positive finite float parameters.
+
+    A subclass sets KIND, its `kind` tag, and NAMES, its fields' names in
+    configs and sidecars, and provides `non_markovian`, `rate(t)` (signed,
+    unclamped) and `dissipator(rho)` (rate-free).
+    """
+
+    def __post_init__(self):
+        for attr, name in zip(self.__dataclass_fields__, self.NAMES):
+            value = positive_real(f"{self.KIND} params.{name}", getattr(self, attr))
+            object.__setattr__(self, attr, value)
+
+
 @dataclass(frozen=True)
-class ADParams:
+class ADParams(_ChannelParams):
     """Amplitude damping: spectral width b, coupling strength lam."""
+
+    KIND = "amplitude_damping"
+    NAMES = ("b", "lambda")
 
     b: float
     lam: float
-
-    def __post_init__(self):
-        if not (self.b > 0 and math.isfinite(self.b)):
-            raise ValueError(f"b must be positive and finite, got {self.b}")
-        if not (self.lam > 0 and math.isfinite(self.lam)):
-            raise ValueError(f"lambda must be positive and finite, got {self.lam}")
 
     @property
     def d(self) -> complex:
@@ -81,19 +97,22 @@ class ADParams:
     def non_markovian(self) -> bool:
         return self.b * self.b < 2.0 * self.lam
 
+    def rate(self, t):
+        return gamma_ad(t, self)
+
+    def dissipator(self, rho: np.ndarray) -> np.ndarray:
+        return A_AD @ rho @ la.dagger(A_AD) - 0.5 * (ATA_AD @ rho + rho @ ATA_AD)
+
 
 @dataclass(frozen=True)
-class RTNParams:
+class RTNParams(_ChannelParams):
     """Random-telegraph dephasing: amplitude v, correlation-decay rate kappa."""
+
+    KIND = "rtn_dephasing"
+    NAMES = ("v", "kappa")
 
     v: float
     kappa: float
-
-    def __post_init__(self):
-        if not (self.v > 0 and math.isfinite(self.v)):
-            raise ValueError(f"v must be positive and finite, got {self.v}")
-        if not (self.kappa > 0 and math.isfinite(self.kappa)):
-            raise ValueError(f"kappa must be positive and finite, got {self.kappa}")
 
     @property
     def chi(self) -> complex:
@@ -103,6 +122,16 @@ class RTNParams:
     @property
     def non_markovian(self) -> bool:
         return self.v / self.kappa > 0.5
+
+    def rate(self, t):
+        return gamma_rtn(t, self)
+
+    def dissipator(self, rho: np.ndarray) -> np.ndarray:
+        return Z_A_OP @ rho @ Z_A_OP - rho
+
+
+# every channel kind a config or sidecar may name, and its parameter class
+CHANNELS = {ADParams.KIND: ADParams, RTNParams.KIND: RTNParams, KIND_NONE: None}
 
 
 # ---------- coherence factors and rates ----------
@@ -178,54 +207,44 @@ def gamma_rtn(t, p: RTNParams):
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """One noise channel acting on the ancilla (or none), with a rate cap."""
+    """One noise channel acting on the ancilla, or none (params None), with a rate cap."""
 
-    kind: str
-    ad: Optional[ADParams] = None
-    rtn: Optional[RTNParams] = None
+    params: Optional[_ChannelParams] = None
     rate_clamp: float = 1e3
 
     def __post_init__(self):
-        if self.kind not in (KIND_AD, KIND_RTN, KIND_NONE):
-            raise ValueError(f"unknown channel kind {self.kind!r}")
-        if self.kind == KIND_AD and self.ad is None:
-            raise ValueError("amplitude_damping channel needs ADParams")
-        if self.kind == KIND_RTN and self.rtn is None:
-            raise ValueError("rtn_dephasing channel needs RTNParams")
-        if self.kind == KIND_NONE and (self.ad is not None or self.rtn is not None):
-            raise ValueError("noise_free channel takes no params")
-        if not (self.rate_clamp > 0):
-            raise ValueError(f"rate_clamp must be positive, got {self.rate_clamp}")
+        object.__setattr__(self, "rate_clamp", positive_real("rate_clamp", self.rate_clamp))
+
+    @property
+    def kind(self) -> str:
+        return KIND_NONE if self.params is None else self.params.KIND
 
     # constructors
 
     @staticmethod
     def amplitude_damping(b: float, lam: float, rate_clamp: float = 1e3) -> "ChannelSpec":
-        return ChannelSpec(kind=KIND_AD, ad=ADParams(b=b, lam=lam), rate_clamp=rate_clamp)
+        return ChannelSpec(ADParams(b=b, lam=lam), rate_clamp)
 
     @staticmethod
     def rtn_dephasing(v: float, kappa: float, rate_clamp: float = 1e3) -> "ChannelSpec":
-        return ChannelSpec(kind=KIND_RTN, rtn=RTNParams(v=v, kappa=kappa), rate_clamp=rate_clamp)
+        return ChannelSpec(RTNParams(v=v, kappa=kappa), rate_clamp)
 
     @staticmethod
     def noise_free() -> "ChannelSpec":
-        return ChannelSpec(kind=KIND_NONE)
+        return ChannelSpec()
 
     # behavior
 
     def regime(self) -> str:
-        if self.kind == KIND_NONE:
+        if self.params is None:
             return "noise-free"
-        nm = self.ad.non_markovian if self.kind == KIND_AD else self.rtn.non_markovian
-        return "non-markovian" if nm else "markovian"
+        return "non-markovian" if self.params.non_markovian else "markovian"
 
     def rate_raw(self, t):
         """Signed, unclamped time-local rate; diverges at zeros of the coherence factor."""
-        if self.kind == KIND_AD:
-            return gamma_ad(t, self.ad)
-        if self.kind == KIND_RTN:
-            return gamma_rtn(t, self.rtn)
-        return np.zeros_like(np.asarray(t, dtype=float)) if np.ndim(t) else 0.0
+        if self.params is None:
+            return np.zeros_like(np.asarray(t, dtype=float)) if np.ndim(t) else 0.0
+        return self.params.rate(t)
 
     def rate(self, t):
         """Evolution rate: positive part of rate_raw, clamped to [0, rate_clamp].
@@ -247,21 +266,9 @@ class ChannelSpec:
                                     neginf=0.0), 0.0, self.rate_clamp)
         return out if out.ndim else float(out)
 
-    def dissipator(self, rho: np.ndarray) -> np.ndarray:
-        """Rate-free dissipator D[rho] for this channel's fixed operator."""
-        if self.kind == KIND_AD:
-            return A_AD @ rho @ la.dagger(A_AD) - 0.5 * (ATA_AD @ rho + rho @ ATA_AD)
-        if self.kind == KIND_RTN:
-            return Z_A_OP @ rho @ Z_A_OP - rho
-        return np.zeros_like(rho)
-
     def to_dict(self) -> dict:
-        if self.kind == KIND_AD:
-            params = {"b": self.ad.b, "lambda": self.ad.lam}
-        elif self.kind == KIND_RTN:
-            params = {"v": self.rtn.v, "kappa": self.rtn.kappa}
-        else:
-            params = {}
+        p = self.params
+        params = {} if p is None else dict(zip(p.NAMES, dataclasses.astuple(p)))
         return {"kind": self.kind, "params": params, "rate_clamp": self.rate_clamp}
 
     @staticmethod
@@ -269,23 +276,19 @@ class ChannelSpec:
         """Inverse of to_dict; `params` must hold exactly the kind's parameter names."""
         if not isinstance(d, dict):
             raise ValueError(f"channel must be a JSON object, got {d!r}")
+        unknown = sorted(set(d) - {"kind", "params", "rate_clamp"})
+        if unknown:
+            raise ValueError(f"unknown channel keys {unknown}")
         kind = d.get("kind")
-        if not isinstance(kind, str) or kind not in PARAM_NAMES:
+        if not isinstance(kind, str) or kind not in CHANNELS:
             raise ValueError(f"unknown channel kind {kind!r}")
+        cls = CHANNELS[kind]
+        names = () if cls is None else cls.NAMES
         params = d.get("params", {})
-        names = PARAM_NAMES[kind]
         if not isinstance(params, dict) or sorted(params) != sorted(names):
             raise ValueError(f"{kind} params must be exactly {list(names)}, got {params!r}")
-        try:
-            values = [float(params[k]) for k in names]
-            clamp = float(d.get("rate_clamp", 1e3))
-        except TypeError as e:
-            raise ValueError(f"{kind} params must be numbers: {e}") from e
-        if kind == KIND_AD:
-            return ChannelSpec.amplitude_damping(*values, rate_clamp=clamp)
-        if kind == KIND_RTN:
-            return ChannelSpec.rtn_dephasing(*values, rate_clamp=clamp)
-        return ChannelSpec(kind=KIND_NONE, rate_clamp=clamp)
+        return ChannelSpec(None if cls is None else cls(*(params[k] for k in names)),
+                           **{k: v for k, v in d.items() if k == "rate_clamp"})
 
 
 # ---------- grid, states, validation ----------
@@ -298,10 +301,8 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not (self.t_end > 0):
-            raise ValueError(f"t_end must be positive, got {self.t_end}")
-        if self.n_steps < 1:
-            raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
+        object.__setattr__(self, "t_end", positive_real("t_end", self.t_end))
+        count("n_steps", self.n_steps, 1)
 
     @property
     def dt(self) -> float:
@@ -317,15 +318,9 @@ def build_xy_hamiltonian(g: float) -> np.ndarray:
 
 
 def initial_state(tag: str) -> np.ndarray:
-    if tag == STATE_EXCITED_EXCITED:
-        return la.dm(np.kron(la.KET0, la.KET0))
-    if tag == STATE_PLUS_EXCITED:
-        return la.dm(np.kron(la.KET_PLUS, la.KET0))
-    if tag == STATE_TILTED_EXCITED:
-        c = TILT_EXCITED_AMPLITUDE
-        sys_ket = c * la.KET0 + math.sqrt(1.0 - c * c) * la.KET1
-        return la.dm(np.kron(sys_ket, la.KET0))
-    raise ValueError(f"unknown initial state tag {tag!r}")
+    if tag not in INITIAL_KETS:
+        raise ValueError(f"unknown initial state tag {tag!r}")
+    return la.dm(np.kron(*INITIAL_KETS[tag]))
 
 
 # tolerances of a physical state: max |rho - rho^dag|, |tr rho - 1|, and the
@@ -362,6 +357,8 @@ class Trajectory:
     g: float
     initial_state_tag: str
     clamp_events: int = 0
+    # the sidecar keeps dt at full precision, the CSV times at 12 digits
+    dt: Optional[float] = None                       # None: times[1] - times[0]
 
     def __post_init__(self):
         n = len(self.times)
@@ -373,20 +370,17 @@ class Trajectory:
             if not np.all(np.abs(arr) <= 1.0 + 1e-6):     # also rejects NaN
                 m = float(np.max(np.abs(arr)))
                 raise ValueError(f"{name} leaves [-1, 1] by {m - 1.0:.3e}")
-        if not isinstance(self.g, (int, float)):
-            raise ValueError(f"g must be a number, got {self.g!r}")
+        if self.dt is None:
+            self.dt = float(self.times[1] - self.times[0]) if n > 1 else 0.0
+        for name in ("g", "dt"):
+            if not isinstance(getattr(self, name), (int, float)):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if not isinstance(self.initial_state_tag, str):
             raise ValueError(f"initial_state must be a string, got {self.initial_state_tag!r}")
-        if not (isinstance(self.clamp_events, int) and self.clamp_events >= 0):
-            raise ValueError(f"clamp_events must be a non-negative integer, "
-                             f"got {self.clamp_events!r}")
+        count("clamp_events", self.clamp_events, 0)
 
     def __len__(self) -> int:
         return len(self.times)
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0]) if len(self.times) > 1 else 0.0
 
     def meta_dict(self) -> dict:
         chan = self.channel.to_dict() if self.channel is not None else None
@@ -401,8 +395,8 @@ class Trajectory:
 
 def _rhs(rho: np.ndarray, h: np.ndarray, rate: float, chan: ChannelSpec) -> np.ndarray:
     out = -1j * (h @ rho - rho @ h)
-    if chan.kind != KIND_NONE and rate != 0.0:
-        out = out + rate * chan.dissipator(rho)
+    if rate != 0.0:                      # never for a noise-free channel
+        out = out + rate * chan.params.dissipator(rho)
     return out
 
 
@@ -428,7 +422,7 @@ def evolve(rho0: np.ndarray, grid: TimeGrid, g: float, chan: ChannelSpec,
     with np.errstate(divide="ignore", invalid="ignore"):
         raw = np.asarray(chan.rate_raw(eval_times), dtype=float)
         clamped = chan.rate(eval_times)
-    n_clamped = int(np.sum((~np.isfinite(raw)) | (raw > chan.rate_clamp) | (raw < 0.0)))
+    n_clamped = int(np.count_nonzero(clamped != raw))
     r_node = clamped[: n + 1]
     r_mid = clamped[n + 1:]
 
@@ -466,13 +460,14 @@ TRAJECTORY_HEADER = ("t", "z_s", "z_a")
 def write_trajectory(traj: Trajectory, csv_path) -> None:
     """CSV `t,z_s,z_a` plus a JSON meta sidecar `<csv_path>.meta.json`."""
     write_table(csv_path, TRAJECTORY_HEADER, zip(traj.times, traj.z_s, traj.z_a))
-    with open(str(csv_path) + ".meta.json", "w") as f:
-        json.dump(traj.meta_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(str(csv_path) + ".meta.json", traj.meta_dict())
 
 
 def read_trajectory(csv_path) -> Trajectory:
-    """Load a trajectory CSV; picks up `<csv_path>.meta.json` when present."""
+    """Load a trajectory CSV; picks up `<csv_path>.meta.json` when present.
+
+    The sidecar may omit keys but holds none that write_trajectory does not write.
+    """
     _, rows = read_table(csv_path, TRAJECTORY_HEADER)
     times, z_s, z_a = np.array([[float(v) for v in row] for row in rows]).reshape(-1, 3).T
     meta_path = str(csv_path) + ".meta.json"
@@ -483,8 +478,12 @@ def read_trajectory(csv_path) -> Trajectory:
     if not isinstance(meta, dict):
         raise ValueError(f"trajectory sidecar {meta_path} is not a JSON object")
     chan = meta.get("channel")
-    return Trajectory(times=times, z_s=z_s, z_a=z_a,
+    traj = Trajectory(times=times, z_s=z_s, z_a=z_a,
                       channel=None if chan is None else ChannelSpec.from_dict(chan),
                       g=meta.get("g", math.nan),
                       initial_state_tag=meta.get("initial_state", STATE_CUSTOM),
-                      clamp_events=meta.get("clamp_events", 0))
+                      clamp_events=meta.get("clamp_events", 0), dt=meta.get("dt"))
+    unknown = sorted(set(meta) - set(traj.meta_dict()))
+    if unknown:
+        raise ValueError(f"unknown keys {unknown} in trajectory sidecar {meta_path}")
+    return traj

@@ -9,6 +9,7 @@ is the last strictly-rising point of that run.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .table import write_table
+from .table import positive_real, write_json, write_table
 
 
 @dataclass
@@ -36,19 +37,9 @@ class RevivalReport:
             if t1 > t2:
                 raise ValueError(f"segment ({t1}, {t2}) has start after peak")
 
-    def to_dict(self) -> dict:
-        return {
-            "n_rev": self.n_rev,
-            "n_eval": self.n_eval,
-            "score": self.score,
-            "epsilon": self.epsilon,
-            "segments": [[int(a), int(b)] for a, b in self.segments],
-        }
-
     @staticmethod
     def from_dict(obj: dict) -> "RevivalReport":
-        missing = [k for k in ("n_rev", "n_eval", "score", "epsilon", "segments")
-                   if k not in obj]
+        missing = [f.name for f in dataclasses.fields(RevivalReport) if f.name not in obj]
         if missing:
             raise ValueError(f"revival report missing keys {missing}")
         return RevivalReport(
@@ -77,8 +68,7 @@ def _check_series(series) -> np.ndarray:
 def revival_count(series, epsilon: float) -> int:
     """Number of forward differences strictly exceeding epsilon."""
     arr = _check_series(series)
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    positive_real("epsilon", epsilon)
     return int(np.count_nonzero(np.diff(arr) > epsilon))
 
 
@@ -91,8 +81,7 @@ def detect_segments(series, epsilon: float) -> List[Tuple[int, int]]:
     end of the series, closes it.
     """
     arr = _check_series(series)
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    positive_real("epsilon", epsilon)
     segments: List[Tuple[int, int]] = []
     n = arr.size
     i = 1
@@ -116,9 +105,7 @@ def score_pipeline(preds, epsilon: float = 0.015) -> RevivalReport:
 
 
 def write_report(report: RevivalReport, path) -> None:
-    with open(path, "w") as f:
-        json.dump(report.to_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(path, dataclasses.asdict(report))
 
 
 def read_report(path) -> RevivalReport:

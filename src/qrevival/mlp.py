@@ -21,7 +21,7 @@ from typing import Tuple
 import numpy as np
 
 from .dataset import WindowDataset, chronological_split, stack
-from .table import read_table, write_table
+from .table import count, positive_real, read_table, write_json, write_table
 
 H1 = 32
 H2 = 16
@@ -69,14 +69,12 @@ class TrainConfig:
     shuffle_within_train: bool = True
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        count("epochs", self.epochs, 1)
+        count("batch_size", self.batch_size, 1)
+        self.lr = positive_real("lr", self.lr)
+        count("seed", self.seed, 0)
+        if not isinstance(self.shuffle_within_train, bool):
+            raise ValueError("shuffle_within_train must be a boolean")
 
 
 def init_params(rng: np.random.Generator, n_in: int = 5) -> MLPParams:
@@ -213,10 +211,7 @@ def gradient_max_rel_error(p: MLPParams, x, y: float, h: float = 1e-5) -> float:
 # ---------- parameter and loss-curve files ----------
 
 def save_params(p: MLPParams, path) -> None:
-    obj = {f: getattr(p, f).tolist() for f in _FIELDS}
-    with open(path, "w") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(path, {f: getattr(p, f).tolist() for f in _FIELDS})
 
 
 def load_params(path) -> MLPParams:

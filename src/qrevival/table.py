@@ -1,12 +1,18 @@
-"""CSV tables: the one text format of the stage files.
+"""CSV tables and JSON files: the text formats of the stage files.
 
 A table is a header row plus data rows of the same length. Floats are
 written at 12 significant digits (`%.12g`), every other cell with `str`;
 rows go through `csv.writer`, so lines end in `\\r\\n`. Reading returns the
 cells as strings and leaves their parsing to the caller.
+
+A JSON file is one value with an indent of 2, sorted keys and a final
+newline. `positive_real` and `count` check the numbers read from one: `true`
+is an int to Python, and its `json` reads `Infinity`, `NaN` and any integer.
 """
 
 import csv
+import json
+import sys
 
 
 def _cell(v) -> str:
@@ -36,3 +42,23 @@ def read_table(path, header=None):
         if len(row) != len(got):
             raise ValueError(f"bad row {row!r} in {path}")
     return got, rows
+
+
+def write_json(path, obj) -> None:
+    with open(path, "w") as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
+        f.write("\n")
+
+
+def positive_real(name: str, value) -> float:
+    """`value` as a float; ValueError unless it is a non-bool int or float in (0, max float]."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not 0 < value <= sys.float_info.max):
+        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+    return float(value)
+
+
+def count(name: str, value, minimum: int) -> None:
+    """ValueError unless `value` is an int >= minimum (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")

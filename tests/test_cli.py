@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 
 import numpy as np
@@ -109,11 +110,32 @@ def test_simulate_noise_free_zero_clamp_events(tmp_path, capsys):
     lambda d: d.update(emit_plots="yes"),
     lambda d: d["channel"].update(kind="thermal"),
     lambda d: d["train"].update(seed=-1),
+    # wrong JSON types and non-finite reals
+    lambda d: d["train"].update(shuffle_within_train="false"),
+    lambda d: d["train"].update(epochs=2.9),
+    lambda d: d["grid"].update(n_steps=1000.7),
+    lambda d: d.update(window_len=5.9),
+    lambda d: d["grid"].update(n_steps="1000"),
+    lambda d: d.update(g=True),
+    lambda d: d["train"].update(lr=math.inf),
+    lambda d: d["channel"].update(rate_clamp=math.inf),
+    lambda d: d["grid"].update(t_end=math.inf),
+    lambda d: d.update(g=10 ** 400),
 ])
 def test_invalid_config_exits_2(tmp_path, mutate, capsys):
     doc = rtn_doc(tmp_path / "run")
     mutate(doc)
     assert cli.main(["simulate", "--config", write_doc(tmp_path, doc)]) == cli.EXIT_CONFIG
+
+
+def test_config_defaults_come_from_the_dataclasses(tmp_path):
+    required = ("channel", "g", "grid", "initial_state", "output_dir")
+    doc = {k: v for k, v in rtn_doc(tmp_path / "run").items() if k in required}
+    del doc["channel"]["rate_clamp"]
+    cfg = cli.load_run_config(write_doc(tmp_path, doc))
+    assert cfg.train == mlp.TrainConfig()
+    assert (cfg.window_len, cfg.epsilon, cfg.emit_plots, cfg.channel.rate_clamp) == \
+        (5, 0.015, False, 1e3)
 
 
 def test_non_json_config_exits_2(tmp_path, capsys):
@@ -183,16 +205,21 @@ def sidecar(channel):
     ("dataset", "trajectory.csv.meta.json", sidecar({"kind": "thermal", "params": {}})),
     ("dataset", "trajectory.csv.meta.json", sidecar({"params": {}})),
     ("dataset", "trajectory.csv.meta.json", sidecar([1, 2])),
-    # trajectory sidecars that are not an object, or whose g, initial_state
-    # or clamp_events has the wrong type or sign
+    # trajectory sidecars that are not an object, or whose g, dt,
+    # initial_state or clamp_events has the wrong type or sign
     ("dataset", "trajectory.csv.meta.json", "[1, 2]"),
     ("dataset", "trajectory.csv.meta.json", json.dumps({"g": "one"})),
     ("dataset", "trajectory.csv.meta.json", json.dumps({"g": None})),
+    ("dataset", "trajectory.csv.meta.json", json.dumps({"dt": "0.1"})),
     ("dataset", "trajectory.csv.meta.json", json.dumps({"initial_state": 5})),
     ("dataset", "trajectory.csv.meta.json", json.dumps({"clamp_events": None})),
     ("dataset", "trajectory.csv.meta.json", json.dumps({"clamp_events": -1})),
     ("dataset", "trajectory.csv.meta.json", json.dumps({"clamp_events": 2.5})),
     ("dataset", "trajectory.csv.meta.json", json.dumps({"clamp_events": "3"})),
+    # trajectory sidecars with a key their writer does not write
+    ("dataset", "trajectory.csv.meta.json", json.dumps({"g": 1.0, "noise": 0.1})),
+    ("dataset", "trajectory.csv.meta.json",
+     sidecar({"kind": "rtn_dephasing", "params": {"v": 1.0, "kappa": 0.5}, "seed": 3})),
 ])
 def test_malformed_stage_file_exits_5(tmp_path, stage, name, body, capsys):
     run = tmp_path / "run"

@@ -12,6 +12,9 @@ import os
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import solve_ivp
 
 from qrevival import dynamics as dy
@@ -172,7 +175,7 @@ def test_ad_dissipator_hand_example():
     chan = dy.ChannelSpec.amplitude_damping(b=5.0, lam=1.0)
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0                       # |00><00|
-    out = chan.dissipator(rho)
+    out = chan.params.dissipator(rho)
     expect = np.zeros((4, 4), dtype=complex)
     expect[0, 0] = -1.0
     expect[1, 1] = 1.0
@@ -180,7 +183,7 @@ def test_ad_dissipator_hand_example():
     # coherence between ancilla levels decays at half weight
     rho2 = np.zeros((4, 4), dtype=complex)
     rho2[0, 1] = 1.0
-    out2 = chan.dissipator(rho2)
+    out2 = chan.params.dissipator(rho2)
     assert out2[0, 1] == pytest.approx(-0.5)
     assert np.count_nonzero(np.abs(out2) > 1e-14) == 1
 
@@ -189,13 +192,13 @@ def test_rtn_dissipator_hand_example():
     # D[rho] = Z_A rho Z_A - rho kills ancilla coherences, doubles nothing else
     chan = dy.ChannelSpec.rtn_dephasing(v=1.0, kappa=4.0)
     plus_a = dm(np.kron(KET0, KET_PLUS))
-    out = chan.dissipator(plus_a)
+    out = chan.params.dissipator(plus_a)
     # |+><+| off-diagonal is 1/2 and the Z flip doubles the loss: entry -> -1
     expect = np.zeros((4, 4), dtype=complex)
     expect[0, 1] = -1.0
     expect[1, 0] = -1.0
     assert np.allclose(out, expect, atol=1e-14)
-    assert np.allclose(chan.dissipator(I4 / 4.0), 0.0, atol=1e-15)
+    assert np.allclose(chan.params.dissipator(I4 / 4.0), 0.0, atol=1e-15)
 
 
 def test_dissipator_trace_free():
@@ -206,7 +209,7 @@ def test_dissipator_trace_free():
             a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             rho = a @ a.conj().T
             rho = rho / np.trace(rho)
-            assert abs(np.trace(chan.dissipator(rho))) < 1e-12
+            assert abs(np.trace(chan.params.dissipator(rho))) < 1e-12
 
 
 def test_exchange_oracle_single_excitation():
@@ -266,19 +269,21 @@ def test_evolve_physical_on_paper_parameter_sets():
         (dy.ChannelSpec.rtn_dephasing(v=1.0, kappa=1.0 / 7.0, rate_clamp=30.0),
          dy.STATE_PLUS_EXCITED, 1),
     ]
+    ts = grid.times()
     for chan, tag, clamps_expected in cases:
         traj = dy.evolve(dy.initial_state(tag), grid, 1.0, chan, initial_state_tag=tag)
         assert np.all(np.isfinite(traj.z_s)) and np.all(np.isfinite(traj.z_a))
         assert np.max(np.abs(traj.z_s)) <= 1.0 + 1e-6
-        if clamps_expected:
-            assert traj.clamp_events > 0
-        else:
-            assert traj.clamp_events == 0
+        # every raw rate at a node or midpoint that the clamp must alter
+        raw = chan.rate_raw(np.concatenate([ts, ts[:-1] + grid.dt / 2.0]))
+        altered = ~np.isfinite(raw) | (raw < 0.0) | (raw > chan.rate_clamp)
+        assert traj.clamp_events == np.count_nonzero(altered)
+        assert (traj.clamp_events > 0) == bool(clamps_expected)
 
 
 def test_rate_positive_part_and_clamp():
     chan = dy.ChannelSpec.amplitude_damping(b=0.05, lam=10.0, rate_clamp=30.0)
-    assert dy.gamma_ad(1.0, chan.ad) < 0.0
+    assert dy.gamma_ad(1.0, chan.params) < 0.0
     assert chan.rate(1.0) == 0.0                       # negative lobe suspended
     assert chan.rate_raw(1.0) == pytest.approx(AD_OSC[1.0][1], rel=1e-12)
     near_zero = AD_OSC_FIRST_ZERO - 1e-4               # rate spike ahead of the zero
@@ -299,7 +304,7 @@ def test_cross_integrator_markovian():
     def rhs(t, y):
         # d rho/dt = -i[H, rho] + rate(t) D[rho], written out independently of evolve
         rho = y.reshape(4, 4)
-        return (-1j * (h @ rho - rho @ h) + chan.rate(t) * chan.dissipator(rho)).ravel()
+        return (-1j * (h @ rho - rho @ h) + chan.rate(t) * chan.params.dissipator(rho)).ravel()
 
     sol = solve_ivp(rhs, (0.0, 4.0), rho0.ravel().astype(complex),
                     t_eval=np.linspace(0.0, 4.0, 81), rtol=1e-10, atol=1e-12)
@@ -397,6 +402,36 @@ def test_channel_spec_serialization():
     for doc in ({"params": {}}, {"kind": ["noise_free"]}):
         with pytest.raises(ValueError, match="kind"):
             dy.ChannelSpec.from_dict(doc)
+
+
+_positive = st.floats(min_value=1e-6, max_value=1e6)
+_channels = st.one_of(
+    st.builds(dy.ChannelSpec.amplitude_damping, _positive, _positive, _positive),
+    st.builds(dy.ChannelSpec.rtn_dephasing, _positive, _positive, _positive),
+    st.builds(dy.ChannelSpec, rate_clamp=_positive))
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), chan=_channels, n=st.integers(2, 40),
+       dt=st.floats(1e-3, 10.0), g=_positive, clamp_events=st.integers(0, 10 ** 6),
+       tag=st.sampled_from([*dy.INITIAL_KETS, dy.STATE_CUSTOM]))
+def test_trajectory_files_roundtrip_property(tmp_path, data, chan, n, dt, g,
+                                             clamp_events, tag):
+    assert dy.ChannelSpec.from_dict(chan.to_dict()) == chan
+    z = data.draw(arrays(float, (2, n), elements=st.floats(-1.0, 1.0)))
+    traj = dy.Trajectory(times=dt * np.arange(n), z_s=z[0], z_a=z[1], channel=chan,
+                         g=g, initial_state_tag=tag, clamp_events=clamp_events)
+    first = os.path.join(tmp_path, "a.csv")
+    dy.write_trajectory(traj, first)
+    back = dy.read_trajectory(first)
+    assert (back.channel, back.g, back.initial_state_tag, back.clamp_events) == \
+        (chan, g, tag, clamp_events)
+    second = os.path.join(tmp_path, "b.csv")
+    dy.write_trajectory(back, second)
+    for suffix in ("", ".meta.json"):
+        with open(first + suffix, "rb") as f1, open(second + suffix, "rb") as f2:
+            assert f1.read() == f2.read()
 
 
 def test_trajectory_roundtrip(tmp_path):

@@ -36,8 +36,11 @@ def test_count_edge_cases():
     assert mm.revival_count([0.0, 0.015, 0.030], 0.015) == 0
     with pytest.raises(ValueError):
         mm.revival_count([0.5], 0.015)
-    with pytest.raises(ValueError):
-        mm.revival_count([0.0, 0.1], 0.0)
+    for bad_epsilon in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="epsilon"):
+            mm.revival_count([0.0, 0.1], bad_epsilon)
+        with pytest.raises(ValueError, match="epsilon"):
+            mm.detect_segments([0.0, 0.1], bad_epsilon)
     with pytest.raises(ValueError):
         mm.revival_count([0.0, float("inf")], 0.015)
 
