@@ -5,7 +5,7 @@ channel acts on the ancilla with a time-dependent scalar rate factored out
 of a fixed collapse operator. The signed time-local rates (gamma_ad,
 gamma_rtn) go transiently negative in the memory-bearing regime; the
 evolution applies their clamped magnitude (see ChannelSpec.rate for why).
-Integration is fixed-step classical RK4 on the density matrix.
+Integration is fixed-step RK4 on vec(rho) with one 16x16 generator per channel.
 
 Channels:
   amplitude damping  rate(t) = -2 Re[G'(t)/G(t)],  G from the spectral pair
@@ -393,23 +393,25 @@ class Trajectory:
         }
 
 
-def _rhs(rho: np.ndarray, h: np.ndarray, rate: float, chan: ChannelSpec) -> np.ndarray:
-    out = -1j * (h @ rho - rho @ h)
-    if rate != 0.0:                      # never for a noise-free channel
-        out = out + rate * chan.params.dissipator(rho)
-    return out
+def _superoperator(f) -> np.ndarray:
+    """16x16 matrix of the linear map f on row-major vec(rho): column j is vec(f(E_j))."""
+    return np.stack([f(e).ravel() for e in np.eye(16, dtype=complex).reshape(16, 4, 4)],
+                    axis=1)
 
 
 def evolve(rho0: np.ndarray, grid: TimeGrid, g: float, chan: ChannelSpec,
            initial_state_tag: str = STATE_CUSTOM) -> Trajectory:
-    """Fixed-step RK4 over the grid; validates state physicality every step.
+    """Fixed-step RK4 over the grid on row-major vec(rho); validates every state.
 
-    After each step rho is re-Hermitized and trace-renormalized when the
-    drift exceeds 1e-12. Raises if hermiticity/trace/positivity tolerances
-    are broken (dt too large or rate_clamp too generous).
+    Each stage applies L_H v + rate * (L_D v), with L_H = -i[H, .] and L_D the
+    channel's rate-free dissipator (zero for noise_free) built once as 16x16
+    matrices. Nothing repairs the state: raises if hermiticity/trace/positivity
+    tolerances are broken (dt too large or rate_clamp too generous).
     """
     validate_density_matrix(rho0, context="initial state")
     h = build_xy_hamiltonian(g)
+    l_h = _superoperator(lambda r: -1j * (h @ r - r @ h))
+    l_d = _superoperator(np.zeros_like if chan.params is None else chan.params.dissipator)
     times = grid.times()
     dt = grid.dt
     n = grid.n_steps
@@ -417,38 +419,31 @@ def evolve(rho0: np.ndarray, grid: TimeGrid, g: float, chan: ChannelSpec,
     # rates at nodes and midpoints, clamped once up front; count every node
     # where the raw signed rate had to be altered (negative, over cap, or
     # non-finite at a coherence zero)
-    mids = times[:-1] + dt / 2.0
-    eval_times = np.concatenate([times, mids])
+    eval_times = np.concatenate([times, times[:-1] + dt / 2.0])
     with np.errstate(divide="ignore", invalid="ignore"):
         raw = np.asarray(chan.rate_raw(eval_times), dtype=float)
         clamped = chan.rate(eval_times)
     n_clamped = int(np.count_nonzero(clamped != raw))
-    r_node = clamped[: n + 1]
-    r_mid = clamped[n + 1:]
+    r_node, r_mid = clamped[: n + 1], clamped[n + 1:]
 
-    z_s = np.empty(n + 1)
-    z_a = np.empty(n + 1)
-    rho = np.array(rho0, dtype=complex)
-    z_s[0] = np.real(np.trace(Z_S_OP @ rho))
-    z_a[0] = np.real(np.trace(Z_A_OP @ rho))
+    def f(v, rate):
+        return l_h @ v + rate * (l_d @ v)
 
+    # rows vec(Z^T), so that vec(Z^T) . vec(rho) = tr(Z rho)
+    readout = np.stack([Z_S_OP.T.ravel(), Z_A_OP.T.ravel()])
+    z = np.empty((2, n + 1))
+    v = np.array(rho0, dtype=complex).ravel()
+    z[:, 0] = (readout @ v).real
     for k in range(n):
-        k1 = _rhs(rho, h, r_node[k], chan)
-        k2 = _rhs(rho + 0.5 * dt * k1, h, r_mid[k], chan)
-        k3 = _rhs(rho + 0.5 * dt * k2, h, r_mid[k], chan)
-        k4 = _rhs(rho + dt * k3, h, r_node[k + 1], chan)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = f(v, r_node[k])
+        k2 = f(v + 0.5 * dt * k1, r_mid[k])
+        k3 = f(v + 0.5 * dt * k2, r_mid[k])
+        k4 = f(v + dt * k3, r_node[k + 1])
+        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        validate_density_matrix(v.reshape(4, 4), context=f"t={times[k + 1]:.6g}")
+        z[:, k + 1] = (readout @ v).real
 
-        rho = 0.5 * (rho + rho.conj().T)                 # control Hermitian drift
-        tr = np.trace(rho).real
-        if abs(tr - 1.0) > 1e-12:
-            rho = rho / tr
-        validate_density_matrix(rho, context=f"t={times[k + 1]:.6g}")
-
-        z_s[k + 1] = np.real(np.trace(Z_S_OP @ rho))
-        z_a[k + 1] = np.real(np.trace(Z_A_OP @ rho))
-
-    return Trajectory(times=times, z_s=z_s, z_a=z_a, channel=chan, g=g,
+    return Trajectory(times=times, z_s=z[0], z_a=z[1], channel=chan, g=g,
                       initial_state_tag=initial_state_tag, clamp_events=n_clamped)
 
 

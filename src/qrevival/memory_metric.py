@@ -17,7 +17,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .table import positive_real, write_json, write_table
+from .table import count, positive_real, write_json, write_table
 
 
 @dataclass
@@ -29,24 +29,31 @@ class RevivalReport:
     epsilon: float
 
     def __post_init__(self):
-        if not 0 <= self.n_rev <= self.n_eval:
+        count("n_rev", self.n_rev, 0)
+        count("n_eval", self.n_eval, 1)
+        self.epsilon = positive_real("epsilon", self.epsilon)
+        if self.n_rev > self.n_eval:
             raise ValueError(f"n_rev {self.n_rev} outside [0, {self.n_eval}]")
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"score {self.score} outside [0, 1]")
+        # 0 is a valid score, so positive_real does not fit
+        if (isinstance(self.score, bool) or not isinstance(self.score, (int, float))
+                or not 0.0 <= self.score <= 1.0):
+            raise ValueError(f"score must be a number in [0, 1], got {self.score!r}")
+        if not isinstance(self.segments, list) or not all(
+                isinstance(seg, (list, tuple)) and len(seg) == 2 for seg in self.segments):
+            raise ValueError(f"segments must be a list of (start, peak) pairs, got {self.segments!r}")
+        self.segments = [tuple(seg) for seg in self.segments]
         for t1, t2 in self.segments:
-            if t1 > t2:
-                raise ValueError(f"segment ({t1}, {t2}) has start after peak")
+            count("segment start", t1, 0)
+            count("segment peak", t2, t1)
 
     @staticmethod
     def from_dict(obj: dict) -> "RevivalReport":
+        if not isinstance(obj, dict):
+            raise ValueError(f"revival report must be a JSON object, got {obj!r}")
         missing = [f.name for f in dataclasses.fields(RevivalReport) if f.name not in obj]
         if missing:
             raise ValueError(f"revival report missing keys {missing}")
-        return RevivalReport(
-            n_rev=int(obj["n_rev"]), n_eval=int(obj["n_eval"]),
-            score=float(obj["score"]),
-            segments=[(int(a), int(b)) for a, b in obj["segments"]],
-            epsilon=float(obj["epsilon"]))
+        return RevivalReport(**{f.name: obj[f.name] for f in dataclasses.fields(RevivalReport)})
 
 
 def heaviside(x: float) -> int:

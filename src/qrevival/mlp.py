@@ -66,15 +66,12 @@ class TrainConfig:
     batch_size: int = 32
     lr: float = 1e-3
     seed: int = 0
-    shuffle_within_train: bool = True
 
     def __post_init__(self):
         count("epochs", self.epochs, 1)
         count("batch_size", self.batch_size, 1)
         self.lr = positive_real("lr", self.lr)
         count("seed", self.seed, 0)
-        if not isinstance(self.shuffle_within_train, bool):
-            raise ValueError("shuffle_within_train must be a boolean")
 
 
 def init_params(rng: np.random.Generator, n_in: int = 5) -> MLPParams:
@@ -164,7 +161,7 @@ def train(ds: WindowDataset, cfg: TrainConfig) -> Tuple[MLPParams, np.ndarray]:
     t = 0
     curve = np.empty(cfg.epochs)
     for epoch in range(cfg.epochs):
-        order = rng.permutation(n) if cfg.shuffle_within_train else np.arange(n)
+        order = rng.permutation(n)
         for lo in range(0, n, cfg.batch_size):
             idx = order[lo:lo + cfg.batch_size]
             y_hat, acts = forward(p, xs[idx])

@@ -25,8 +25,7 @@ def rtn_doc(out_dir, **over):
         "grid": {"t_end": 3.0, "n_steps": 54},
         "initial_state": "plus_excited",
         "window_len": 5,
-        "train": {"epochs": 25, "batch_size": 16, "lr": 0.003, "seed": 1,
-                  "shuffle_within_train": True},
+        "train": {"epochs": 25, "batch_size": 16, "lr": 0.003, "seed": 1},
         "epsilon": 0.015,
         "output_dir": str(out_dir),
         "emit_plots": False,
@@ -110,8 +109,9 @@ def test_simulate_noise_free_zero_clamp_events(tmp_path, capsys):
     lambda d: d.update(emit_plots="yes"),
     lambda d: d["channel"].update(kind="thermal"),
     lambda d: d["train"].update(seed=-1),
+    # the dropped shuffle knob is an unknown key
+    lambda d: d["train"].update(shuffle_within_train=True),
     # wrong JSON types and non-finite reals
-    lambda d: d["train"].update(shuffle_within_train="false"),
     lambda d: d["train"].update(epochs=2.9),
     lambda d: d["grid"].update(n_steps=1000.7),
     lambda d: d.update(window_len=5.9),
@@ -180,6 +180,26 @@ def test_integration_failure_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("integration failure: ")
     assert not (out / "rtn").exists()
     assert not (out / "comparison.json").exists()
+
+
+@pytest.mark.parametrize("params, rate_clamp, grid, state, t_fail", [
+    ({"b": 5.0, "lambda": 1.0}, 1000.0, {"t_end": 3.0, "n_steps": 20},
+     "tilted_excited", "0.15"),
+    # a state that blows up within one step: no state repair hides the drift
+    ({"b": 1000.0, "lambda": 1e8}, 1e300, {"t_end": 24.0, "n_steps": 100},
+     "plus_excited", "0.24"),
+])
+def test_integration_failure_names_its_step(tmp_path, params, rate_clamp, grid, state,
+                                            t_fail, capsys):
+    doc = rtn_doc(tmp_path / "run", grid=grid, initial_state=state,
+                  channel={"kind": "amplitude_damping", "params": params,
+                           "rate_clamp": rate_clamp})
+    cfg_path = write_doc(tmp_path, doc)
+    cfg = cli.load_run_config(cfg_path)
+    with pytest.raises(ValueError, match=rf"\(t={t_fail}\)$"):
+        dy.evolve(dy.initial_state(state), cfg.grid, cfg.g, cfg.channel)
+    assert cli.main(["simulate", "--config", cfg_path]) == cli.EXIT_INTEGRATION
+    assert capsys.readouterr().err.rstrip().endswith(f"(t={t_fail})")
 
 
 def sidecar(channel):

@@ -1,9 +1,13 @@
 """Worked-example and property tests for revival counting and segments."""
 
+import json
+import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qrevival import memory_metric as mm
 
@@ -145,3 +149,58 @@ def test_report_validation():
         mm.RevivalReport(n_rev=1, n_eval=4, score=0.25, segments=[(3, 2)], epsilon=0.015)
     with pytest.raises(ValueError, match="missing"):
         mm.RevivalReport.from_dict({"n_rev": 1})
+
+
+def _report_doc(**over):
+    doc = {"n_rev": 4, "n_eval": 6, "score": 4.0 / 6.0, "segments": [[1, 2], [4, 5]],
+           "epsilon": 0.015}
+    doc.update(over)
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    "report", [1, 2], None,
+    _report_doc(n_rev=3.7), _report_doc(n_rev=True), _report_doc(n_rev=-1),
+    _report_doc(n_eval="6"), _report_doc(n_eval=False), _report_doc(n_eval=0),
+    _report_doc(score="0.3"), _report_doc(score=math.nan), _report_doc(score=True),
+    _report_doc(score=-0.1), _report_doc(score=math.inf),
+    _report_doc(epsilon=0.0), _report_doc(epsilon=math.nan), _report_doc(epsilon=-0.015),
+    _report_doc(epsilon="0.015"),
+    _report_doc(segments=5), _report_doc(segments=[[1]]), _report_doc(segments=[1, 2]),
+    _report_doc(segments=[[1, 2.0]]), _report_doc(segments=[[True, 2]]),
+    _report_doc(segments=[[3, 2]]), _report_doc(segments=[[1, 2, 3]]),
+])
+def test_report_reader_rejects_malformed(tmp_path, doc):
+    with pytest.raises(ValueError):
+        mm.RevivalReport.from_dict(doc)
+    path = os.path.join(tmp_path, "report.json")
+    with open(path, "w") as f:
+        json.dump(doc, f)
+    with pytest.raises(ValueError):
+        mm.read_report(path)
+
+
+@st.composite
+def _reports(draw):
+    n_eval = draw(st.integers(1, 10 ** 6))
+    n_rev = draw(st.integers(0, n_eval))
+    starts = draw(st.lists(st.integers(0, 10 ** 6), max_size=20))
+    return mm.RevivalReport(
+        n_rev=n_rev, n_eval=n_eval,
+        score=draw(st.one_of(st.just(n_rev / n_eval), st.floats(0.0, 1.0))),
+        segments=[(t, t + draw(st.integers(0, 50))) for t in starts],
+        epsilon=draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)))
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(report=_reports())
+def test_report_roundtrip_property(tmp_path, report):
+    first = os.path.join(tmp_path, "report.json")
+    second = os.path.join(tmp_path, "report2.json")
+    mm.write_report(report, first)
+    back = mm.read_report(first)
+    assert back == report
+    mm.write_report(back, second)
+    with open(first, "rb") as f1, open(second, "rb") as f2:
+        assert f1.read() == f2.read()
