@@ -215,9 +215,14 @@ def write_predictions(t_indices, preds, path) -> None:
 
 
 def read_predictions(path):
+    """(t_index, y_hat) arrays; ValueError on a gap in t_index or a non-finite y_hat."""
     _, rows = read_table(path, ["t_index", "y_hat"])
-    return (np.array([int(row[0]) for row in rows], dtype=int),
-            np.array([float(row[1]) for row in rows], dtype=float))
+    t_index = np.array([int(row[0]) for row in rows], dtype=int)
+    preds = np.array([float(row[1]) for row in rows], dtype=float)
+    dsmod.check_t_index(t_index, 0)
+    if not np.all(np.isfinite(preds)):
+        raise ValueError(f"non-finite y_hat in {path}")
+    return t_index, preds
 
 
 def cmd_predict(cfg: RunConfig) -> None:
@@ -352,6 +357,9 @@ def emit_plots(cfg: RunConfig) -> None:
     """Trajectory and prediction figures for a completed run directory."""
     traj = dy.read_trajectory(_path(cfg, TRAJECTORY_CSV))
     t_indices, preds = read_predictions(_path(cfg, PREDICTIONS_CSV))
+    if len(t_indices) and t_indices[-1] >= len(traj):
+        raise ValueError(f"prediction t_index {t_indices[-1]} is past the end of the "
+                         f"{len(traj)}-point trajectory")
     report = mm.read_report(_path(cfg, REPORT_JSON))
     kind = cfg.channel.kind
     _svg_chart(

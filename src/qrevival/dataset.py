@@ -15,10 +15,14 @@ from typing import List, Tuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dynamics import Trajectory
+from .dynamics import Z_BOUND, Trajectory
 from .table import read_table, write_table
 
-_BOUND = 1.0 + 1e-6
+
+def check_t_index(t_index: np.ndarray, first: int) -> None:
+    """ValueError unless t_index starts at or after `first` and advances by exactly 1."""
+    if len(t_index) and (t_index[0] < first or np.any(np.diff(t_index) != 1)):
+        raise ValueError(f"t_index must start at or after {first} and advance by exactly 1")
 
 
 @dataclass
@@ -38,11 +42,9 @@ class WindowDataset:
                 or self.t_index.shape != (n,):
             raise ValueError(f"shapes disagree: xs {self.xs.shape}, ys {self.ys.shape}, "
                              f"t_index {self.t_index.shape}")
-        if not (np.all(np.abs(self.xs) <= _BOUND) and np.all(np.abs(self.ys) <= _BOUND)):
+        if not (np.all(np.abs(self.xs) <= Z_BOUND) and np.all(np.abs(self.ys) <= Z_BOUND)):
             raise ValueError("a window or label leaves [-1, 1]")     # also NaN
-        if n and (self.t_index[0] < self.window_len or np.any(np.diff(self.t_index) != 1)):
-            raise ValueError(f"t_index must start at or after the window length "
-                             f"{self.window_len} and advance by exactly 1")
+        check_t_index(self.t_index, self.window_len)
 
     def __len__(self) -> int:
         return len(self.ys)

@@ -2,20 +2,21 @@
 
 The pair is coupled by an exchange (XY) Hamiltonian; a single decoherence
 channel acts on the ancilla with a time-dependent scalar rate factored out
-of a fixed collapse operator. The signed time-local rates (gamma_ad,
-gamma_rtn) go transiently negative in the memory-bearing regime; the
-evolution applies their clamped magnitude (see ChannelSpec.rate for why).
-Integration is fixed-step RK4 on vec(rho) with one 16x16 generator per channel.
+of a fixed collapse operator. The signed time-local rates go transiently
+negative in the memory-bearing regime; the evolution applies their clamped
+positive part (see ChannelSpec.rate for why). Integration is fixed-step RK4
+on vec(rho) with one 16x16 generator per channel.
 
-Channels:
-  amplitude damping  rate(t) = -2 Re[G'(t)/G(t)],  G from the spectral pair
-                     (b, lambda); non-Markovian iff b^2 < 2*lambda
-  RTN dephasing      rate(t) = -L'(t)/(2 L(t)),    L from telegraph noise
-                     (v, kappa); non-Markovian iff v/kappa > 1/2
+Every channel is one damped oscillator (a, w2, scale) with collapse operator L:
+  f(t)    = exp(-a t) [cosh(c t) + (a/c) sinh(c t)],   c = sqrt(a^2 - w2)
+  rate(t) = -scale f'/f = scale w2 sinh(c t) / (c cosh(c t) + a sinh(c t))
+  non-Markovian iff w2 > a^2
+    amplitude damping (b, lambda)  (b/2, lambda/2, 2)  L = I (x) sigma_-
+    RTN dephasing (v, kappa)       (kappa, 4 v^2, 1/2)  L = I (x) Z
+    noise-free                     (0, 0, 0)            L = 0
 
-Both rate functions have divergences where their coherence factor crosses
-zero; those are clamped to +-rate_clamp and every clamped evaluation is
-counted in the trajectory metadata.
+The rate diverges where f crosses zero; it is clamped to [0, rate_clamp] and
+every altered evaluation is counted in the trajectory metadata.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ from .table import count, positive_real, read_table, write_json, write_table
 Z_S_OP = la.kron(la.Z, la.I2)                    # system Z readout
 Z_A_OP = la.kron(la.I2, la.Z)                    # ancilla Z readout
 A_AD = la.kron(la.I2, la.SIGMA_MINUS)            # ancilla lowering
-ATA_AD = la.dagger(A_AD) @ A_AD                  # = I (x) |0><0|
 
-KIND_NONE = "noise_free"
+# largest |<Z>| a stage file may hold: 1 plus slack for integration rounding
+Z_BOUND = 1.0 + 1e-6
 
 STATE_EXCITED_EXCITED = "excited_excited"
 STATE_PLUS_EXCITED = "plus_excited"
@@ -62,14 +63,16 @@ INITIAL_KETS = {
 }
 
 
-# ---------- channel parameters ----------
+# ---------- channels ----------
 
 class _ChannelParams:
     """A noise channel: a frozen dataclass of positive finite float parameters.
 
-    A subclass sets KIND, its `kind` tag, and NAMES, its fields' names in
-    configs and sidecars, and provides `non_markovian`, `rate(t)` (signed,
-    unclamped) and `dissipator(rho)` (rate-free).
+    A subclass sets KIND, its `kind` tag, NAMES, its fields' names in configs
+    and sidecars, its collapse operator JUMP and `oscillator = (a, w2, scale)`;
+    the closed forms in the module docstring follow from them. For w2 > a^2, c
+    is imaginary and cosh/sinh turn into cos/sin: f crosses zero and the rate
+    goes negative.
     """
 
     def __post_init__(self):
@@ -77,139 +80,117 @@ class _ChannelParams:
             value = positive_real(f"{self.KIND} params.{name}", getattr(self, attr))
             object.__setattr__(self, attr, value)
 
+    @property
+    def c(self) -> complex:
+        a, w2, _ = self.oscillator
+        return cmath.sqrt(complex(a * a - w2))        # principal branch
+
+    @property
+    def non_markovian(self) -> bool:
+        a, w2, _ = self.oscillator
+        return w2 > a * a
+
+    def coherence(self, t):
+        """Coherence factor f(t), real for every parameter set."""
+        t = np.asarray(t, dtype=float)
+        a, c = self.oscillator[0], self.c
+        if c == 0:                                     # removable point
+            out = np.exp(-a * t) * (1.0 + a * t)
+        else:
+            out = np.exp(-a * t) * np.real(np.cosh(c * t) + (a / c) * np.sinh(c * t))
+        return out if out.ndim else float(out)
+
+    def rate(self, t):
+        """Signed, unclamped time-local rate -scale f'/f; diverges at zeros of f."""
+        t = np.asarray(t, dtype=float)
+        a, w2, scale = self.oscillator
+        c = self.c
+        if c == 0:
+            out = scale * w2 * t / (1.0 + a * t)
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                sinh = np.sinh(c * t)
+                out = scale * w2 * np.real(sinh / (c * np.cosh(c * t) + a * sinh))
+        return out if out.ndim else float(out)
+
+    def dissipator(self, rho: np.ndarray) -> np.ndarray:
+        """Rate-free Lindblad term L rho L^dag - {L^dag L, rho}/2 of L = JUMP."""
+        jump = self.JUMP
+        jtj = la.dagger(jump) @ jump
+        return jump @ rho @ la.dagger(jump) - 0.5 * (jtj @ rho + rho @ jtj)
+
 
 @dataclass(frozen=True)
 class ADParams(_ChannelParams):
-    """Amplitude damping: spectral width b, coupling strength lam."""
+    """Amplitude damping: spectral width b, coupling strength lam.
+
+    f is the damped Jaynes-Cummings amplitude G(t), the rate -2 Re[G'/G].
+    """
 
     KIND = "amplitude_damping"
     NAMES = ("b", "lambda")
+    JUMP = A_AD
 
     b: float
     lam: float
 
     @property
-    def d(self) -> complex:
-        # principal branch; purely imaginary in the backflow regime
-        return cmath.sqrt(complex(self.b * self.b - 2.0 * self.lam))
-
-    @property
-    def non_markovian(self) -> bool:
-        return self.b * self.b < 2.0 * self.lam
-
-    def rate(self, t):
-        return gamma_ad(t, self)
-
-    def dissipator(self, rho: np.ndarray) -> np.ndarray:
-        return A_AD @ rho @ la.dagger(A_AD) - 0.5 * (ATA_AD @ rho + rho @ ATA_AD)
+    def oscillator(self):
+        return self.b / 2.0, self.lam / 2.0, 2.0
 
 
 @dataclass(frozen=True)
 class RTNParams(_ChannelParams):
-    """Random-telegraph dephasing: amplitude v, correlation-decay rate kappa."""
+    """Random-telegraph dephasing: amplitude v, correlation-decay rate kappa.
+
+    f is the telegraph factor Lambda(t), the rate -Lambda'/(2 Lambda); with
+    Z_A^dag Z_A = I the dissipator is Z_A rho Z_A - rho.
+    """
 
     KIND = "rtn_dephasing"
     NAMES = ("v", "kappa")
+    JUMP = Z_A_OP
 
     v: float
     kappa: float
 
     @property
-    def chi(self) -> complex:
-        # principal branch; purely imaginary below threshold 2v < kappa
-        return cmath.sqrt(complex((2.0 * self.v / self.kappa) ** 2 - 1.0))
+    def oscillator(self):
+        return self.kappa, 4.0 * self.v * self.v, 0.5
 
-    @property
-    def non_markovian(self) -> bool:
-        return self.v / self.kappa > 0.5
 
-    def rate(self, t):
-        return gamma_rtn(t, self)
+@dataclass(frozen=True)
+class NoiseFree(_ChannelParams):
+    """No noise: f = 1, a zero rate and a zero dissipator."""
 
-    def dissipator(self, rho: np.ndarray) -> np.ndarray:
-        return Z_A_OP @ rho @ Z_A_OP - rho
+    KIND = "noise_free"
+    NAMES = ()
+    JUMP = np.zeros((4, 4), dtype=complex)
+
+    oscillator = (0.0, 0.0, 0.0)
 
 
 # every channel kind a config or sidecar may name, and its parameter class
-CHANNELS = {ADParams.KIND: ADParams, RTNParams.KIND: RTNParams, KIND_NONE: None}
+CHANNELS = {cls.KIND: cls for cls in (ADParams, RTNParams, NoiseFree)}
 
 
-# ---------- coherence factors and rates ----------
-
-def amplitude_damping_G(t, p: ADParams):
-    """Decoherence amplitude G(t), real for every parameter pair.
-
-    G(t) = exp(-b t/2) [cosh(d t/2) + (b/d) sinh(d t/2)], d = sqrt(b^2 - 2 lam);
-    an imaginary d turns the pair into cos/sinc automatically. The removable
-    d=0 point uses the series limit exp(-b t/2)(1 + b t/2).
-    """
-    t = np.asarray(t, dtype=float)
-    env = np.exp(-p.b * t / 2.0)
-    d = p.d
-    if d == 0:
-        out = env * (1.0 + p.b * t / 2.0)
-    else:
-        x = d * t / 2.0
-        out = env * np.real(np.cosh(x) + (p.b / d) * np.sinh(x))
-    return out if out.ndim else float(out)
-
-
+# the AD rate and the RTN coherence factor by the names the acceptance criteria
+# and the benchmark call
 def gamma_ad(t, p: ADParams):
-    """Time-local amplitude-damping rate -2 Re[G'/G]; unclamped, may diverge."""
-    t = np.asarray(t, dtype=float)
-    d = p.d
-    if d == 0:
-        out = p.lam * t / (1.0 + p.b * t / 2.0)
-    else:
-        x = d * t / 2.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            num = np.sinh(x)
-            den = d * np.cosh(x) + p.b * np.sinh(x)
-            out = 2.0 * p.lam * np.real(num / den)
-    return out if out.ndim else float(out)
+    return p.rate(t)
 
 
 def rtn_lambda(t, p: RTNParams):
-    """Dephasing coherence factor L(t), real-valued.
-
-    L(t) = exp(-kappa t)[cos(chi kappa t) + sin(chi kappa t)/chi] with
-    chi = sqrt((2v/kappa)^2 - 1); below threshold the complex chi turns the
-    trig pair into cosh/sinh automatically. Removable chi=0 point uses the
-    series limit exp(-kappa t)(1 + kappa t).
-    """
-    t = np.asarray(t, dtype=float)
-    env = np.exp(-p.kappa * t)
-    chi = p.chi
-    if chi == 0:
-        out = env * (1.0 + p.kappa * t)
-    else:
-        x = chi * p.kappa * t
-        out = env * np.real(np.cos(x) + np.sin(x) / chi)
-    return out if out.ndim else float(out)
-
-
-def gamma_rtn(t, p: RTNParams):
-    """Time-local dephasing rate -L'/(2L); unclamped, may diverge."""
-    t = np.asarray(t, dtype=float)
-    chi = p.chi
-    if chi == 0:
-        out = 2.0 * p.v ** 2 * t / (1.0 + p.kappa * t)
-    else:
-        x = chi * p.kappa * t
-        with np.errstate(divide="ignore", invalid="ignore"):
-            num = np.sin(x) / chi
-            den = np.cos(x) + num
-            out = (2.0 * p.v ** 2 / p.kappa) * np.real(num / den)
-    return out if out.ndim else float(out)
+    return p.coherence(t)
 
 
 # ---------- channel spec ----------
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """One noise channel acting on the ancilla, or none (params None), with a rate cap."""
+    """One noise channel acting on the ancilla, with a rate cap."""
 
-    params: Optional[_ChannelParams] = None
+    params: _ChannelParams = NoiseFree()
     rate_clamp: float = 1e3
 
     def __post_init__(self):
@@ -217,7 +198,7 @@ class ChannelSpec:
 
     @property
     def kind(self) -> str:
-        return KIND_NONE if self.params is None else self.params.KIND
+        return self.params.KIND
 
     # constructors
 
@@ -236,18 +217,12 @@ class ChannelSpec:
     # behavior
 
     def regime(self) -> str:
-        if self.params is None:
+        if isinstance(self.params, NoiseFree):
             return "noise-free"
         return "non-markovian" if self.params.non_markovian else "markovian"
 
-    def rate_raw(self, t):
-        """Signed, unclamped time-local rate; diverges at zeros of the coherence factor."""
-        if self.params is None:
-            return np.zeros_like(np.asarray(t, dtype=float)) if np.ndim(t) else 0.0
-        return self.params.rate(t)
-
     def rate(self, t):
-        """Evolution rate: positive part of rate_raw, clamped to [0, rate_clamp].
+        """Evolution rate: positive part of params.rate, clamped to [0, rate_clamp].
 
         Negative-rate (backflow) windows suspend the dissipator instead of
         inverting it, so every instantaneous generator stays completely
@@ -259,17 +234,17 @@ class ChannelSpec:
         clamp/dt combination tried, also with smoothly regularized rates).
         Rates that are nonnegative to begin with are returned unchanged, so
         Markovian and noise-free runs are identical under either reading.
-        The signed rate stays available via rate_raw and the gamma_* ops.
+        The signed rate stays available as params.rate.
         """
-        raw = np.asarray(self.rate_raw(t), dtype=float)
+        raw = np.asarray(self.params.rate(t), dtype=float)
         out = np.clip(np.nan_to_num(raw, nan=self.rate_clamp, posinf=self.rate_clamp,
                                     neginf=0.0), 0.0, self.rate_clamp)
         return out if out.ndim else float(out)
 
     def to_dict(self) -> dict:
         p = self.params
-        params = {} if p is None else dict(zip(p.NAMES, dataclasses.astuple(p)))
-        return {"kind": self.kind, "params": params, "rate_clamp": self.rate_clamp}
+        return {"kind": self.kind, "params": dict(zip(p.NAMES, dataclasses.astuple(p))),
+                "rate_clamp": self.rate_clamp}
 
     @staticmethod
     def from_dict(d: dict) -> "ChannelSpec":
@@ -282,12 +257,11 @@ class ChannelSpec:
         kind = d.get("kind")
         if not isinstance(kind, str) or kind not in CHANNELS:
             raise ValueError(f"unknown channel kind {kind!r}")
-        cls = CHANNELS[kind]
-        names = () if cls is None else cls.NAMES
+        names = CHANNELS[kind].NAMES
         params = d.get("params", {})
         if not isinstance(params, dict) or sorted(params) != sorted(names):
             raise ValueError(f"{kind} params must be exactly {list(names)}, got {params!r}")
-        return ChannelSpec(None if cls is None else cls(*(params[k] for k in names)),
+        return ChannelSpec(CHANNELS[kind](*(params[k] for k in names)),
                            **{k: v for k, v in d.items() if k == "rate_clamp"})
 
 
@@ -367,14 +341,16 @@ class Trajectory:
         if not (np.all(np.isfinite(self.times)) and np.all(np.diff(self.times) > 0.0)):
             raise ValueError("times must be finite and strictly increasing")
         for name, arr in (("z_s", self.z_s), ("z_a", self.z_a)):
-            if not np.all(np.abs(arr) <= 1.0 + 1e-6):     # also rejects NaN
+            if not np.all(np.abs(arr) <= Z_BOUND):     # also rejects NaN
                 m = float(np.max(np.abs(arr)))
                 raise ValueError(f"{name} leaves [-1, 1] by {m - 1.0:.3e}")
         if self.dt is None:
             self.dt = float(self.times[1] - self.times[0]) if n > 1 else 0.0
-        for name in ("g", "dt"):
-            if not isinstance(getattr(self, name), (int, float)):
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
+        else:
+            self.dt = positive_real("dt", self.dt)
+        # NaN stands for a g no sidecar gave, and round-trips as such
+        if isinstance(self.g, bool) or not isinstance(self.g, (int, float)) or self.g <= 0:
+            raise ValueError(f"g must be a positive number, got {self.g!r}")
         if not isinstance(self.initial_state_tag, str):
             raise ValueError(f"initial_state must be a string, got {self.initial_state_tag!r}")
         count("clamp_events", self.clamp_events, 0)
@@ -411,7 +387,7 @@ def evolve(rho0: np.ndarray, grid: TimeGrid, g: float, chan: ChannelSpec,
     validate_density_matrix(rho0, context="initial state")
     h = build_xy_hamiltonian(g)
     l_h = _superoperator(lambda r: -1j * (h @ r - r @ h))
-    l_d = _superoperator(np.zeros_like if chan.params is None else chan.params.dissipator)
+    l_d = _superoperator(chan.params.dissipator)
     times = grid.times()
     dt = grid.dt
     n = grid.n_steps
@@ -421,7 +397,7 @@ def evolve(rho0: np.ndarray, grid: TimeGrid, g: float, chan: ChannelSpec,
     # non-finite at a coherence zero)
     eval_times = np.concatenate([times, times[:-1] + dt / 2.0])
     with np.errstate(divide="ignore", invalid="ignore"):
-        raw = np.asarray(chan.rate_raw(eval_times), dtype=float)
+        raw = chan.params.rate(eval_times)
         clamped = chan.rate(eval_times)
     n_clamped = int(np.count_nonzero(clamped != raw))
     r_node, r_mid = clamped[: n + 1], clamped[n + 1:]

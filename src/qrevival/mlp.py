@@ -214,10 +214,15 @@ def save_params(p: MLPParams, path) -> None:
 def load_params(path) -> MLPParams:
     with open(path) as f:
         obj = json.load(f)
+    if not isinstance(obj, dict):
+        raise ValueError(f"parameter file {path} is not a JSON object")
     missing = [k for k in _FIELDS if k not in obj]
     if missing:
         raise ValueError(f"parameter file {path} missing keys {missing}")
-    blocks = [np.asarray(obj[k], dtype=float) for k in _FIELDS]
+    try:
+        blocks = [np.asarray(obj[k], dtype=float) for k in _FIELDS]
+    except TypeError as e:                          # a layer holding an object
+        raise ValueError(f"parameter file {path}: {e}") from e
     n_in = blocks[0].shape[1] if blocks[0].ndim == 2 else 0
     for name, block, shape in zip(_FIELDS, blocks, _shapes(n_in)):
         if block.shape != shape:
@@ -238,4 +243,7 @@ def read_loss_curve(path) -> np.ndarray:
     for k, row in enumerate(rows, start=1):
         if int(row[0]) != k:
             raise ValueError(f"bad loss-curve row {row!r} in {path}")
-    return np.array([float(row[1]) for row in rows])
+    curve = np.array([float(row[1]) for row in rows])
+    if not np.all((curve >= 0.0) & np.isfinite(curve)):
+        raise ValueError(f"loss curve in {path} holds a negative or non-finite mse")
+    return curve

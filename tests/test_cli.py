@@ -1,5 +1,6 @@
 """CLI stage behavior, config validation, exit codes, and composability."""
 
+import csv
 import dataclasses
 import json
 import math
@@ -7,6 +8,9 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qrevival import cli, memory_metric as mm, mlp
 from qrevival import dataset as dsmod
@@ -209,9 +213,18 @@ def sidecar(channel):
 @pytest.mark.parametrize("stage, name, body", [
     ("predict", "params.json", "not json {"),
     ("predict", "params.json", '{"w1": [[0]]}'),
+    # parameter files that are not an object, or whose layer holds an object
+    ("predict", "params.json", "5"),
+    ("predict", "params.json", "null"),
+    ("predict", "params.json",
+     json.dumps(dict.fromkeys(("w1", "b1", "w2", "b2", "w3", "b3"), {}))),
     ("score", "predictions.csv", "t_index,y_hat\n5,0.5,0.25\n"),
     ("score", "predictions.csv", "t_index,y_hat\n5,half\n"),
     ("score", "predictions.csv", "t,y\n5,0.5\n"),
+    # predictions whose t_index jumps or goes negative
+    ("score", "predictions.csv", "t_index,y_hat\n9999,0.5\n-3,0.7\n"),
+    ("score", "predictions.csv", "t_index,y_hat\n-3,0.5\n-2,0.7\n"),
+    ("score", "predictions.csv", "t_index,y_hat\n5,0.5\n7,0.7\n"),
     # trajectory sidecars whose channel params are missing, short, extra,
     # not numbers, or of an unknown or absent kind, or whose channel is not
     # an object
@@ -231,6 +244,11 @@ def sidecar(channel):
     ("dataset", "trajectory.csv.meta.json", json.dumps({"g": "one"})),
     ("dataset", "trajectory.csv.meta.json", json.dumps({"g": None})),
     ("dataset", "trajectory.csv.meta.json", json.dumps({"dt": "0.1"})),
+    ("dataset", "trajectory.csv.meta.json", json.dumps({"dt": True})),
+    ("dataset", "trajectory.csv.meta.json", json.dumps({"dt": -1.0})),
+    ("dataset", "trajectory.csv.meta.json", json.dumps({"dt": math.nan})),
+    ("dataset", "trajectory.csv.meta.json", json.dumps({"g": True})),
+    ("dataset", "trajectory.csv.meta.json", json.dumps({"g": -3.0})),
     ("dataset", "trajectory.csv.meta.json", json.dumps({"initial_state": 5})),
     ("dataset", "trajectory.csv.meta.json", json.dumps({"clamp_events": None})),
     ("dataset", "trajectory.csv.meta.json", json.dumps({"clamp_events": -1})),
@@ -315,6 +333,54 @@ def test_predictions_roundtrip_bytes(tmp_path):
     again = tmp_path / "again.csv"
     cli.write_predictions(t_idx, preds, again)
     assert path.read_bytes() == again.read_bytes()
+
+
+_PROPERTY = settings(max_examples=25, deadline=None,
+                     suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_PROPERTY
+@given(start=st.integers(0, 10 ** 6),
+       preds=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                      max_size=40))
+def test_predictions_roundtrip_property(tmp_path, start, preds):
+    first = tmp_path / "a.csv"
+    cli.write_predictions(range(start, start + len(preds)), preds, first)
+    t_idx, back = cli.read_predictions(first)
+    assert np.array_equal(t_idx, start + np.arange(len(preds)))
+    second = tmp_path / "b.csv"
+    cli.write_predictions(t_idx, back, second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+@_PROPERTY
+@given(data=st.data(), start=st.integers(0, 1000), n=st.integers(1, 40),
+       fault=st.sampled_from(["nan", "inf", "shift"]))
+def test_read_predictions_rejects_corrupted_cell(tmp_path, data, start, n, fault):
+    assume(fault != "shift" or n >= 2)      # a lone row may move anywhere >= 0
+    path = tmp_path / "p.csv"
+    preds = data.draw(arrays(float, n, elements=st.floats(-1.0, 1.0)))
+    cli.write_predictions(range(start, start + n), preds, path)
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    row = rows[1 + data.draw(st.integers(0, n - 1))]
+    if fault == "shift":
+        row[0] = str(int(row[0]) + data.draw(st.sampled_from([-1, 1, 2])))
+    else:
+        row[1] = fault
+    with open(path, "w", newline="") as f:
+        csv.writer(f).writerows(rows)
+    with pytest.raises(ValueError):
+        cli.read_predictions(path)
+
+
+def test_plots_reject_predictions_past_the_trajectory(tmp_path, capsys):
+    run = tmp_path / "run"
+    cfg_path = write_doc(tmp_path, rtn_doc(run))
+    assert chain(cfg_path, *ALL_STAGES) == 0
+    cli.write_predictions([9999, 10000], [0.5, 0.7], run / "predictions.csv")
+    with pytest.raises(ValueError, match="past the end"):
+        cli.emit_plots(cli.load_run_config(cfg_path))
 
 
 def test_train_deterministic_bytes(tmp_path, capsys):

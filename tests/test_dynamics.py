@@ -50,11 +50,11 @@ def test_ad_decay_amplitude_oracle():
     for params, table in ((dy.ADParams(b=5.0, lam=1.0), AD_SLOW),
                           (dy.ADParams(b=0.05, lam=10.0), AD_OSC)):
         for t, (g_ref, _) in table.items():
-            assert dy.amplitude_damping_G(t, params) == pytest.approx(g_ref, abs=1e-13)
+            assert params.coherence(t) == pytest.approx(g_ref, abs=1e-13)
     # vectorized evaluation agrees with scalar
     p = dy.ADParams(b=0.05, lam=10.0)
     ts = np.array(sorted(AD_OSC))
-    vals = dy.amplitude_damping_G(ts, p)
+    vals = p.coherence(ts)
     assert vals == pytest.approx([AD_OSC[t][0] for t in ts], abs=1e-13)
 
 
@@ -71,8 +71,8 @@ def test_ad_decay_amplitude_second_route():
 def test_ad_critical_damping_closed_form():
     # b*b == 2*lam collapses G to exp(-b t/2)(1 + b t/2)
     p = dy.ADParams(b=2.0, lam=2.0)
-    assert dy.amplitude_damping_G(1.0, p) == pytest.approx(2.0 / math.e, abs=1e-14)
-    assert dy.amplitude_damping_G(1.0, p) == pytest.approx(0.73575888234288464, abs=1e-14)
+    assert p.coherence(1.0) == pytest.approx(2.0 / math.e, abs=1e-14)
+    assert p.coherence(1.0) == pytest.approx(0.73575888234288464, abs=1e-14)
     # rate limit lam*t / (1 + b t / 2)
     assert dy.gamma_ad(1.0, p) == pytest.approx(2.0 / 2.0, abs=1e-12)
 
@@ -95,10 +95,10 @@ def test_ad_rate_sign_regimes():
 def test_ad_first_zero_and_spacing():
     p = dy.ADParams(b=0.05, lam=10.0)
     lo, hi = 0.5, 1.0
-    assert dy.amplitude_damping_G(lo, p) > 0 > dy.amplitude_damping_G(hi, p)
+    assert p.coherence(lo) > 0 > p.coherence(hi)
     for _ in range(80):
         mid = 0.5 * (lo + hi)
-        if dy.amplitude_damping_G(mid, p) > 0:
+        if p.coherence(mid) > 0:
             lo = mid
         else:
             hi = mid
@@ -106,7 +106,7 @@ def test_ad_first_zero_and_spacing():
     # zeros of cosh(d t/2) + (b/d) sinh(d t/2) repeat every 2 pi / |d|
     spacing = 2.0 * math.pi / math.sqrt(2.0 * p.lam - p.b * p.b)
     z2 = AD_OSC_FIRST_ZERO + spacing
-    assert abs(dy.amplitude_damping_G(z2, p)) < 1e-10
+    assert abs(p.coherence(z2)) < 1e-10
 
 
 def test_rtn_decoherence_oracle():
@@ -114,8 +114,9 @@ def test_rtn_decoherence_oracle():
                           (dy.RTNParams(v=1.0, kappa=1.0 / 7.0), RTN_SLOW)):
         for t, (lam_ref, gam_ref) in table.items():
             assert dy.rtn_lambda(t, params) == pytest.approx(lam_ref, abs=1e-13)
-            assert dy.gamma_rtn(t, params) == pytest.approx(gam_ref, rel=1e-12)
-    assert dy.RTNParams(v=1.0, kappa=1.0 / 7.0).chi == pytest.approx(RTN_SLOW_CHI, rel=1e-14)
+            assert params.rate(t) == pytest.approx(gam_ref, rel=1e-12)
+    slow = dy.RTNParams(v=1.0, kappa=1.0 / 7.0)
+    assert abs(slow.c) / slow.kappa == pytest.approx(RTN_SLOW_CHI, rel=1e-14)
 
 
 def test_rtn_decoherence_second_route():
@@ -131,7 +132,7 @@ def test_rtn_critical_closed_form():
     p = dy.RTNParams(v=1.0, kappa=2.0)
     assert dy.rtn_lambda(1.0, p) == pytest.approx(3.0 * math.exp(-2.0), abs=1e-14)
     assert dy.rtn_lambda(1.0, p) == pytest.approx(0.40600584970983808, abs=1e-14)
-    assert dy.gamma_rtn(1.0, p) == pytest.approx(2.0 * 1.0 / (1.0 + 2.0), rel=1e-12)
+    assert p.rate(1.0) == pytest.approx(2.0 * 1.0 / (1.0 + 2.0), rel=1e-12)
 
 
 def test_rtn_monotone_vs_sign_change():
@@ -144,6 +145,24 @@ def test_rtn_monotone_vs_sign_change():
     p = dy.RTNParams(v=1.0, kappa=1.0 / 7.0)
     assert dy.rtn_lambda(RTN_SLOW_FIRST_ZERO - 1e-6, p) > 0
     assert dy.rtn_lambda(RTN_SLOW_FIRST_ZERO + 1e-6, p) < 0
+
+
+def test_rate_is_scaled_log_derivative_of_coherence():
+    # one closed form: rate = -scale f'/f, checked by central differences away
+    # from the zeros of f, in both regimes and at the removable point
+    ts = np.linspace(0.05, 3.0, 60)
+    h = 1e-6
+    for p in (dy.ADParams(b=5.0, lam=1.0), dy.ADParams(b=0.05, lam=10.0),
+              dy.ADParams(b=2.0, lam=2.0), dy.RTNParams(v=1.0, kappa=4.0),
+              dy.RTNParams(v=1.0, kappa=1.0 / 7.0), dy.RTNParams(v=1.0, kappa=2.0)):
+        f = p.coherence(ts)
+        fd = -p.oscillator[2] * (p.coherence(ts + h) - p.coherence(ts - h)) / (2.0 * h * f)
+        keep = np.abs(f) > 0.05
+        assert np.allclose(p.rate(ts)[keep], fd[keep], rtol=1e-6, atol=1e-6)
+    free = dy.NoiseFree()
+    assert (free.coherence(2.0), free.rate(2.0), free.non_markovian) == (1.0, 0.0, False)
+    assert np.array_equal(free.rate(ts), np.zeros_like(ts))
+    assert not np.any(free.dissipator(I4 / 4.0))
 
 
 def test_regime_flags():
@@ -275,7 +294,7 @@ def test_evolve_physical_on_paper_parameter_sets():
         assert np.all(np.isfinite(traj.z_s)) and np.all(np.isfinite(traj.z_a))
         assert np.max(np.abs(traj.z_s)) <= 1.0 + 1e-6
         # every raw rate at a node or midpoint that the clamp must alter
-        raw = chan.rate_raw(np.concatenate([ts, ts[:-1] + grid.dt / 2.0]))
+        raw = chan.params.rate(np.concatenate([ts, ts[:-1] + grid.dt / 2.0]))
         altered = ~np.isfinite(raw) | (raw < 0.0) | (raw > chan.rate_clamp)
         assert traj.clamp_events == np.count_nonzero(altered)
         assert (traj.clamp_events > 0) == bool(clamps_expected)
@@ -285,13 +304,13 @@ def test_rate_positive_part_and_clamp():
     chan = dy.ChannelSpec.amplitude_damping(b=0.05, lam=10.0, rate_clamp=30.0)
     assert dy.gamma_ad(1.0, chan.params) < 0.0
     assert chan.rate(1.0) == 0.0                       # negative lobe suspended
-    assert chan.rate_raw(1.0) == pytest.approx(AD_OSC[1.0][1], rel=1e-12)
+    assert chan.params.rate(1.0) == pytest.approx(AD_OSC[1.0][1], rel=1e-12)
     near_zero = AD_OSC_FIRST_ZERO - 1e-4               # rate spike ahead of the zero
-    assert chan.rate_raw(near_zero) > 30.0
+    assert chan.params.rate(near_zero) > 30.0
     assert chan.rate(near_zero) == 30.0
     markov = dy.ChannelSpec.amplitude_damping(b=5.0, lam=1.0)
     ts = np.linspace(0.0, 10.0, 500)
-    assert np.allclose(markov.rate(ts), markov.rate_raw(ts))
+    assert np.allclose(markov.rate(ts), markov.params.rate(ts))
     assert dy.ChannelSpec.noise_free().rate(3.0) == 0.0
 
 

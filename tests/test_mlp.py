@@ -1,10 +1,14 @@
 """Forward/backward, optimizer, training, and file-format tests."""
 
+import csv
 import json
 import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qrevival import dataset as dset
 from qrevival import dynamics as dy
@@ -260,5 +264,80 @@ def test_loss_curve_roundtrip(tmp_path):
     assert np.array_equal(back, curve)
     with open(path, "w") as f:
         f.write("epoch,mse\n2,0.5\n")
+    with pytest.raises(ValueError):
+        mlp.read_loss_curve(path)
+
+
+_PROPERTY = settings(max_examples=25, deadline=None,
+                     suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_PROPERTY
+@given(seed=st.integers(0, 2 ** 32 - 1), n_in=st.integers(1, 8))
+def test_params_roundtrip_property(tmp_path, seed, n_in):
+    p = mlp.init_params(np.random.default_rng(seed), n_in)
+    first = os.path.join(tmp_path, "a.json")
+    mlp.save_params(p, first)
+    back = mlp.load_params(first)
+    assert back.n_in == n_in and np.array_equal(back.vec, p.vec)
+    second = os.path.join(tmp_path, "b.json")
+    mlp.save_params(back, second)
+    with open(first, "rb") as f1, open(second, "rb") as f2:
+        assert f1.read() == f2.read()
+
+
+@_PROPERTY
+@given(data=st.data(), n_in=st.integers(1, 8), fault=st.sampled_from(["nan", "shape"]))
+def test_load_params_rejects_corrupted_cell(tmp_path, data, n_in, fault):
+    p = mlp.init_params(np.random.default_rng(0), n_in)
+    if fault == "nan":
+        p.vec[data.draw(st.integers(0, p.vec.size - 1))] = np.nan
+    path = os.path.join(tmp_path, "p.json")
+    mlp.save_params(p, path)
+    with open(path) as f:
+        obj = json.load(f)
+    if fault == "shape":
+        name = data.draw(st.sampled_from(sorted(obj)))
+        block = obj[name]
+        if not isinstance(block, list):
+            obj[name] = [block]                         # b3 made a vector
+        elif isinstance(block[0], list):
+            block[data.draw(st.integers(0, len(block) - 1))].append(0.0)  # ragged matrix
+        else:
+            block.pop(data.draw(st.integers(0, len(block) - 1)))          # short vector
+    with open(path, "w") as f:
+        json.dump(obj, f)
+    with pytest.raises(ValueError):
+        mlp.load_params(path)
+
+
+@_PROPERTY
+@given(curve=arrays(float, st.integers(1, 40), elements=st.floats(0.0, 1e6)))
+def test_loss_curve_roundtrip_property(tmp_path, curve):
+    first = os.path.join(tmp_path, "a.csv")
+    mlp.write_loss_curve(curve, first)
+    back = mlp.read_loss_curve(first)
+    assert back.shape == curve.shape
+    second = os.path.join(tmp_path, "b.csv")
+    mlp.write_loss_curve(back, second)
+    with open(first, "rb") as f1, open(second, "rb") as f2:
+        assert f1.read() == f2.read()
+
+
+@_PROPERTY
+@given(data=st.data(), n=st.integers(1, 40),
+       fault=st.sampled_from(["nan", "negative", "shift"]))
+def test_read_loss_curve_rejects_corrupted_cell(tmp_path, data, n, fault):
+    path = os.path.join(tmp_path, "loss.csv")
+    mlp.write_loss_curve(data.draw(arrays(float, n, elements=st.floats(0.0, 1.0))), path)
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
+    row = rows[1 + data.draw(st.integers(0, n - 1))]
+    if fault == "shift":
+        row[0] = str(int(row[0]) + data.draw(st.sampled_from([-1, 1, 2])))
+    else:
+        row[1] = "nan" if fault == "nan" else "-0.5"
+    with open(path, "w", newline="") as f:
+        csv.writer(f).writerows(rows)
     with pytest.raises(ValueError):
         mlp.read_loss_curve(path)
