@@ -7,17 +7,17 @@ round-trips byte-for-byte through its reader/writer pair.
 
 Stages only do their work: they raise StageError for a missing input, an
 integration failure or a run-all mismatch, and ValueError for a malformed
-input. `main` alone turns failures into exit codes: 2 config validation,
-3 integration-invariant failure, 4 missing stage inputs, 5 malformed stage
-files (including an unusable dataset split), 6 run-all config mismatch.
+input. `main` alone turns failures into exit codes, first loading the
+configs, where any failure is 2 (config validation), then running the
+stages: 3 integration-invariant failure, 4 missing stage inputs, 5 malformed
+stage files (including an unusable dataset split), 6 run-all config mismatch.
 """
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
-from dataclasses import MISSING, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,7 +25,8 @@ from . import dataset as dsmod
 from . import dynamics as dy
 from . import memory_metric as mm
 from . import mlp
-from .table import count, positive_real, read_table, write_json, write_table
+from .table import (check_keys, count, from_doc, positive_real, read_json, read_table,
+                    write_json, write_table)
 
 EXIT_CONFIG = 2
 EXIT_INTEGRATION = 3
@@ -44,10 +45,6 @@ SEGMENTS_CSV = "segments.csv"
 COMPARISON_JSON = "comparison.json"
 TRAJECTORY_SVG = "trajectory.svg"
 PREDICTION_SVG = "prediction.svg"
-
-
-class ConfigError(ValueError):
-    """Raised on any run-config schema or value violation."""
 
 
 class StageError(Exception):
@@ -85,76 +82,43 @@ class RunConfig:
             raise ValueError("emit_plots must be a boolean")
 
 
-def _check_keys(obj: dict, allowed, required, where: str) -> None:
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    unknown = sorted(set(obj) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown keys {unknown} in {where}")
-    missing = sorted(set(required) - set(obj))
-    if missing:
-        raise ConfigError(f"missing keys {missing} in {where}")
-
-
-def _from_doc(cls, doc, where: str, **nested):
-    """cls(**doc), its keys checked against the dataclass fields of cls.
-
-    A field without a default is required; `nested` maps a key to the
-    function that builds the field's value from the JSON value.
-    """
-    fields = cls.__dataclass_fields__
-    required = [k for k, f in fields.items()
-                if f.default is MISSING and f.default_factory is MISSING]
-    _check_keys(doc, fields, required, where)
-    return cls(**{k: nested[k](v) if k in nested else v for k, v in doc.items()})
-
-
 def run_config_from_dict(doc: dict, where: str = "config") -> RunConfig:
-    try:
-        return _from_doc(RunConfig, doc, where, channel=dy.ChannelSpec.from_dict,
-                         grid=lambda d: _from_doc(dy.TimeGrid, d, f"{where}.grid"),
-                         train=lambda d: _from_doc(mlp.TrainConfig, d, f"{where}.train"))
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"{where}: {e}") from e
-
-
-def _load_json(path):
-    try:
-        with open(path) as f:
-            return json.load(f)
-    except FileNotFoundError as e:
-        raise ConfigError(f"config file not found: {path}") from e
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config file {path} is not valid JSON: {e}") from e
+    return from_doc(RunConfig, doc, where, channel=dy.ChannelSpec.from_dict,
+                    grid=lambda d: from_doc(dy.TimeGrid, d, "grid"),
+                    train=lambda d: from_doc(mlp.TrainConfig, d, "train"))
 
 
 def load_run_config(path) -> RunConfig:
-    return run_config_from_dict(_load_json(path))
+    return run_config_from_dict(read_json(path))
 
 
 def load_pair_config(path):
-    doc = _load_json(path)
-    _check_keys(doc, ("ad", "rtn"), ("ad", "rtn"), "pair config")
+    doc = read_json(path)
+    check_keys(doc, ("ad", "rtn"), ("ad", "rtn"), "pair config")
     ad = run_config_from_dict(doc["ad"], "config.ad")
     rtn = run_config_from_dict(doc["rtn"], "config.rtn")
     if os.path.abspath(ad.output_dir) == os.path.abspath(rtn.output_dir):
-        raise ConfigError("pair config runs must use distinct output_dir values")
+        raise ValueError("pair config runs must use distinct output_dir values")
     return ad, rtn
 
 
 def _apply_overrides(cfg: RunConfig, args, out_dir=None) -> RunConfig:
-    try:
-        return dataclasses.replace(
-            cfg,
-            output_dir=cfg.output_dir if out_dir is None else out_dir,
-            train=(cfg.train if args.seed is None
-                   else dataclasses.replace(cfg.train, seed=args.seed)),
-            epsilon=cfg.epsilon if args.epsilon is None else args.epsilon,
-            emit_plots=cfg.emit_plots or getattr(args, "plots", False))
-    except (ValueError, TypeError) as e:
-        raise ConfigError(f"command-line override: {e}") from e
+    return dataclasses.replace(
+        cfg,
+        output_dir=cfg.output_dir if out_dir is None else out_dir,
+        train=(cfg.train if args.seed is None
+               else dataclasses.replace(cfg.train, seed=args.seed)),
+        epsilon=cfg.epsilon if args.epsilon is None else args.epsilon,
+        emit_plots=cfg.emit_plots or getattr(args, "plots", False))
+
+
+def _configs(args):
+    """The run configs `args` names, overrides applied: one, or (ad, rtn) for run-all."""
+    if args.command == "run-all":
+        return [_apply_overrides(cfg, args, None if args.out is None
+                                 else os.path.join(args.out, key))
+                for key, cfg in zip(("ad", "rtn"), load_pair_config(args.config))]
+    return [_apply_overrides(load_run_config(args.config), args, args.out)]
 
 
 def _path(cfg: RunConfig, name: str) -> str:
@@ -169,7 +133,7 @@ def _inputs(cfg: RunConfig, *names):
     """Paths of a stage's input files; StageError (exit 4) for the first absent one."""
     paths = [_path(cfg, name) for name in names]
     for p in paths:
-        if not os.path.exists(p):
+        if not os.path.isfile(p):
             raise StageError(EXIT_MISSING, f"missing input: {p}")
     return paths
 
@@ -361,6 +325,9 @@ def emit_plots(cfg: RunConfig) -> None:
         raise ValueError(f"prediction t_index {t_indices[-1]} is past the end of the "
                          f"{len(traj)}-point trajectory")
     report = mm.read_report(_path(cfg, REPORT_JSON))
+    if report.n_eval != len(preds):
+        raise ValueError(f"report n_eval {report.n_eval} differs from the "
+                         f"{len(preds)} predictions")
     kind = cfg.channel.kind
     _svg_chart(
         _path(cfg, TRAJECTORY_SVG),
@@ -407,25 +374,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # whatever fails while the configs load is a bad configuration
+    try:
+        cfgs = _configs(args)
+    except (OSError, ValueError, TypeError) as e:
+        _err(f"config error: {e}")
+        return EXIT_CONFIG
     try:
         if args.command == "run-all":
-            ad_cfg, rtn_cfg = (
-                _apply_overrides(cfg, args, None if args.out is None
-                                 else os.path.join(args.out, key))
-                for key, cfg in zip(("ad", "rtn"), load_pair_config(args.config)))
-            cmd_run_all(ad_cfg, rtn_cfg, "." if args.out is None else args.out)
+            cmd_run_all(*cfgs, "." if args.out is None else args.out)
             return 0
-        cfg = _apply_overrides(load_run_config(args.config), args, args.out)
         # built per call, so a wrapper set on this module's cmd_* functions
         # (bench/spans.py times the stages that way) is the one that runs
         stages = {"simulate": cmd_simulate, "dataset": cmd_dataset,
                   "train": cmd_train, "predict": cmd_predict,
                   "score": lambda c: cmd_score(c, on_truth=args.on_truth)}
-        stages[args.command](cfg)
+        stages[args.command](*cfgs)
         return 0
-    except ConfigError as e:
-        _err(f"config error: {e}")
-        return EXIT_CONFIG
     except StageError as e:
         _err(str(e))
         return e.code

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -32,13 +31,14 @@ from typing import Optional
 import numpy as np
 
 from . import linalg as la
-from .table import count, positive_real, read_table, write_json, write_table
+from .table import (check_keys, count, positive_real, read_json, read_table, write_json,
+                    write_table)
 
 # ---------- fixed operators ----------
 
-Z_S_OP = la.kron(la.Z, la.I2)                    # system Z readout
-Z_A_OP = la.kron(la.I2, la.Z)                    # ancilla Z readout
-A_AD = la.kron(la.I2, la.SIGMA_MINUS)            # ancilla lowering
+Z_S_OP = np.kron(la.Z, la.I2)                    # system Z readout
+Z_A_OP = np.kron(la.I2, la.Z)                    # ancilla Z readout
+A_AD = np.kron(la.I2, la.SIGMA_MINUS)            # ancilla lowering
 
 # largest |<Z>| a stage file may hold: 1 plus slack for integration rounding
 Z_BOUND = 1.0 + 1e-6
@@ -116,8 +116,8 @@ class _ChannelParams:
     def dissipator(self, rho: np.ndarray) -> np.ndarray:
         """Rate-free Lindblad term L rho L^dag - {L^dag L, rho}/2 of L = JUMP."""
         jump = self.JUMP
-        jtj = la.dagger(jump) @ jump
-        return jump @ rho @ la.dagger(jump) - 0.5 * (jtj @ rho + rho @ jtj)
+        jtj = jump.conj().T @ jump
+        return jump @ rho @ jump.conj().T - 0.5 * (jtj @ rho + rho @ jtj)
 
 
 @dataclass(frozen=True)
@@ -249,18 +249,13 @@ class ChannelSpec:
     @staticmethod
     def from_dict(d: dict) -> "ChannelSpec":
         """Inverse of to_dict; `params` must hold exactly the kind's parameter names."""
-        if not isinstance(d, dict):
-            raise ValueError(f"channel must be a JSON object, got {d!r}")
-        unknown = sorted(set(d) - {"kind", "params", "rate_clamp"})
-        if unknown:
-            raise ValueError(f"unknown channel keys {unknown}")
-        kind = d.get("kind")
+        check_keys(d, ("kind", "params", "rate_clamp"), ("kind",), "channel")
+        kind = d["kind"]
         if not isinstance(kind, str) or kind not in CHANNELS:
             raise ValueError(f"unknown channel kind {kind!r}")
         names = CHANNELS[kind].NAMES
         params = d.get("params", {})
-        if not isinstance(params, dict) or sorted(params) != sorted(names):
-            raise ValueError(f"{kind} params must be exactly {list(names)}, got {params!r}")
+        check_keys(params, names, names, f"{kind} params")
         return ChannelSpec(CHANNELS[kind](*(params[k] for k in names)),
                            **{k: v for k, v in d.items() if k == "rate_clamp"})
 
@@ -288,7 +283,7 @@ class TimeGrid:
 
 def build_xy_hamiltonian(g: float) -> np.ndarray:
     """Exchange coupling g (XX + YY); |00> and |11> are dark states."""
-    return g * (la.kron(la.X, la.X) + la.kron(la.Y, la.Y))
+    return g * (np.kron(la.X, la.X) + np.kron(la.Y, la.Y))
 
 
 def initial_state(tag: str) -> np.ndarray:
@@ -358,15 +353,13 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.times)
 
+    # the keys of the sidecar, the one list its writer and reader share
+    META_KEYS = ("channel", "g", "dt", "clamp_events", "initial_state")
+
     def meta_dict(self) -> dict:
         chan = self.channel.to_dict() if self.channel is not None else None
-        return {
-            "channel": chan,
-            "g": self.g,
-            "dt": self.dt,
-            "clamp_events": self.clamp_events,
-            "initial_state": self.initial_state_tag,
-        }
+        return dict(zip(self.META_KEYS, (chan, self.g, self.dt, self.clamp_events,
+                                         self.initial_state_tag)))
 
 
 def _superoperator(f) -> np.ndarray:
@@ -442,19 +435,11 @@ def read_trajectory(csv_path) -> Trajectory:
     _, rows = read_table(csv_path, TRAJECTORY_HEADER)
     times, z_s, z_a = np.array([[float(v) for v in row] for row in rows]).reshape(-1, 3).T
     meta_path = str(csv_path) + ".meta.json"
-    meta = {}
-    if os.path.exists(meta_path):
-        with open(meta_path) as f:
-            meta = json.load(f)
-    if not isinstance(meta, dict):
-        raise ValueError(f"trajectory sidecar {meta_path} is not a JSON object")
+    meta = read_json(meta_path) if os.path.exists(meta_path) else {}
+    check_keys(meta, Trajectory.META_KEYS, (), f"trajectory sidecar {meta_path}")
     chan = meta.get("channel")
-    traj = Trajectory(times=times, z_s=z_s, z_a=z_a,
+    return Trajectory(times=times, z_s=z_s, z_a=z_a,
                       channel=None if chan is None else ChannelSpec.from_dict(chan),
                       g=meta.get("g", math.nan),
                       initial_state_tag=meta.get("initial_state", STATE_CUSTOM),
                       clamp_events=meta.get("clamp_events", 0), dt=meta.get("dt"))
-    unknown = sorted(set(meta) - set(traj.meta_dict()))
-    if unknown:
-        raise ValueError(f"unknown keys {unknown} in trajectory sidecar {meta_path}")
-    return traj

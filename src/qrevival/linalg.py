@@ -1,8 +1,7 @@
-"""Dense complex matrix helpers for two-qubit work.
+"""Qubit operators, kets and density matrices for two-qubit work.
 
-Everything is a plain complex ndarray; these wrappers add dimension checks
-and the short list of algebraic ops the simulator needs. Nothing here goes
-beyond 4x4.
+Everything is a plain complex ndarray; products, Kronecker products and
+adjoints are numpy's own (`@`, `np.kron`, `.conj().T`).
 
 Basis convention: index 0 is the excited level (Z eigenvalue +1), index 1
 the ground level. Two-qubit kets are ordered system-first:
@@ -29,25 +28,7 @@ KET_PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2.0)
 SIGMA_MINUS = np.array([[0, 0], [1, 0]], dtype=complex)  # |1><0|, excited -> ground
 
 
-# ---------- checks ----------
-
-def _square(a: np.ndarray) -> None:
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-
-
 # ---------- operations ----------
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, row-major block convention (first factor outer)."""
-    _square(a)
-    _square(b)
-    return np.kron(a, b)
-
-
-def dagger(a: np.ndarray) -> np.ndarray:
-    return a.conj().T
-
 
 def dm(psi: np.ndarray) -> np.ndarray:
     """Density matrix |psi><psi| from a (normalized) ket."""

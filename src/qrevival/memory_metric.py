@@ -10,14 +10,13 @@ is the last strictly-rising point of that run.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
 
-from .table import count, positive_real, write_json, write_table
+from .table import count, from_doc, positive_real, read_json, write_json, write_table
 
 
 @dataclass
@@ -34,10 +33,10 @@ class RevivalReport:
         self.epsilon = positive_real("epsilon", self.epsilon)
         if self.n_rev > self.n_eval:
             raise ValueError(f"n_rev {self.n_rev} outside [0, {self.n_eval}]")
-        # 0 is a valid score, so positive_real does not fit
-        if (isinstance(self.score, bool) or not isinstance(self.score, (int, float))
-                or not 0.0 <= self.score <= 1.0):
-            raise ValueError(f"score must be a number in [0, 1], got {self.score!r}")
+        # score_pipeline writes the quotient, and JSON round-trips it exactly
+        if isinstance(self.score, bool) or self.score != self.n_rev / self.n_eval:
+            raise ValueError(f"score must be n_rev / n_eval = {self.n_rev}/{self.n_eval}, "
+                             f"got {self.score!r}")
         if not isinstance(self.segments, list) or not all(
                 isinstance(seg, (list, tuple)) and len(seg) == 2 for seg in self.segments):
             raise ValueError(f"segments must be a list of (start, peak) pairs, got {self.segments!r}")
@@ -45,15 +44,12 @@ class RevivalReport:
         for t1, t2 in self.segments:
             count("segment start", t1, 0)
             count("segment peak", t2, t1)
+            if t2 >= self.n_eval:
+                raise ValueError(f"segment peak {t2} outside [0, {self.n_eval})")
 
     @staticmethod
     def from_dict(obj: dict) -> "RevivalReport":
-        if not isinstance(obj, dict):
-            raise ValueError(f"revival report must be a JSON object, got {obj!r}")
-        missing = [f.name for f in dataclasses.fields(RevivalReport) if f.name not in obj]
-        if missing:
-            raise ValueError(f"revival report missing keys {missing}")
-        return RevivalReport(**{f.name: obj[f.name] for f in dataclasses.fields(RevivalReport)})
+        return from_doc(RevivalReport, obj, "revival report")
 
 
 def heaviside(x: float) -> int:
@@ -116,8 +112,7 @@ def write_report(report: RevivalReport, path) -> None:
 
 
 def read_report(path) -> RevivalReport:
-    with open(path) as f:
-        return RevivalReport.from_dict(json.load(f))
+    return RevivalReport.from_dict(read_json(path))
 
 
 def write_segments_csv(report: RevivalReport, path) -> None:

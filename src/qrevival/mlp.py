@@ -13,7 +13,6 @@ forward pass, and each minibatch runs as a few matrix products.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -21,7 +20,8 @@ from typing import Tuple
 import numpy as np
 
 from .dataset import WindowDataset, chronological_split, stack
-from .table import count, positive_real, read_table, write_json, write_table
+from .table import (check_keys, count, positive_real, read_json, read_table, write_json,
+                    write_table)
 
 H1 = 32
 H2 = 16
@@ -212,13 +212,8 @@ def save_params(p: MLPParams, path) -> None:
 
 
 def load_params(path) -> MLPParams:
-    with open(path) as f:
-        obj = json.load(f)
-    if not isinstance(obj, dict):
-        raise ValueError(f"parameter file {path} is not a JSON object")
-    missing = [k for k in _FIELDS if k not in obj]
-    if missing:
-        raise ValueError(f"parameter file {path} missing keys {missing}")
+    obj = read_json(path)
+    check_keys(obj, _FIELDS, _FIELDS, f"parameter file {path}")
     try:
         blocks = [np.asarray(obj[k], dtype=float) for k in _FIELDS]
     except TypeError as e:                          # a layer holding an object

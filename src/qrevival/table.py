@@ -6,13 +6,17 @@ rows go through `csv.writer`, so lines end in `\\r\\n`. Reading returns the
 cells as strings and leaves their parsing to the caller.
 
 A JSON file is one value with an indent of 2, sorted keys and a final
-newline. `positive_real` and `count` check the numbers read from one: `true`
-is an int to Python, and its `json` reads `Infinity`, `NaN` and any integer.
+newline. Every JSON reader holds a document to one rule: it is an object
+whose keys are all known and include the required ones (`check_keys`), and
+`from_doc` builds a dataclass from such an object. `positive_real` and
+`count` check the numbers read from one: `true` is an int to Python, and its
+`json` reads `Infinity`, `NaN` and any integer.
 """
 
 import csv
 import json
 import sys
+from dataclasses import MISSING
 
 
 def _cell(v) -> str:
@@ -48,6 +52,45 @@ def write_json(path, obj) -> None:
     with open(path, "w") as f:
         json.dump(obj, f, indent=2, sort_keys=True)
         f.write("\n")
+
+
+def read_json(path):
+    """The JSON value in `path`; ValueError naming the path on bad UTF-8 or bad JSON."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except ValueError as e:                    # JSONDecodeError, UnicodeDecodeError
+        raise ValueError(f"{path} is not valid JSON: {e}") from e
+
+
+def check_keys(obj, allowed, required, where: str) -> None:
+    """ValueError unless `obj` is a dict with keys in `allowed` and all of `required`."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    unknown = sorted(set(obj) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown keys {unknown} in {where}")
+    missing = sorted(set(required) - set(obj))
+    if missing:
+        raise ValueError(f"missing keys {missing} in {where}")
+
+
+def from_doc(cls, doc, where: str, **nested):
+    """cls(**doc), its keys checked against the dataclass fields of cls.
+
+    A field without a default is required; `nested` maps a key to the
+    function that builds the field's value from the JSON value. A value the
+    constructor (or a nested builder) rejects raises ValueError prefixed
+    with `where`.
+    """
+    fields = cls.__dataclass_fields__
+    required = [k for k, f in fields.items()
+                if f.default is MISSING and f.default_factory is MISSING]
+    check_keys(doc, fields, required, where)
+    try:
+        return cls(**{k: nested[k](v) if k in nested else v for k, v in doc.items()})
+    except (ValueError, TypeError) as e:
+        raise ValueError(f"{where}: {e}") from e
 
 
 def positive_real(name: str, value) -> float:

@@ -153,6 +153,28 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
         == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command", ["simulate", "run-all"])
+@pytest.mark.parametrize("kind", ["directory", "not utf-8", "not json"])
+def test_unreadable_config_exits_2(tmp_path, command, kind, capsys):
+    path = tmp_path / "cfg.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"g": "\xff"}' if kind == "not utf-8" else b"not json {")
+    assert cli.main([command, "--config", str(path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(path) in err
+
+
+@pytest.mark.parametrize("half", ["ad", "rtn"])
+def test_pair_config_value_error_names_its_half(tmp_path, half, capsys):
+    doc = pair_doc(tmp_path)
+    doc[half]["g"] = -1.0
+    assert cli.main(["run-all", "--config", write_doc(tmp_path, doc, "pair.json")]) \
+        == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: config.{half}: g must be")
+
+
 def test_stage_missing_inputs_exit_4(tmp_path, capsys):
     cfg = write_doc(tmp_path, rtn_doc(tmp_path / "run"))
     assert cli.main(["dataset", "--config", cfg]) == cli.EXIT_MISSING
@@ -160,7 +182,10 @@ def test_stage_missing_inputs_exit_4(tmp_path, capsys):
     assert cli.main(["predict", "--config", cfg]) == cli.EXIT_MISSING
     assert cli.main(["score", "--config", cfg]) == cli.EXIT_MISSING
     assert cli.main(["score", "--config", cfg, "--on-truth"]) == cli.EXIT_MISSING
-    assert capsys.readouterr().err.count("missing input: ") == 5
+    # a directory where an input file belongs is as good as absent
+    (tmp_path / "run" / "dataset.csv").mkdir(parents=True)
+    assert cli.main(["train", "--config", cfg]) == cli.EXIT_MISSING
+    assert capsys.readouterr().err.count("missing input: ") == 6
 
 
 def test_integration_failure_exits_3(tmp_path, capsys):
@@ -210,6 +235,13 @@ def sidecar(channel):
     return json.dumps({"channel": channel, "g": 1.0})
 
 
+def params_body(**extra):
+    """The params.json body of a freshly initialised network, plus `extra` keys."""
+    p = mlp.init_params(np.random.default_rng(0))
+    layers = ("w1", "b1", "w2", "b2", "w3", "b3")
+    return json.dumps({**{k: getattr(p, k).tolist() for k in layers}, **extra})
+
+
 @pytest.mark.parametrize("stage, name, body", [
     ("predict", "params.json", "not json {"),
     ("predict", "params.json", '{"w1": [[0]]}'),
@@ -218,6 +250,9 @@ def sidecar(channel):
     ("predict", "params.json", "null"),
     ("predict", "params.json",
      json.dumps(dict.fromkeys(("w1", "b1", "w2", "b2", "w3", "b3"), {}))),
+    # a parameter file with a key its writer does not write
+    pytest.param("predict", "params.json", params_body(extra=1),
+                 id="predict-params.json-extra-key"),
     ("score", "predictions.csv", "t_index,y_hat\n5,0.5,0.25\n"),
     ("score", "predictions.csv", "t_index,y_hat\n5,half\n"),
     ("score", "predictions.csv", "t,y\n5,0.5\n"),
@@ -381,6 +416,24 @@ def test_plots_reject_predictions_past_the_trajectory(tmp_path, capsys):
     cli.write_predictions([9999, 10000], [0.5, 0.7], run / "predictions.csv")
     with pytest.raises(ValueError, match="past the end"):
         cli.emit_plots(cli.load_run_config(cfg_path))
+
+
+def test_plots_reject_an_inconsistent_report(tmp_path, capsys):
+    run = tmp_path / "run"
+    cfg_path = write_doc(tmp_path, rtn_doc(run))
+    assert chain(cfg_path, *ALL_STAGES) == 0
+    n_eval = mm.read_report(run / "report.json").n_eval
+    # a peak past the predictions, an n_eval that is not the number of
+    # predictions, and a score that is not n_rev / n_eval
+    for doc, match in (
+            ({"n_rev": 1, "n_eval": n_eval, "score": 1 / n_eval,
+              "segments": [[1, 9000]]}, "peak"),
+            ({"n_rev": 1, "n_eval": 1000, "score": 0.001,
+              "segments": [[600, 700]]}, "n_eval"),
+            ({"n_rev": 1, "n_eval": n_eval, "score": 0.9, "segments": []}, "score")):
+        (run / "report.json").write_text(json.dumps({**doc, "epsilon": 0.015}))
+        with pytest.raises(ValueError, match=match):
+            cli.emit_plots(cli.load_run_config(cfg_path))
 
 
 def test_train_deterministic_bytes(tmp_path, capsys):

@@ -169,6 +169,11 @@ def _report_doc(**over):
     _report_doc(segments=5), _report_doc(segments=[[1]]), _report_doc(segments=[1, 2]),
     _report_doc(segments=[[1, 2.0]]), _report_doc(segments=[[True, 2]]),
     _report_doc(segments=[[3, 2]]), _report_doc(segments=[[1, 2, 3]]),
+    # a key the writer does not write, a peak past the evaluated samples, and
+    # a score that is not n_rev / n_eval
+    _report_doc(extra=1), _report_doc(segments=[[1, 9000]]),
+    _report_doc(segments=[[1, 6]]),
+    _report_doc(n_rev=191, n_eval=500, score=0.9, segments=[]),
 ])
 def test_report_reader_rejects_malformed(tmp_path, doc):
     with pytest.raises(ValueError):
@@ -184,11 +189,10 @@ def test_report_reader_rejects_malformed(tmp_path, doc):
 def _reports(draw):
     n_eval = draw(st.integers(1, 10 ** 6))
     n_rev = draw(st.integers(0, n_eval))
-    starts = draw(st.lists(st.integers(0, 10 ** 6), max_size=20))
+    starts = draw(st.lists(st.integers(0, n_eval - 1), max_size=20))
     return mm.RevivalReport(
-        n_rev=n_rev, n_eval=n_eval,
-        score=draw(st.one_of(st.just(n_rev / n_eval), st.floats(0.0, 1.0))),
-        segments=[(t, t + draw(st.integers(0, 50))) for t in starts],
+        n_rev=n_rev, n_eval=n_eval, score=n_rev / n_eval,
+        segments=[(t, draw(st.integers(t, min(t + 50, n_eval - 1)))) for t in starts],
         epsilon=draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)))
 
 
