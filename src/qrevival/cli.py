@@ -2,8 +2,8 @@
 
 Stages communicate through files inside the run's output directory, so each
 stage can be invoked on its own or chained end to end by `run-all`. Every
-output is deterministic for a fixed config and seed, and every exported file
-round-trips byte-for-byte through its reader/writer pair.
+output is deterministic for a fixed config and seed, and every file that a
+later stage reads round-trips byte-for-byte through its reader/writer pair.
 
 Stages only do their work: they raise StageError for a missing input, an
 integration failure or a run-all mismatch, and ValueError for a malformed

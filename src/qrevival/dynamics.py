@@ -8,15 +8,15 @@ positive part (see ChannelSpec.rate for why). Integration is fixed-step RK4
 on vec(rho) with one 16x16 generator per channel.
 
 Every channel is one damped oscillator (a, w2, scale) with collapse operator L:
-  f(t)    = exp(-a t) [cosh(c t) + (a/c) sinh(c t)],   c = sqrt(a^2 - w2)
-  rate(t) = -scale f'/f = scale w2 sinh(c t) / (c cosh(c t) + a sinh(c t))
+  f(t)           = exp(-a t) [cosh(c t) + (a/c) sinh(c t)],   c = sqrt(a^2 - w2)
+  signed_rate(t) = -scale f'/f = scale w2 sinh(c t) / (c cosh(c t) + a sinh(c t))
   non-Markovian iff w2 > a^2
     amplitude damping (b, lambda)  (b/2, lambda/2, 2)  L = I (x) sigma_-
     RTN dephasing (v, kappa)       (kappa, 4 v^2, 1/2)  L = I (x) Z
     noise-free                     (0, 0, 0)            L = 0
 
-The rate diverges where f crosses zero; it is clamped to [0, rate_clamp] and
-every altered evaluation is counted in the trajectory metadata.
+The signed rate diverges where f crosses zero; `rate` clamps it to [0, rate_clamp]
+and every altered evaluation is counted in the trajectory metadata.
 """
 
 from __future__ import annotations
@@ -65,20 +65,42 @@ INITIAL_KETS = {
 
 # ---------- channels ----------
 
-class _ChannelParams:
-    """A noise channel: a frozen dataclass of positive finite float parameters.
+@dataclass(frozen=True)
+class ChannelSpec:
+    """One noise channel acting on the ancilla, with a rate cap.
 
-    A subclass sets KIND, its `kind` tag, NAMES, its fields' names in configs
-    and sidecars, its collapse operator JUMP and `oscillator = (a, w2, scale)`;
-    the closed forms in the module docstring follow from them. For w2 > a^2, c
-    is imaginary and cosh/sinh turn into cos/sin: f crosses zero and the rate
-    goes negative.
+    A frozen dataclass of positive finite float parameters plus `rate_clamp`.
+    A subclass sets `kind`, its tag, NAMES, its fields' names in configs and
+    sidecars, its collapse operator JUMP and `oscillator = (a, w2, scale)`;
+    the closed forms in the module docstring follow from them. For w2 > a^2,
+    c is imaginary and cosh/sinh turn into cos/sin: f crosses zero and the
+    signed rate goes negative.
     """
 
+    rate_clamp: float = dataclasses.field(default=1e3, kw_only=True)
+
     def __post_init__(self):
-        for attr, name in zip(self.__dataclass_fields__, self.NAMES):
-            value = positive_real(f"{self.KIND} params.{name}", getattr(self, attr))
+        _, *attrs = self.__dataclass_fields__           # rate_clamp comes first
+        for attr, name in zip(attrs, self.NAMES):
+            value = positive_real(f"{self.kind} params.{name}", getattr(self, attr))
             object.__setattr__(self, attr, value)
+        object.__setattr__(self, "rate_clamp", positive_real("rate_clamp", self.rate_clamp))
+
+    # constructors
+
+    @staticmethod
+    def amplitude_damping(b: float, lam: float, rate_clamp: float = 1e3) -> "ChannelSpec":
+        return ADParams(b, lam, rate_clamp=rate_clamp)
+
+    @staticmethod
+    def rtn_dephasing(v: float, kappa: float, rate_clamp: float = 1e3) -> "ChannelSpec":
+        return RTNParams(v, kappa, rate_clamp=rate_clamp)
+
+    @staticmethod
+    def noise_free() -> "ChannelSpec":
+        return NoiseFree()
+
+    # behavior
 
     @property
     def c(self) -> complex:
@@ -90,6 +112,11 @@ class _ChannelParams:
         a, w2, _ = self.oscillator
         return w2 > a * a
 
+    def regime(self) -> str:
+        if isinstance(self, NoiseFree):
+            return "noise-free"
+        return "non-markovian" if self.non_markovian else "markovian"
+
     def coherence(self, t):
         """Coherence factor f(t), real for every parameter set."""
         t = np.asarray(t, dtype=float)
@@ -100,7 +127,7 @@ class _ChannelParams:
             out = np.exp(-a * t) * np.real(np.cosh(c * t) + (a / c) * np.sinh(c * t))
         return out if out.ndim else float(out)
 
-    def rate(self, t):
+    def signed_rate(self, t):
         """Signed, unclamped time-local rate -scale f'/f; diverges at zeros of f."""
         t = np.asarray(t, dtype=float)
         a, w2, scale = self.oscillator
@@ -113,116 +140,8 @@ class _ChannelParams:
                 out = scale * w2 * np.real(sinh / (c * np.cosh(c * t) + a * sinh))
         return out if out.ndim else float(out)
 
-    def dissipator(self, rho: np.ndarray) -> np.ndarray:
-        """Rate-free Lindblad term L rho L^dag - {L^dag L, rho}/2 of L = JUMP."""
-        jump = self.JUMP
-        jtj = jump.conj().T @ jump
-        return jump @ rho @ jump.conj().T - 0.5 * (jtj @ rho + rho @ jtj)
-
-
-@dataclass(frozen=True)
-class ADParams(_ChannelParams):
-    """Amplitude damping: spectral width b, coupling strength lam.
-
-    f is the damped Jaynes-Cummings amplitude G(t), the rate -2 Re[G'/G].
-    """
-
-    KIND = "amplitude_damping"
-    NAMES = ("b", "lambda")
-    JUMP = A_AD
-
-    b: float
-    lam: float
-
-    @property
-    def oscillator(self):
-        return self.b / 2.0, self.lam / 2.0, 2.0
-
-
-@dataclass(frozen=True)
-class RTNParams(_ChannelParams):
-    """Random-telegraph dephasing: amplitude v, correlation-decay rate kappa.
-
-    f is the telegraph factor Lambda(t), the rate -Lambda'/(2 Lambda); with
-    Z_A^dag Z_A = I the dissipator is Z_A rho Z_A - rho.
-    """
-
-    KIND = "rtn_dephasing"
-    NAMES = ("v", "kappa")
-    JUMP = Z_A_OP
-
-    v: float
-    kappa: float
-
-    @property
-    def oscillator(self):
-        return self.kappa, 4.0 * self.v * self.v, 0.5
-
-
-@dataclass(frozen=True)
-class NoiseFree(_ChannelParams):
-    """No noise: f = 1, a zero rate and a zero dissipator."""
-
-    KIND = "noise_free"
-    NAMES = ()
-    JUMP = np.zeros((4, 4), dtype=complex)
-
-    oscillator = (0.0, 0.0, 0.0)
-
-
-# every channel kind a config or sidecar may name, and its parameter class
-CHANNELS = {cls.KIND: cls for cls in (ADParams, RTNParams, NoiseFree)}
-
-
-# the AD rate and the RTN coherence factor by the names the acceptance criteria
-# and the benchmark call
-def gamma_ad(t, p: ADParams):
-    return p.rate(t)
-
-
-def rtn_lambda(t, p: RTNParams):
-    return p.coherence(t)
-
-
-# ---------- channel spec ----------
-
-@dataclass(frozen=True)
-class ChannelSpec:
-    """One noise channel acting on the ancilla, with a rate cap."""
-
-    params: _ChannelParams = NoiseFree()
-    rate_clamp: float = 1e3
-
-    def __post_init__(self):
-        object.__setattr__(self, "rate_clamp", positive_real("rate_clamp", self.rate_clamp))
-
-    @property
-    def kind(self) -> str:
-        return self.params.KIND
-
-    # constructors
-
-    @staticmethod
-    def amplitude_damping(b: float, lam: float, rate_clamp: float = 1e3) -> "ChannelSpec":
-        return ChannelSpec(ADParams(b=b, lam=lam), rate_clamp)
-
-    @staticmethod
-    def rtn_dephasing(v: float, kappa: float, rate_clamp: float = 1e3) -> "ChannelSpec":
-        return ChannelSpec(RTNParams(v=v, kappa=kappa), rate_clamp)
-
-    @staticmethod
-    def noise_free() -> "ChannelSpec":
-        return ChannelSpec()
-
-    # behavior
-
-    def regime(self) -> str:
-        if isinstance(self.params, NoiseFree):
-            return "noise-free"
-        return "non-markovian" if self.params.non_markovian else "markovian"
-
     def rate(self, t):
-        """Evolution rate: positive part of params.rate, clamped to [0, rate_clamp].
+        """Evolution rate: positive part of signed_rate, clamped to [0, rate_clamp].
 
         Negative-rate (backflow) windows suspend the dissipator instead of
         inverting it, so every instantaneous generator stays completely
@@ -234,16 +153,22 @@ class ChannelSpec:
         clamp/dt combination tried, also with smoothly regularized rates).
         Rates that are nonnegative to begin with are returned unchanged, so
         Markovian and noise-free runs are identical under either reading.
-        The signed rate stays available as params.rate.
         """
-        raw = np.asarray(self.params.rate(t), dtype=float)
+        raw = np.asarray(self.signed_rate(t), dtype=float)
         out = np.clip(np.nan_to_num(raw, nan=self.rate_clamp, posinf=self.rate_clamp,
                                     neginf=0.0), 0.0, self.rate_clamp)
         return out if out.ndim else float(out)
 
+    def dissipator(self, rho: np.ndarray) -> np.ndarray:
+        """Rate-free Lindblad term L rho L^dag - {L^dag L, rho}/2 of L = JUMP."""
+        jump = self.JUMP
+        jtj = jump.conj().T @ jump
+        return jump @ rho @ jump.conj().T - 0.5 * (jtj @ rho + rho @ jtj)
+
     def to_dict(self) -> dict:
-        p = self.params
-        return {"kind": self.kind, "params": dict(zip(p.NAMES, dataclasses.astuple(p))),
+        _, *attrs = self.__dataclass_fields__
+        return {"kind": self.kind,
+                "params": {name: getattr(self, attr) for name, attr in zip(self.NAMES, attrs)},
                 "rate_clamp": self.rate_clamp}
 
     @staticmethod
@@ -256,8 +181,72 @@ class ChannelSpec:
         names = CHANNELS[kind].NAMES
         params = d.get("params", {})
         check_keys(params, names, names, f"{kind} params")
-        return ChannelSpec(CHANNELS[kind](*(params[k] for k in names)),
-                           **{k: v for k, v in d.items() if k == "rate_clamp"})
+        return CHANNELS[kind](*(params[k] for k in names),
+                              **{k: v for k, v in d.items() if k == "rate_clamp"})
+
+
+@dataclass(frozen=True)
+class ADParams(ChannelSpec):
+    """Amplitude damping: spectral width b, coupling strength lam.
+
+    f is the damped Jaynes-Cummings amplitude G(t), the rate -2 Re[G'/G].
+    """
+
+    kind = "amplitude_damping"
+    NAMES = ("b", "lambda")
+    JUMP = A_AD
+
+    b: float
+    lam: float
+
+    @property
+    def oscillator(self):
+        return self.b / 2.0, self.lam / 2.0, 2.0
+
+
+@dataclass(frozen=True)
+class RTNParams(ChannelSpec):
+    """Random-telegraph dephasing: amplitude v, correlation-decay rate kappa.
+
+    f is the telegraph factor Lambda(t), the rate -Lambda'/(2 Lambda); with
+    Z_A^dag Z_A = I the dissipator is Z_A rho Z_A - rho.
+    """
+
+    kind = "rtn_dephasing"
+    NAMES = ("v", "kappa")
+    JUMP = Z_A_OP
+
+    v: float
+    kappa: float
+
+    @property
+    def oscillator(self):
+        return self.kappa, 4.0 * self.v * self.v, 0.5
+
+
+@dataclass(frozen=True)
+class NoiseFree(ChannelSpec):
+    """No noise: f = 1, a zero rate and a zero dissipator."""
+
+    kind = "noise_free"
+    NAMES = ()
+    JUMP = np.zeros((4, 4), dtype=complex)
+
+    oscillator = (0.0, 0.0, 0.0)
+
+
+# every channel kind a config or sidecar may name, and its class
+CHANNELS = {cls.kind: cls for cls in (ADParams, RTNParams, NoiseFree)}
+
+
+# the signed AD rate and the RTN coherence factor by the names the acceptance
+# criteria call
+def gamma_ad(t, p: ADParams):
+    return p.signed_rate(t)
+
+
+def rtn_lambda(t, p: RTNParams):
+    return p.coherence(t)
 
 
 # ---------- grid, states, validation ----------
@@ -344,8 +333,9 @@ class Trajectory:
         else:
             self.dt = positive_real("dt", self.dt)
         # NaN stands for a g no sidecar gave, and round-trips as such
-        if isinstance(self.g, bool) or not isinstance(self.g, (int, float)) or self.g <= 0:
-            raise ValueError(f"g must be a positive number, got {self.g!r}")
+        if (isinstance(self.g, bool) or not isinstance(self.g, (int, float))
+                or self.g <= 0 or self.g == math.inf):
+            raise ValueError(f"g must be a positive finite number or NaN, got {self.g!r}")
         if not isinstance(self.initial_state_tag, str):
             raise ValueError(f"initial_state must be a string, got {self.initial_state_tag!r}")
         count("clamp_events", self.clamp_events, 0)
@@ -380,7 +370,7 @@ def evolve(rho0: np.ndarray, grid: TimeGrid, g: float, chan: ChannelSpec,
     validate_density_matrix(rho0, context="initial state")
     h = build_xy_hamiltonian(g)
     l_h = _superoperator(lambda r: -1j * (h @ r - r @ h))
-    l_d = _superoperator(chan.params.dissipator)
+    l_d = _superoperator(chan.dissipator)
     times = grid.times()
     dt = grid.dt
     n = grid.n_steps
@@ -390,7 +380,7 @@ def evolve(rho0: np.ndarray, grid: TimeGrid, g: float, chan: ChannelSpec,
     # non-finite at a coherence zero)
     eval_times = np.concatenate([times, times[:-1] + dt / 2.0])
     with np.errstate(divide="ignore", invalid="ignore"):
-        raw = chan.params.rate(eval_times)
+        raw = chan.signed_rate(eval_times)
         clamped = chan.rate(eval_times)
     n_clamped = int(np.count_nonzero(clamped != raw))
     r_node, r_mid = clamped[: n + 1], clamped[n + 1:]
@@ -430,11 +420,14 @@ def write_trajectory(traj: Trajectory, csv_path) -> None:
 def read_trajectory(csv_path) -> Trajectory:
     """Load a trajectory CSV; picks up `<csv_path>.meta.json` when present.
 
-    The sidecar may omit keys but holds none that write_trajectory does not write.
+    The sidecar may omit keys but holds none that write_trajectory does not write;
+    a sidecar path that exists but is not a file is malformed.
     """
     _, rows = read_table(csv_path, TRAJECTORY_HEADER)
     times, z_s, z_a = np.array([[float(v) for v in row] for row in rows]).reshape(-1, 3).T
     meta_path = str(csv_path) + ".meta.json"
+    if os.path.exists(meta_path) and not os.path.isfile(meta_path):
+        raise ValueError(f"trajectory sidecar {meta_path} is not a file")
     meta = read_json(meta_path) if os.path.exists(meta_path) else {}
     check_keys(meta, Trajectory.META_KEYS, (), f"trajectory sidecar {meta_path}")
     chan = meta.get("channel")

@@ -284,6 +284,7 @@ def params_body(**extra):
     ("dataset", "trajectory.csv.meta.json", json.dumps({"dt": math.nan})),
     ("dataset", "trajectory.csv.meta.json", json.dumps({"g": True})),
     ("dataset", "trajectory.csv.meta.json", json.dumps({"g": -3.0})),
+    ("dataset", "trajectory.csv.meta.json", json.dumps({"g": math.inf})),
     ("dataset", "trajectory.csv.meta.json", json.dumps({"initial_state": 5})),
     ("dataset", "trajectory.csv.meta.json", json.dumps({"clamp_events": None})),
     ("dataset", "trajectory.csv.meta.json", json.dumps({"clamp_events": -1})),
@@ -306,6 +307,20 @@ def test_malformed_stage_file_exits_5(tmp_path, stage, name, body, capsys):
     assert capsys.readouterr().err.startswith("malformed input: ")
     if stage == "dataset":
         assert not (run / "dataset.csv").exists()
+
+
+def test_directory_sidecar_exits_5(tmp_path, capsys):
+    run = tmp_path / "run"
+    cfg = write_doc(tmp_path, rtn_doc(run))
+    assert cli.main(["simulate", "--config", cfg]) == 0
+    meta = run / "trajectory.csv.meta.json"
+    meta.unlink()
+    meta.mkdir()
+    capsys.readouterr()
+    assert cli.main(["dataset", "--config", cfg]) == cli.EXIT_MALFORMED
+    err = capsys.readouterr().err
+    assert err.startswith("malformed input: ") and str(meta) in err
+    assert not (run / "dataset.csv").exists()
 
 
 def test_malformed_trajectory_exits_5(tmp_path, capsys):
@@ -580,14 +595,15 @@ def test_run_all_matches_manual_chain(tmp_path, capsys):
 
 def test_run_all_reruns_byte_identical(tmp_path, capsys):
     cfg = write_doc(tmp_path, pair_doc(tmp_path), "pair.json")
-    outs = []
+    trees = []
     for name in ("one", "two"):
         out = tmp_path / name
-        assert cli.main(["run-all", "--config", cfg, "--out", str(out)]) == 0
-        outs.append(out)
-    for rel in ("comparison.json", "ad/report.json", "rtn/report.json",
-                "ad/params.json", "rtn/predictions.csv"):
-        assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes(), rel
+        assert cli.main(["run-all", "--config", cfg, "--out", str(out), "--plots"]) == 0
+        trees.append({p.relative_to(out): p.read_bytes()
+                      for p in out.rglob("*") if p.is_file()})
+    assert len(trees[0]) == 21 and trees[0].keys() == trees[1].keys()
+    for rel, body in trees[0].items():
+        assert body == trees[1][rel], rel
 
 
 def test_plots_emitted(tmp_path, capsys):

@@ -114,7 +114,7 @@ def test_rtn_decoherence_oracle():
                           (dy.RTNParams(v=1.0, kappa=1.0 / 7.0), RTN_SLOW)):
         for t, (lam_ref, gam_ref) in table.items():
             assert dy.rtn_lambda(t, params) == pytest.approx(lam_ref, abs=1e-13)
-            assert params.rate(t) == pytest.approx(gam_ref, rel=1e-12)
+            assert params.signed_rate(t) == pytest.approx(gam_ref, rel=1e-12)
     slow = dy.RTNParams(v=1.0, kappa=1.0 / 7.0)
     assert abs(slow.c) / slow.kappa == pytest.approx(RTN_SLOW_CHI, rel=1e-14)
 
@@ -132,7 +132,7 @@ def test_rtn_critical_closed_form():
     p = dy.RTNParams(v=1.0, kappa=2.0)
     assert dy.rtn_lambda(1.0, p) == pytest.approx(3.0 * math.exp(-2.0), abs=1e-14)
     assert dy.rtn_lambda(1.0, p) == pytest.approx(0.40600584970983808, abs=1e-14)
-    assert p.rate(1.0) == pytest.approx(2.0 * 1.0 / (1.0 + 2.0), rel=1e-12)
+    assert p.signed_rate(1.0) == pytest.approx(2.0 * 1.0 / (1.0 + 2.0), rel=1e-12)
 
 
 def test_rtn_monotone_vs_sign_change():
@@ -158,10 +158,10 @@ def test_rate_is_scaled_log_derivative_of_coherence():
         f = p.coherence(ts)
         fd = -p.oscillator[2] * (p.coherence(ts + h) - p.coherence(ts - h)) / (2.0 * h * f)
         keep = np.abs(f) > 0.05
-        assert np.allclose(p.rate(ts)[keep], fd[keep], rtol=1e-6, atol=1e-6)
+        assert np.allclose(p.signed_rate(ts)[keep], fd[keep], rtol=1e-6, atol=1e-6)
     free = dy.NoiseFree()
-    assert (free.coherence(2.0), free.rate(2.0), free.non_markovian) == (1.0, 0.0, False)
-    assert np.array_equal(free.rate(ts), np.zeros_like(ts))
+    assert (free.coherence(2.0), free.signed_rate(2.0), free.non_markovian) == (1.0, 0.0, False)
+    assert np.array_equal(free.signed_rate(ts), np.zeros_like(ts))
     assert not np.any(free.dissipator(I4 / 4.0))
 
 
@@ -194,7 +194,7 @@ def test_ad_dissipator_hand_example():
     chan = dy.ChannelSpec.amplitude_damping(b=5.0, lam=1.0)
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0                       # |00><00|
-    out = chan.params.dissipator(rho)
+    out = chan.dissipator(rho)
     expect = np.zeros((4, 4), dtype=complex)
     expect[0, 0] = -1.0
     expect[1, 1] = 1.0
@@ -202,7 +202,7 @@ def test_ad_dissipator_hand_example():
     # coherence between ancilla levels decays at half weight
     rho2 = np.zeros((4, 4), dtype=complex)
     rho2[0, 1] = 1.0
-    out2 = chan.params.dissipator(rho2)
+    out2 = chan.dissipator(rho2)
     assert out2[0, 1] == pytest.approx(-0.5)
     assert np.count_nonzero(np.abs(out2) > 1e-14) == 1
 
@@ -211,13 +211,13 @@ def test_rtn_dissipator_hand_example():
     # D[rho] = Z_A rho Z_A - rho kills ancilla coherences, doubles nothing else
     chan = dy.ChannelSpec.rtn_dephasing(v=1.0, kappa=4.0)
     plus_a = dm(np.kron(KET0, KET_PLUS))
-    out = chan.params.dissipator(plus_a)
+    out = chan.dissipator(plus_a)
     # |+><+| off-diagonal is 1/2 and the Z flip doubles the loss: entry -> -1
     expect = np.zeros((4, 4), dtype=complex)
     expect[0, 1] = -1.0
     expect[1, 0] = -1.0
     assert np.allclose(out, expect, atol=1e-14)
-    assert np.allclose(chan.params.dissipator(I4 / 4.0), 0.0, atol=1e-15)
+    assert np.allclose(chan.dissipator(I4 / 4.0), 0.0, atol=1e-15)
 
 
 def test_dissipator_trace_free():
@@ -228,7 +228,7 @@ def test_dissipator_trace_free():
             a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             rho = a @ a.conj().T
             rho = rho / np.trace(rho)
-            assert abs(np.trace(chan.params.dissipator(rho))) < 1e-12
+            assert abs(np.trace(chan.dissipator(rho))) < 1e-12
 
 
 def test_exchange_oracle_single_excitation():
@@ -294,7 +294,7 @@ def test_evolve_physical_on_paper_parameter_sets():
         assert np.all(np.isfinite(traj.z_s)) and np.all(np.isfinite(traj.z_a))
         assert np.max(np.abs(traj.z_s)) <= 1.0 + 1e-6
         # every raw rate at a node or midpoint that the clamp must alter
-        raw = chan.params.rate(np.concatenate([ts, ts[:-1] + grid.dt / 2.0]))
+        raw = chan.signed_rate(np.concatenate([ts, ts[:-1] + grid.dt / 2.0]))
         altered = ~np.isfinite(raw) | (raw < 0.0) | (raw > chan.rate_clamp)
         assert traj.clamp_events == np.count_nonzero(altered)
         assert (traj.clamp_events > 0) == bool(clamps_expected)
@@ -302,15 +302,15 @@ def test_evolve_physical_on_paper_parameter_sets():
 
 def test_rate_positive_part_and_clamp():
     chan = dy.ChannelSpec.amplitude_damping(b=0.05, lam=10.0, rate_clamp=30.0)
-    assert dy.gamma_ad(1.0, chan.params) < 0.0
+    assert dy.gamma_ad(1.0, chan) < 0.0
     assert chan.rate(1.0) == 0.0                       # negative lobe suspended
-    assert chan.params.rate(1.0) == pytest.approx(AD_OSC[1.0][1], rel=1e-12)
+    assert chan.signed_rate(1.0) == pytest.approx(AD_OSC[1.0][1], rel=1e-12)
     near_zero = AD_OSC_FIRST_ZERO - 1e-4               # rate spike ahead of the zero
-    assert chan.params.rate(near_zero) > 30.0
+    assert chan.signed_rate(near_zero) > 30.0
     assert chan.rate(near_zero) == 30.0
     markov = dy.ChannelSpec.amplitude_damping(b=5.0, lam=1.0)
     ts = np.linspace(0.0, 10.0, 500)
-    assert np.allclose(markov.rate(ts), markov.params.rate(ts))
+    assert np.allclose(markov.rate(ts), markov.signed_rate(ts))
     assert dy.ChannelSpec.noise_free().rate(3.0) == 0.0
 
 
@@ -323,7 +323,7 @@ def test_cross_integrator_markovian():
     def rhs(t, y):
         # d rho/dt = -i[H, rho] + rate(t) D[rho], written out independently of evolve
         rho = y.reshape(4, 4)
-        return (-1j * (h @ rho - rho @ h) + chan.rate(t) * chan.params.dissipator(rho)).ravel()
+        return (-1j * (h @ rho - rho @ h) + chan.rate(t) * chan.dissipator(rho)).ravel()
 
     sol = solve_ivp(rhs, (0.0, 4.0), rho0.ravel().astype(complex),
                     t_eval=np.linspace(0.0, 4.0, 81), rtol=1e-10, atol=1e-12)
@@ -427,7 +427,7 @@ _positive = st.floats(min_value=1e-6, max_value=1e6)
 _channels = st.one_of(
     st.builds(dy.ChannelSpec.amplitude_damping, _positive, _positive, _positive),
     st.builds(dy.ChannelSpec.rtn_dephasing, _positive, _positive, _positive),
-    st.builds(dy.ChannelSpec, rate_clamp=_positive))
+    st.builds(dy.NoiseFree, rate_clamp=_positive))
 
 
 @settings(max_examples=30, deadline=None,
