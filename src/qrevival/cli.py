@@ -5,12 +5,13 @@ stage can be invoked on its own or chained end to end by `run-all`. Every
 output is deterministic for a fixed config and seed, and every file that a
 later stage reads round-trips byte-for-byte through its reader/writer pair.
 
-Stages only do their work: they raise StageError for a missing input, an
-integration failure or a run-all mismatch, and ValueError for a malformed
+Stages only do their work: they raise StageError for a missing input, a
+numerical failure or a run-all mismatch, and ValueError for a malformed
 input. `main` alone turns failures into exit codes, first loading the
 configs, where any failure is 2 (config validation), then running the
-stages: 3 integration-invariant failure, 4 missing stage inputs, 5 malformed
-stage files (including an unusable dataset split), 6 run-all config mismatch.
+stages: 3 numerical failure (unphysical state or diverged training), 4
+missing stage inputs, 5 malformed stage files (including an unusable dataset
+split), 6 run-all config mismatch.
 """
 
 import argparse
@@ -166,7 +167,11 @@ def cmd_dataset(cfg: RunConfig) -> None:
 
 def cmd_train(cfg: RunConfig) -> None:
     [src] = _inputs(cfg, DATASET_CSV)
-    params, curve = mlp.train(dsmod.read_dataset(src), cfg.train)
+    ds = dsmod.read_dataset(src)
+    try:
+        params, curve = mlp.train(ds, cfg.train)
+    except FloatingPointError as e:
+        raise StageError(EXIT_INTEGRATION, f"training failure: {e}") from e
     mlp.save_params(params, _path(cfg, PARAMS_JSON))
     mlp.write_loss_curve(curve, _path(cfg, LOSS_CSV))
     print(f"final train mse: {curve[-1]:.6e}")

@@ -8,7 +8,7 @@ differences. Optimization is Adam with bias-corrected moments.
 
 All weights and biases live in one float64 vector; the per-layer arrays are
 views into it, so training, prediction and the gradient check share one
-forward pass, and each minibatch runs as a few matrix products.
+forward pass, and each minibatch runs as a few matrix products into `Buffers`.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ BETA2 = 0.999
 EPS = 1e-8
 
 _FIELDS = ("w1", "b1", "w2", "b2", "w3", "b3")
+_ZERO = np.zeros(())    # ReLU threshold; numpy would convert a Python 0.0 on every call
 
 
 def _shapes(n_in: int):
@@ -44,7 +45,7 @@ class MLPParams:
 
     w1 (H1, n_in), b1 (H1,), w2 (H2, H1), b2 (H2,), w3 (H2,) and b3 (0-d)
     are reshaped views into `vec`, laid out in that order; writing to a view
-    writes to `vec`.
+    writes to `vec`. w1t and w2t are the transposed views of w1 and w2.
     """
 
     def __init__(self, vec, n_in: int):
@@ -58,6 +59,23 @@ class MLPParams:
         for name, shape, size in zip(_FIELDS, _shapes(n_in), sizes):
             setattr(self, name, self.vec[pos:pos + size].reshape(shape))
             pos += size
+        self.w1t, self.w2t = self.w1.T, self.w2.T     # cached: forward runs once per window
+
+
+class Buffers:
+    """out= targets for `rows`-window batches of params p; Buffers() lets numpy allocate."""
+
+    def __init__(self, rows: int = 0, p: MLPParams | None = None):
+        def empty(*shape, dtype=float):
+            return None if p is None else np.empty(shape, dtype)
+        self.h1, self.d1, self.h2, self.d2 = (empty(rows, k) for k in (H1, H1, H2, H2))
+        self.m1, self.m2 = empty(rows, H1, dtype=bool), empty(rows, H2, dtype=bool)
+        self.y, self.r, self.q = empty(rows), empty(rows), empty(rows)
+        self.a, self.b = (None, None) if p is None else np.empty((2, p.vec.size))
+        self.grad = None if p is None else MLPParams(np.empty_like(p.vec), p.n_in)
+
+
+NO_BUFFERS = Buffers()
 
 
 @dataclass
@@ -83,21 +101,21 @@ def init_params(rng: np.random.Generator, n_in: int = 5) -> MLPParams:
     return MLPParams(np.concatenate(blocks), n_in)
 
 
-def forward(p: MLPParams, xs):
+def forward(p: MLPParams, xs, buf: Buffers = NO_BUFFERS):
     """Outputs for one window (n_in,) or a batch of windows (n, n_in).
 
     Returns y_hat (a scalar or an (n,) array) and the activations
-    (xs, h1, h2) that backward needs. The same expressions serve batched
-    training and prediction and the finite-difference check's single-window
-    loss evaluations.
+    (xs, h1, h2) that backward needs, in buf if it is sized for n rows.
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim not in (1, 2) or xs.shape[-1] != p.n_in:
         raise ValueError(f"expected input of shape ({p.n_in},) or (n, {p.n_in}), "
                          f"got {xs.shape}")
-    h1 = np.maximum(xs @ p.w1.T + p.b1, 0.0)
-    h2 = np.maximum(h1 @ p.w2.T + p.b2, 0.0)
-    y_hat = np.tanh(h2 @ p.w3 + p.b3)
+    h1 = np.matmul(xs, p.w1t, out=buf.h1)
+    h1 = np.maximum(np.add(h1, p.b1, out=h1), _ZERO, out=h1)
+    h2 = np.matmul(h1, p.w2t, out=buf.h2)
+    h2 = np.maximum(np.add(h2, p.b2, out=h2), _ZERO, out=h2)
+    y_hat = np.tanh(np.add(np.matmul(h2, p.w3, out=buf.y), p.b3, out=buf.y), out=buf.y)
     return y_hat, (xs, h1, h2)
 
 
@@ -111,7 +129,7 @@ def mse(preds, labels) -> float:
     return float(np.mean((preds - labels) ** 2))
 
 
-def backward(p: MLPParams, acts, y_hat, ys) -> np.ndarray:
+def backward(p: MLPParams, acts, y_hat, ys, buf: Buffers = NO_BUFFERS) -> np.ndarray:
     """Gradient of the batch-mean (y_hat - y)^2, as a vector in p.vec's layout.
 
     acts and y_hat come from forward on the same input. Per row,
@@ -119,55 +137,67 @@ def backward(p: MLPParams, acts, y_hat, ys) -> np.ndarray:
     through h2 = relu(z2) and h1 = relu(z1), with the ReLU subgradient at 0
     taken as 0 (h > 0 exactly where z > 0).
     """
-    xs, h1, h2 = (np.atleast_2d(a) for a in acts)
-    r = np.atleast_1d(2.0 * (y_hat - ys) * (1.0 - y_hat ** 2)) / len(xs)
-    d2 = np.where(h2 > 0.0, np.outer(r, p.w3), 0.0)
-    d1 = np.where(h1 > 0.0, d2 @ p.w2, 0.0)
-    g = MLPParams(np.empty_like(p.vec), p.n_in)
-    g.w1[...] = d1.T @ xs
-    g.b1[...] = d1.sum(axis=0)
-    g.w2[...] = d2.T @ h1
-    g.b2[...] = d2.sum(axis=0)
-    g.w3[...] = r @ h2
-    g.b3[...] = r.sum()
+    xs, h1, h2 = np.atleast_2d(*acts)
+    q = np.subtract(1.0, np.square(y_hat, out=buf.q), out=buf.q)
+    r = np.multiply(2.0, np.subtract(y_hat, ys, out=buf.r), out=buf.r)
+    r = np.divide(np.atleast_1d(np.multiply(r, q, out=buf.r)), len(xs), out=buf.r)
+    d2 = np.multiply(r[:, None], p.w3, out=buf.d2)         # np.outer(r, w3)
+    np.copyto(d2, _ZERO, where=np.logical_not(np.greater(h2, _ZERO, out=buf.m2), out=buf.m2))
+    d1 = np.matmul(d2, p.w2, out=buf.d1)
+    np.copyto(d1, _ZERO, where=np.logical_not(np.greater(h1, _ZERO, out=buf.m1), out=buf.m1))
+    g = buf.grad or MLPParams(np.empty_like(p.vec), p.n_in)
+    np.matmul(d1.T, xs, out=g.w1)
+    np.add.reduce(d1, axis=0, out=g.b1)          # np.sum without its Python wrapper
+    np.matmul(d2.T, h1, out=g.w2)
+    np.add.reduce(d2, axis=0, out=g.b2)
+    np.matmul(r, h2, out=g.w3)
+    np.add.reduce(r, out=g.b3)
     return g.vec
 
 
 def adam_step(p: MLPParams, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
-              t: int, lr: float) -> None:
+              t: int, lr: float, buf: Buffers = NO_BUFFERS) -> None:
     """Adam update number t (from 1) of p.vec and its moments m, v, in place."""
-    m[:] = BETA1 * m + (1.0 - BETA1) * grad
-    v[:] = BETA2 * v + (1.0 - BETA2) * grad * grad
-    c1 = 1.0 - BETA1 ** t
-    c2 = 1.0 - BETA2 ** t
-    p.vec[:] = p.vec - lr * (m / c1) / (np.sqrt(v / c2) + EPS)
-    if not np.all(np.isfinite(p.vec)):
+    np.add(np.multiply(BETA1, m, out=m), np.multiply(1.0 - BETA1, grad, out=buf.a), out=m)
+    np.add(np.multiply(BETA2, v, out=v),
+           np.multiply(np.multiply(1.0 - BETA2, grad, out=buf.a), grad, out=buf.a), out=v)
+    c1, c2 = 1.0 - BETA1 ** t, 1.0 - BETA2 ** t
+    step = np.multiply(lr, np.divide(m, c1, out=buf.a), out=buf.a)
+    den = np.add(np.sqrt(np.divide(v, c2, out=buf.b), out=buf.b), EPS, out=buf.b)
+    np.subtract(p.vec, np.divide(step, den, out=buf.a), out=p.vec)
+    if not np.isfinite(p.vec).all():
         raise ValueError("optimizer produced non-finite parameters")
 
 
+@np.errstate(over="raise", invalid="raise")
 def train(ds: WindowDataset, cfg: TrainConfig) -> Tuple[MLPParams, np.ndarray]:
     """Adam/minibatch training on the chronological train half only.
 
     Returns the final parameters and the per-epoch mean train MSE, evaluated
     after each epoch's updates. Fully seeded: initialization and the
-    within-train shuffle both draw from cfg.seed.
+    within-train shuffle draw from cfg.seed; a diverging step raises FloatingPointError.
     """
     xs, ys = stack(chronological_split(ds)[0])
-    n = len(ys)
+    n, bs = len(ys), cfg.batch_size
     rng = np.random.default_rng(cfg.seed)
     p = init_params(rng, n_in=ds.window_len)
-    m = np.zeros_like(p.vec)
-    v = np.zeros_like(p.vec)
-    t = 0
-    curve = np.empty(cfg.epochs)
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        for lo in range(0, n, cfg.batch_size):
-            idx = order[lo:lo + cfg.batch_size]
-            y_hat, acts = forward(p, xs[idx])
-            t += 1
-            adam_step(p, backward(p, acts, y_hat, ys[idx]), m, v, t, cfg.lr)
-        curve[epoch] = mse(forward(p, xs)[0], ys)
+    m, v = np.zeros_like(p.vec), np.zeros_like(p.vec)
+    bufs = {k: Buffers(k, p) for k in (min(bs, n), (n - 1) % bs + 1, n)}
+    xs_perm, ys_perm = np.empty_like(xs), np.empty_like(ys)
+    t, curve = 0, np.empty(cfg.epochs)
+    try:
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(n)
+            np.take(xs, order, axis=0, out=xs_perm)
+            np.take(ys, order, out=ys_perm)
+            for lo in range(0, n, bs):
+                t += 1
+                buf, by = bufs[min(bs, n - lo)], ys_perm[lo:lo + bs]
+                y_hat, acts = forward(p, xs_perm[lo:lo + bs], buf)
+                adam_step(p, backward(p, acts, y_hat, by, buf), m, v, t, cfg.lr, buf)
+            curve[epoch] = mse(forward(p, xs, bufs[n])[0], ys)
+    except (FloatingPointError, ValueError) as e:
+        raise FloatingPointError(f"{e} at step {t}") from e
     return p, curve
 
 

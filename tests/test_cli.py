@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -209,6 +210,21 @@ def test_integration_failure_exits_3(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("integration failure: ")
     assert not (out / "rtn").exists()
     assert not (out / "comparison.json").exists()
+
+
+def test_training_divergence_exits_3(tmp_path, capsys):
+    run = tmp_path / "run"
+    cfg = write_doc(tmp_path, rtn_doc(run, train={"epochs": 3, "batch_size": 16,
+                                                  "lr": 1e306, "seed": 1}))
+    assert chain(cfg, "simulate", "dataset") == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")          # numpy's overflow warnings included
+        assert cli.main(["train", "--config", cfg]) == cli.EXIT_INTEGRATION
+    err = capsys.readouterr().err
+    assert err.startswith("training failure: overflow") and "at step 2" in err
+    assert not (run / "params.json").exists()
+    assert not (run / "loss.csv").exists()
 
 
 @pytest.mark.parametrize("params, rate_clamp, grid, state, t_fail", [

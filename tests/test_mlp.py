@@ -23,6 +23,15 @@ def _zero_params():
     return mlp.MLPParams(np.zeros(737), n_in=5)
 
 
+def _noisy_windows(n_samples, seed=8):
+    rng = np.random.default_rng(seed)
+    z = np.clip(rng.standard_normal(n_samples) * 0.3, -1, 1)
+    traj = dy.Trajectory(times=np.arange(n_samples, dtype=float),
+                         z_s=z, z_a=np.roll(z, 1),
+                         channel=None, g=1.0, initial_state_tag=dy.STATE_CUSTOM)
+    return dset.build_windows(traj)
+
+
 def test_forward_zero_params():
     p = _zero_params()
     y, (_, h1, h2) = mlp.forward(p, np.zeros(5))
@@ -152,6 +161,18 @@ def test_adam_constant_gradient_step_magnitude():
     assert step == pytest.approx(1e-3, rel=0.05)   # sign-like unit step times lr
 
 
+@pytest.mark.parametrize("buffered", [False, True])
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_adam_step_rejects_non_finite(bad, buffered):
+    p = _params(7)
+    g = np.zeros(737)
+    g[100] = bad
+    buf = (mlp.Buffers(4, p),) if buffered else ()
+    # inf / inf in the update is an invalid operation; only the guard may report it
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+        mlp.adam_step(p, g, np.zeros(737), np.zeros(737), 1, 1e-3, *buf)
+
+
 def test_train_constant_labels():
     traj = dy.Trajectory(times=np.arange(60, dtype=float),
                          z_s=np.full(60, 0.3), z_a=np.full(60, -0.2),
@@ -164,17 +185,72 @@ def test_train_constant_labels():
 
 
 def test_train_deterministic():
-    rng = np.random.default_rng(8)
-    z = np.clip(rng.standard_normal(60) * 0.3, -1, 1)
-    traj = dy.Trajectory(times=np.arange(60, dtype=float),
-                         z_s=z, z_a=np.roll(z, 1),
-                         channel=None, g=1.0, initial_state_tag=dy.STATE_CUSTOM)
-    ds = dset.build_windows(traj)
+    ds = _noisy_windows(60)
     cfg = mlp.TrainConfig(epochs=40, batch_size=16, lr=1e-3, seed=33)
     p1, c1 = mlp.train(ds, cfg)
     p2, c2 = mlp.train(ds, cfg)
     assert np.array_equal(c1, c2)
     assert np.array_equal(p1.vec, p2.vec)
+
+
+def _plain_train(ds, cfg):
+    """The trainer written out with fresh arrays at every step: a fancy-indexed
+    minibatch, np.where ReLU masks and an out-of-place Adam update."""
+    train_half, _ = dset.chronological_split(ds)
+    xs, ys = train_half.xs, train_half.ys
+    n = len(ys)
+    rng = np.random.default_rng(cfg.seed)
+    vec = mlp.init_params(rng, n_in=ds.window_len).vec
+    m = np.zeros_like(vec)
+    v = np.zeros_like(vec)
+
+    def fwd(p, x):
+        h1 = np.maximum(x @ p.w1.T + p.b1, 0.0)
+        h2 = np.maximum(h1 @ p.w2.T + p.b2, 0.0)
+        return np.tanh(h2 @ p.w3 + p.b3), h1, h2
+
+    t = 0
+    curve = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        for lo in range(0, n, cfg.batch_size):
+            idx = order[lo:lo + cfg.batch_size]
+            x, y = xs[idx], ys[idx]
+            p = mlp.MLPParams(vec, ds.window_len)
+            y_hat, h1, h2 = fwd(p, x)
+            r = 2.0 * (y_hat - y) * (1.0 - y_hat ** 2) / len(x)
+            d2 = np.where(h2 > 0.0, np.outer(r, p.w3), 0.0)
+            d1 = np.where(h1 > 0.0, d2 @ p.w2, 0.0)
+            g = np.concatenate([(d1.T @ x).ravel(), d1.sum(axis=0), (d2.T @ h1).ravel(),
+                                d2.sum(axis=0), r @ h2, [r.sum()]])
+            t += 1
+            m = mlp.BETA1 * m + (1.0 - mlp.BETA1) * g
+            v = mlp.BETA2 * v + (1.0 - mlp.BETA2) * g * g
+            m_hat, v_hat = m / (1.0 - mlp.BETA1 ** t), v / (1.0 - mlp.BETA2 ** t)
+            vec = vec - cfg.lr * m_hat / (np.sqrt(v_hat) + mlp.EPS)
+        curve.append(float(np.mean((fwd(mlp.MLPParams(vec, ds.window_len), xs)[0] - ys) ** 2)))
+    return vec, np.array(curve)
+
+
+def test_train_matches_plain_reference():
+    ds = _noisy_windows(81)
+    n = ds.split_index
+    assert n == 38
+    # one row per batch, a divisor of n, a partial last batch, one batch
+    for batch_size in (1, 19, 5, n + 3):
+        cfg = mlp.TrainConfig(epochs=12, batch_size=batch_size, lr=3e-3, seed=4)
+        p, curve = mlp.train(ds, cfg)
+        ref_vec, ref_curve = _plain_train(ds, cfg)
+        assert np.array_equal(p.vec, ref_vec), batch_size
+        assert np.array_equal(curve, ref_curve), batch_size
+
+
+def test_train_divergence_raises_floating_point_error():
+    # lr = 1e306 puts ~1e306 in every weight after the first step; the second
+    # step's forward pass overflows in a matrix product
+    cfg = mlp.TrainConfig(epochs=2, batch_size=8, lr=1e306, seed=0)
+    with pytest.raises(FloatingPointError, match=r"overflow .* at step 2$"):
+        mlp.train(_noisy_windows(60), cfg)
 
 
 def test_train_learns_exchange_oscillation():
