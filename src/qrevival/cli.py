@@ -165,16 +165,17 @@ def cmd_dataset(cfg: RunConfig) -> None:
     print(f"windows: {len(ds)} (split at {ds.split_index})")
 
 
-def cmd_train(cfg: RunConfig) -> None:
-    [src] = _inputs(cfg, DATASET_CSV)
-    ds = dsmod.read_dataset(src)
+def cmd_train(*cfgs: RunConfig) -> None:
+    """One network per config, trained in lockstep with the first config's `train`."""
+    datasets = [dsmod.read_dataset(_inputs(cfg, DATASET_CSV)[0]) for cfg in cfgs]
     try:
-        params, curve = mlp.train(ds, cfg.train)
+        results = mlp.train_all(datasets, cfgs[0].train)
     except FloatingPointError as e:
         raise StageError(EXIT_INTEGRATION, f"training failure: {e}") from e
-    mlp.save_params(params, _path(cfg, PARAMS_JSON))
-    mlp.write_loss_curve(curve, _path(cfg, LOSS_CSV))
-    print(f"final train mse: {curve[-1]:.6e}")
+    for cfg, (params, curve) in zip(cfgs, results):
+        mlp.save_params(params, _path(cfg, PARAMS_JSON))
+        mlp.write_loss_curve(curve, _path(cfg, LOSS_CSV))
+        print(f"final train mse: {curve[-1]:.6e}")
 
 
 def write_predictions(t_indices, preds, path) -> None:
@@ -219,15 +220,20 @@ def cmd_score(cfg: RunConfig, on_truth: bool = False) -> None:
           f"score={report.score:.6f} epsilon={report.epsilon:g}")
 
 
-def run_pipeline(cfg: RunConfig) -> int:
-    """All five stages in order, then the figures if `emit_plots`.
-
-    Returns 0; a failing stage raises StageError or ValueError.
+def run_pipeline(*cfgs: RunConfig) -> int:
+    """All five stages in order, each for every config before the next, then
+    the figures of each config with `emit_plots`; one `cmd_train` call trains
+    every network. Returns 0; a failing stage raises StageError or ValueError.
     """
     for stage in (cmd_simulate, cmd_dataset, cmd_train, cmd_predict, cmd_score):
-        stage(cfg)
-    if cfg.emit_plots:
-        emit_plots(cfg)
+        if stage is cmd_train:
+            stage(*cfgs)
+        else:
+            for cfg in cfgs:
+                stage(cfg)
+    for cfg in cfgs:
+        if cfg.emit_plots:
+            emit_plots(cfg)
     return 0
 
 
@@ -236,11 +242,10 @@ def run_pipeline(cfg: RunConfig) -> int:
 def cmd_run_all(ad_cfg: RunConfig, rtn_cfg: RunConfig, comparison_dir: str) -> None:
     """Both pipelines, then `comparison.json`; raises like run_pipeline."""
     if (ad_cfg.grid != rtn_cfg.grid or ad_cfg.epsilon != rtn_cfg.epsilon
-            or ad_cfg.window_len != rtn_cfg.window_len):
+            or ad_cfg.window_len != rtn_cfg.window_len or ad_cfg.train != rtn_cfg.train):
         raise StageError(EXIT_MISMATCH, "config mismatch: run-all requires a "
-                         "shared grid, epsilon, and window length")
-    for cfg in (ad_cfg, rtn_cfg):
-        run_pipeline(cfg)
+                         "shared grid, epsilon, window length and train section")
+    run_pipeline(ad_cfg, rtn_cfg)
     ad_rep = mm.read_report(_path(ad_cfg, REPORT_JSON))
     rtn_rep = mm.read_report(_path(rtn_cfg, REPORT_JSON))
     ratio = rtn_rep.score / ad_rep.score if ad_rep.score > 0 else None

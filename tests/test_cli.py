@@ -567,6 +567,39 @@ def test_run_all_epsilon_mismatch_exits_6(tmp_path, capsys):
     assert cli.main(["run-all", "--config", cfg]) == cli.EXIT_MISMATCH
 
 
+def test_run_all_train_mismatch_exits_6(tmp_path, capsys):
+    # both networks train in lockstep, so they must share the whole train section
+    train = {"epochs": 25, "batch_size": 16, "lr": 0.003, "seed": 2}
+    for over in ({"lr": 0.001}, {"epochs": 24}, {"batch_size": 8}, {}):
+        cfg = write_doc(tmp_path, pair_doc(tmp_path, train=dict(train, **over)), "pair.json")
+        assert cli.main(["run-all", "--config", cfg]) == cli.EXIT_MISMATCH
+        assert capsys.readouterr().err.startswith("config mismatch: ")
+    assert not (tmp_path / "pair").exists()
+    # --seed overrides the seed of both halves, so a seed-only difference passes
+    out = tmp_path / "out"
+    assert cli.main(["run-all", "--config", cfg, "--seed", "1", "--out", str(out)]) == 0
+    assert (out / "ad" / "params.json").exists() and (out / "rtn" / "params.json").exists()
+
+
+def test_run_all_training_divergence_exits_3(tmp_path, capsys):
+    doc = pair_doc(tmp_path, train={"epochs": 3, "batch_size": 16, "lr": 1e306, "seed": 1})
+    doc["rtn"]["train"] = dict(doc["ad"]["train"])
+    cfg = write_doc(tmp_path, doc, "pair.json")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")          # numpy's overflow warnings included
+        assert cli.main(["run-all", "--config", cfg, "--out", str(out)]) \
+            == cli.EXIT_INTEGRATION
+    err = capsys.readouterr().err
+    assert err.startswith("training failure: ") and "at step 2" in err
+    # both datasets were built before the one training call, which wrote nothing
+    for key in ("ad", "rtn"):
+        assert (out / key / "dataset.csv").exists()
+        assert not (out / key / "params.json").exists()
+        assert not (out / key / "loss.csv").exists()
+    assert not (out / "comparison.json").exists()
+
+
 def test_run_all_shared_output_dir_exits_2(tmp_path, capsys):
     doc = pair_doc(tmp_path)
     doc["rtn"]["output_dir"] = doc["ad"]["output_dir"]

@@ -245,6 +245,21 @@ def test_train_matches_plain_reference():
         assert np.array_equal(curve, ref_curve), batch_size
 
 
+def test_train_all_matches_train_alone():
+    # two datasets of equal length, trained in lockstep and one at a time
+    datasets = [_noisy_windows(81), _noisy_windows(81, seed=3)]
+    n = datasets[0].split_index
+    assert not np.array_equal(datasets[0].ys, datasets[1].ys)
+    for batch_size in (1, 19, 5, n + 3):
+        cfg = mlp.TrainConfig(epochs=12, batch_size=batch_size, lr=3e-3, seed=4)
+        together = mlp.train_all(datasets, cfg)
+        for ds, (p, curve) in zip(datasets, together):
+            alone, alone_curve = mlp.train(ds, cfg)
+            assert p.vec.shape == alone.vec.shape and p.w3.shape == (mlp.H2,)
+            assert np.array_equal(p.vec, alone.vec), batch_size
+            assert np.array_equal(curve, alone_curve), batch_size
+
+
 def test_train_divergence_raises_floating_point_error():
     # lr = 1e306 puts ~1e306 in every weight after the first step; the second
     # step's forward pass overflows in a matrix product
