@@ -26,7 +26,7 @@ import dataclasses
 import math
 import os
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -286,22 +286,40 @@ def initial_state(tag: str) -> np.ndarray:
 HERM_TOL = 1e-9
 TRACE_TOL = 1e-9
 EIG_FLOOR = -1e-6
+# states that evolve validates and reads out per call
+BLOCK = 64
 
 
-def validate_density_matrix(rho: np.ndarray, context: str = "") -> None:
-    """Raise if rho fails the hermiticity / unit trace / positivity tolerances."""
-    where = f" ({context})" if context else ""
-    if rho.shape != (4, 4):
-        raise ValueError(f"density matrix must be 4x4, got {rho.shape}{where}")
-    herm_err = float(np.max(np.abs(rho - rho.conj().T)))
-    if herm_err > HERM_TOL:
-        raise ValueError(f"hermiticity violated: max |rho - rho^dag| = {herm_err:.3e}{where}")
-    tr_err = abs(complex(np.trace(rho)) - 1.0)
-    if tr_err > TRACE_TOL:
-        raise ValueError(f"trace violated: |tr - 1| = {tr_err:.3e}{where}")
-    min_eig = float(np.linalg.eigvalsh(0.5 * (rho + rho.conj().T))[0])
-    if min_eig < EIG_FLOOR:
-        raise ValueError(f"positivity violated: min eigenvalue = {min_eig:.3e}{where}")
+def validate_density_matrix(rho: np.ndarray, context: str | Callable[[int], str] = "") -> None:
+    """Raise if rho fails finiteness, hermiticity, unit trace or positivity, in that order.
+
+    rho is a 4x4 state or an (m, 4, 4) stack; a stack raises for its first failing state,
+    as one call per state would. `context` labels the state, or maps that index to a label.
+    """
+    def where(i):
+        text = context(i) if callable(context) else context
+        return f" ({text})" if text else ""
+    if rho.shape[-2:] != (4, 4) or rho.ndim not in (2, 3):
+        raise ValueError(f"density matrix must be 4x4, got {rho.shape}{where(0)}")
+    stack = rho.reshape(-1, 4, 4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a non-finite entry of rho leaves a non-finite entry in rho - rho^dag
+        herm = np.max(np.abs(stack - stack.conj().transpose(0, 2, 1)), axis=(1, 2))
+        tr = np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0)
+    cheap = np.flatnonzero(~np.isfinite(herm) | (herm > HERM_TOL) | (tr > TRACE_TOL))
+    i = cheap[0] if len(cheap) else len(stack)
+    ok = stack[:i]                      # eigvalsh only before the first cheap failure
+    min_eig = np.linalg.eigvalsh(0.5 * (ok + ok.conj().transpose(0, 2, 1)))[:, 0]
+    neg = np.flatnonzero(min_eig < EIG_FLOOR)
+    if len(neg):
+        raise ValueError(f"positivity violated: min eigenvalue = {min_eig[neg[0]]:.3e}"
+                         f"{where(neg[0])}")
+    if len(cheap):
+        if not np.isfinite(herm[i]):
+            raise ValueError(f"non-finite state{where(i)}")
+        if herm[i] > HERM_TOL:
+            raise ValueError(f"hermiticity violated: max |rho - rho^dag| = {herm[i]:.3e}{where(i)}")
+        raise ValueError(f"trace violated: |tr - 1| = {tr[i]:.3e}{where(i)}")
 
 
 # ---------- trajectory ----------
@@ -353,7 +371,7 @@ class Trajectory:
 
 
 def _superoperator(f) -> np.ndarray:
-    """16x16 matrix of the linear map f on row-major vec(rho): column j is vec(f(E_j))."""
+    """Matrix of the linear map f on row-major vec(rho): column j is f(E_j), raveled."""
     return np.stack([f(e).ravel() for e in np.eye(16, dtype=complex).reshape(16, 4, 4)],
                     axis=1)
 
@@ -363,14 +381,13 @@ def evolve(rho0: np.ndarray, grid: TimeGrid, g: float, chan: ChannelSpec,
     """Fixed-step RK4 over the grid on row-major vec(rho); validates every state.
 
     Each stage applies L_H v + rate * (L_D v), with L_H = -i[H, .] and L_D the
-    channel's rate-free dissipator (zero for noise_free) built once as 16x16
-    matrices. Nothing repairs the state: raises if hermiticity/trace/positivity
-    tolerances are broken (dt too large or rate_clamp too generous).
+    channel's rate-free dissipator (zero for noise_free), built once as one 32x16
+    matrix. Nothing repairs the state: states are validated in blocks of BLOCK, and the
+    first to break a tolerance (dt too large or rate_clamp too generous) raises by its t.
     """
     validate_density_matrix(rho0, context="initial state")
     h = build_xy_hamiltonian(g)
-    l_h = _superoperator(lambda r: -1j * (h @ r - r @ h))
-    l_d = _superoperator(chan.dissipator)
+    l_hd = _superoperator(lambda r: np.concatenate([-1j * (h @ r - r @ h), chan.dissipator(r)]))
     times = grid.times()
     dt = grid.dt
     n = grid.n_steps
@@ -386,21 +403,29 @@ def evolve(rho0: np.ndarray, grid: TimeGrid, g: float, chan: ChannelSpec,
     r_node, r_mid = clamped[: n + 1], clamped[n + 1:]
 
     def f(v, rate):
-        return l_h @ v + rate * (l_d @ v)
+        w = l_hd @ v                    # [L_H v, L_D v]
+        return w[:16] + rate * w[16:]
 
     # rows vec(Z^T), so that vec(Z^T) . vec(rho) = tr(Z rho)
     readout = np.stack([Z_S_OP.T.ravel(), Z_A_OP.T.ravel()])
     z = np.empty((2, n + 1))
     v = np.array(rho0, dtype=complex).ravel()
     z[:, 0] = (readout @ v).real
-    for k in range(n):
-        k1 = f(v, r_node[k])
-        k2 = f(v + 0.5 * dt * k1, r_mid[k])
-        k3 = f(v + 0.5 * dt * k2, r_mid[k])
-        k4 = f(v + dt * k3, r_node[k + 1])
-        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        validate_density_matrix(v.reshape(4, 4), context=f"t={times[k + 1]:.6g}")
-        z[:, k + 1] = (readout @ v).real
+    blk = np.empty((BLOCK, 16), dtype=complex)
+    # a state past the first unphysical one may overflow before its block is checked
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k0 in range(0, n, BLOCK):
+            m = min(BLOCK, n - k0)
+            for k in range(k0, k0 + m):
+                k1 = f(v, r_node[k])
+                k2 = f(v + 0.5 * dt * k1, r_mid[k])
+                k3 = f(v + 0.5 * dt * k2, r_mid[k])
+                k4 = f(v + dt * k3, r_node[k + 1])
+                v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                blk[k - k0] = v
+            validate_density_matrix(blk[:m].reshape(m, 4, 4),
+                                    context=lambda i: f"t={times[k0 + 1 + i]:.6g}")
+            z[:, k0 + 1: k0 + m + 1] = (readout @ blk[:m, :, None])[..., 0].real.T
 
     return Trajectory(times=times, z_s=z[0], z_a=z[1], channel=chan, g=g,
                       initial_state_tag=initial_state_tag, clamp_events=n_clamped)

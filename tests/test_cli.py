@@ -233,6 +233,15 @@ def test_training_divergence_exits_3(tmp_path, capsys):
     # a state that blows up within one step: no state repair hides the drift
     ({"b": 1000.0, "lambda": 1e8}, 1e300, {"t_end": 24.0, "n_steps": 100},
      "plus_excited", "0.24"),
+    # the rate spike at the first coherence zero (t ~ 1.27) breaks positivity
+    # at state 64, the last of the first validation block, at state 65, the
+    # first of the second, and at state 101, inside the second
+    ({"b": 1.0, "lambda": 5.0}, 1000.0, {"t_end": 3.0, "n_steps": 150},
+     "excited_excited", "1.28"),
+    ({"b": 1.0, "lambda": 5.0}, 1000.0, {"t_end": 3.0, "n_steps": 154},
+     "excited_excited", "1.26623"),
+    ({"b": 1.0, "lambda": 5.0}, 1000.0, {"t_end": 3.0, "n_steps": 240},
+     "excited_excited", "1.2625"),
 ])
 def test_integration_failure_names_its_step(tmp_path, params, rate_clamp, grid, state,
                                             t_fail, capsys):
@@ -241,7 +250,8 @@ def test_integration_failure_names_its_step(tmp_path, params, rate_clamp, grid, 
                            "rate_clamp": rate_clamp})
     cfg_path = write_doc(tmp_path, doc)
     cfg = cli.load_run_config(cfg_path)
-    with pytest.raises(ValueError, match=rf"\(t={t_fail}\)$"):
+    with pytest.raises(ValueError, match=rf"\(t={t_fail}\)$"), warnings.catch_warnings():
+        warnings.simplefilter("error")          # no overflow warning leaves evolve
         dy.evolve(dy.initial_state(state), cfg.grid, cfg.g, cfg.channel)
     assert cli.main(["simulate", "--config", cfg_path]) == cli.EXIT_INTEGRATION
     assert capsys.readouterr().err.rstrip().endswith(f"(t={t_fail})")

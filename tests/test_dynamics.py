@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import solve_ivp
 
+from qrevival import cli
 from qrevival import dynamics as dy
 from qrevival.linalg import I4, KET_PLUS, KET0, KET1, dm
 
@@ -44,6 +45,7 @@ RTN_SLOW = {
 }
 RTN_SLOW_FIRST_ZERO = 0.82324569047297439
 RTN_SLOW_CHI = 13.964240043768941
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 def test_ad_decay_amplitude_oracle():
@@ -276,7 +278,7 @@ def test_rtn_fixes_maximally_mixed():
 
 
 def test_evolve_physical_on_paper_parameter_sets():
-    # per-step validation inside evolve enforces trace/hermiticity/positivity
+    # evolve validates every state (trace/hermiticity/positivity), in blocks
     grid = dy.TimeGrid(t_end=10.0, n_steps=1004)
     cases = [
         (dy.ChannelSpec.amplitude_damping(b=5.0, lam=1.0, rate_clamp=30.0),
@@ -369,6 +371,108 @@ def test_validate_density_matrix_rejections():
     neg = np.diag([0.6, 0.5, -0.1, 0.0]).astype(complex)
     with pytest.raises(ValueError, match="positivity"):
         dy.validate_density_matrix(neg)
+    for entry, value in (((0, 1), np.nan), ((2, 2), np.inf)):
+        bad = np.array(I4 / 4.0, dtype=complex)
+        bad[entry] = value
+        with pytest.raises(ValueError, match=r"^non-finite state \(t=1\)$"):
+            dy.validate_density_matrix(bad, context="t=1")
+
+
+def _faulty(rho, fault):
+    """rho with one fault: a failing check, or two that the order decides."""
+    bad = np.array(rho, dtype=complex)
+    if fault == "hermiticity":
+        bad[0, 1] += 1e-3
+    elif fault == "trace":
+        bad *= 1.5
+    elif fault == "hermiticity+trace":
+        bad *= 1.5
+        bad[0, 1] += 1e-3
+    elif fault == "positivity":
+        bad = np.diag([0.6, 0.5, -0.1, 0.0]).astype(complex)
+    elif fault == "positivity+trace":
+        bad = np.diag([0.6, 0.5, -0.1, 0.5]).astype(complex)
+    elif fault == "nan":
+        bad[1, 2] = np.nan
+    elif fault == "inf":
+        bad[3, 3] = np.inf
+    return bad
+
+
+_FAULTS = ("hermiticity", "trace", "hermiticity+trace", "positivity", "positivity+trace",
+           "nan", "inf")
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), m=st.integers(1, 70), seed=st.integers(0, 2 ** 32 - 1))
+def test_validate_stack_matches_one_state_at_a_time(data, m, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m, 4, 4)) + 1j * rng.standard_normal((m, 4, 4))
+    stack = a @ a.conj().transpose(0, 2, 1)
+    stack /= np.trace(stack, axis1=1, axis2=2)[:, None, None]
+    stack = 0.5 * (stack + stack.conj().transpose(0, 2, 1))
+    label = lambda i: f"t={i}"  # noqa: E731
+    dy.validate_density_matrix(stack, context=label)            # a clean stack passes
+    # one fault at j, and maybe a second one later in the stack
+    n_faults = data.draw(st.integers(1, 2 if m > 1 else 1))
+    at = sorted(data.draw(st.lists(st.integers(0, m - 1), min_size=n_faults,
+                                   max_size=n_faults, unique=True)))
+    for j in at:
+        stack[j] = _faulty(stack[j], data.draw(st.sampled_from(_FAULTS)))
+    expect = None
+    for i, rho in enumerate(stack):
+        try:
+            dy.validate_density_matrix(rho, context=label(i))
+        except ValueError as e:
+            expect = str(e)
+            break
+    assert expect is not None and expect.endswith(f"(t={at[0]})")
+    with pytest.raises(ValueError) as exc:
+        dy.validate_density_matrix(stack, context=label)
+    assert str(exc.value) == expect
+
+
+def _plain_evolve(rho0, grid, g, chan):
+    """evolve written out plainly: two matvecs per stage, a check and a readout per step."""
+    h = dy.build_xy_hamiltonian(g)
+    l_h = dy._superoperator(lambda r: -1j * (h @ r - r @ h))
+    l_d = dy._superoperator(chan.dissipator)
+    times, dt, n = grid.times(), grid.dt, grid.n_steps
+    r_node, r_mid = chan.rate(times), chan.rate(times[:-1] + dt / 2.0)
+
+    def f(v, rate):
+        return l_h @ v + rate * (l_d @ v)
+
+    readout = np.stack([dy.Z_S_OP.T.ravel(), dy.Z_A_OP.T.ravel()])
+    z = np.empty((2, n + 1))
+    v = np.array(rho0, dtype=complex).ravel()
+    z[:, 0] = (readout @ v).real
+    for k in range(n):
+        k1 = f(v, r_node[k])
+        k2 = f(v + 0.5 * dt * k1, r_mid[k])
+        k3 = f(v + 0.5 * dt * k2, r_mid[k])
+        k4 = f(v + dt * k3, r_node[k + 1])
+        v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        dy.validate_density_matrix(v.reshape(4, 4), context=f"t={times[k + 1]:.6g}")
+        z[:, k + 1] = (readout @ v).real
+    return z
+
+
+@pytest.mark.parametrize("name", ["ad_markovian", "ad_non_markovian", "rtn_markovian",
+                                  "rtn_non_markovian", "noise_free"])
+def test_evolve_matches_plain_reference(name):
+    if name == "noise_free":
+        # two full validation blocks and no partial one
+        grid, g, chan, tag = (dy.TimeGrid(t_end=3.0, n_steps=2 * dy.BLOCK), 1.0, dy.NoiseFree(),
+                              dy.STATE_TILTED_EXCITED)
+    else:
+        cfg = cli.load_run_config(os.path.join(CONFIGS, f"{name}.json"))
+        grid, g, chan, tag = cfg.grid, cfg.g, cfg.channel, cfg.initial_state
+    rho0 = dy.initial_state(tag)
+    traj = dy.evolve(rho0, grid, g, chan)
+    z = _plain_evolve(rho0, grid, g, chan)
+    assert np.array_equal(traj.z_s, z[0])
+    assert np.array_equal(traj.z_a, z[1])
 
 
 def test_initial_states():
