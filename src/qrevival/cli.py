@@ -181,7 +181,7 @@ def cmd_train(*cfgs: RunConfig) -> None:
 def write_predictions(t_indices, preds, path) -> None:
     """CSV `t_index,y_hat` at 12 significant digits."""
     write_table(path, ["t_index", "y_hat"],
-                ((int(ti), float(y)) for ti, y in zip(t_indices, preds)))
+                (np.asarray(t_indices, dtype=int), np.asarray(preds, dtype=float)))
 
 
 def read_predictions(path):
@@ -281,7 +281,7 @@ def _svg_chart(path, title, series, markers=()) -> None:
     pad = 0.05 * (y1 - y0 or 1.0)
     y0, y1 = y0 - pad, y1 + pad
 
-    def sx(x):
+    def sx(x):      # floats or float arrays: the same IEEE operations, so the same bytes
         return ml + (x - x0) / (x1 - x0) * (width - ml - mr)
 
     def sy(y):
@@ -310,7 +310,8 @@ def _svg_chart(path, title, series, markers=()) -> None:
     legend_y = mt - 6
     legend_x = ml + 10
     for label, xs, ys, color, dashed in series:
-        pts = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in zip(xs, ys))
+        px, py = sx(np.asarray(xs, dtype=float)), sy(np.asarray(ys, dtype=float))
+        pts = " ".join("%.2f,%.2f" % pair for pair in zip(px.tolist(), py.tolist()))
         dash = ' stroke-dasharray="6,4"' if dashed else ""
         parts.append(f'<polyline points="{pts}" fill="none" '
                      f'stroke="{color}" stroke-width="1.5"{dash}/>')

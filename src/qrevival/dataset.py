@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dynamics import Z_BOUND, Trajectory
-from .table import read_table, write_table
+from .table import float_cells, read_table, write_table
 
 
 def check_t_index(t_index: np.ndarray, first: int) -> None:
@@ -100,9 +100,7 @@ def _split_column(ds: WindowDataset) -> List[str]:
 
 def write_dataset(ds: WindowDataset, path) -> None:
     """CSV `x1..xw,y,t_index,split` at 12 significant digits."""
-    write_table(path, _header(ds.window_len),
-                ([*x, y, t, split] for x, y, t, split in zip(
-                    ds.xs.tolist(), ds.ys.tolist(), ds.t_index.tolist(), _split_column(ds))))
+    write_table(path, _header(ds.window_len), (*ds.xs.T, ds.ys, ds.t_index, _split_column(ds)))
 
 
 def read_dataset(path) -> WindowDataset:
@@ -111,7 +109,7 @@ def read_dataset(path) -> WindowDataset:
     w = len(header) - 3
     if w < 1 or header != _header(w):
         raise ValueError(f"bad dataset header {header!r} in {path}")
-    values = np.array([[float(v) for v in row[:w + 1]] for row in rows]).reshape(-1, w + 1)
+    values = float_cells(rows, w + 1)
     ds = WindowDataset(xs=values[:, :w], ys=values[:, w],
                        t_index=[int(row[w + 1]) for row in rows])
     if [row[w + 2] for row in rows] != _split_column(ds):

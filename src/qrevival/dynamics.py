@@ -31,8 +31,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import linalg as la
-from .table import (check_keys, count, positive_real, read_json, read_table, write_json,
-                    write_table)
+from .table import (check_keys, count, float_cells, positive_real, read_json, read_table,
+                    write_json, write_table)
 
 # ---------- fixed operators ----------
 
@@ -350,6 +350,9 @@ class Trajectory:
             self.dt = float(self.times[1] - self.times[0]) if n > 1 else 0.0
         else:
             self.dt = positive_real("dt", self.dt)
+            drift = np.abs(self.times[:1] + self.dt * np.arange(n) - self.times)
+            if np.any(drift > 1e-11 * np.abs(self.times).max(initial=0.0)):  # 12-digit times
+                raise ValueError(f"dt {self.dt!r} disagrees with the spacing of the times")
         # NaN stands for a g no sidecar gave, and round-trips as such
         if (isinstance(self.g, bool) or not isinstance(self.g, (int, float))
                 or self.g <= 0 or self.g == math.inf):
@@ -438,7 +441,7 @@ TRAJECTORY_HEADER = ("t", "z_s", "z_a")
 
 def write_trajectory(traj: Trajectory, csv_path) -> None:
     """CSV `t,z_s,z_a` plus a JSON meta sidecar `<csv_path>.meta.json`."""
-    write_table(csv_path, TRAJECTORY_HEADER, zip(traj.times, traj.z_s, traj.z_a))
+    write_table(csv_path, TRAJECTORY_HEADER, (traj.times, traj.z_s, traj.z_a))
     write_json(str(csv_path) + ".meta.json", traj.meta_dict())
 
 
@@ -449,7 +452,7 @@ def read_trajectory(csv_path) -> Trajectory:
     a sidecar path that exists but is not a file is malformed.
     """
     _, rows = read_table(csv_path, TRAJECTORY_HEADER)
-    times, z_s, z_a = np.array([[float(v) for v in row] for row in rows]).reshape(-1, 3).T
+    times, z_s, z_a = float_cells(rows, 3).T
     meta_path = str(csv_path) + ".meta.json"
     if os.path.exists(meta_path) and not os.path.isfile(meta_path):
         raise ValueError(f"trajectory sidecar {meta_path} is not a file")

@@ -116,4 +116,4 @@ def read_report(path) -> RevivalReport:
 
 
 def write_segments_csv(report: RevivalReport, path) -> None:
-    write_table(path, ["t1", "t2"], report.segments)
+    write_table(path, ["t1", "t2"], np.array(report.segments, dtype=int).reshape(-1, 2).T)

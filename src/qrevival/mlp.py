@@ -35,6 +35,7 @@ EPS = 1e-8
 _BETA1, _1_BETA1, _BETA2, _1_BETA2, _EPS = map(np.array, (BETA1, 1 - BETA1, BETA2, 1 - BETA2, EPS))
 
 _FIELDS = ("w1", "b1", "w2", "b2", "w3", "b3")
+FD_CHUNK = 32           # entries per stacked pass of fd_gradients: a (64, P) stack
 _ZERO = np.zeros(())    # ReLU threshold; numpy would convert a Python 0.0 on every call
 
 
@@ -234,20 +235,20 @@ def predict_series(p: MLPParams, xs) -> np.ndarray:
 # ---------- finite-difference verifier ----------
 
 def fd_gradients(p: MLPParams, x, y: float, h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of the squared loss, in p.vec's layout.
+    """Central-difference gradient of the squared loss, in p.vec's layout; p is only read.
 
-    Perturbs one entry of p.vec at a time and restores it afterwards.
+    Per chunk of m <= FD_CHUNK entries j_i, one forward pass runs 2m copies of p.vec:
+    copy i holds p.vec[j_i] + h at entry j_i, and copy m + i holds p.vec[j_i] - h.
     """
     x = np.asarray(x, dtype=float)
     out = np.empty_like(p.vec)
-    for j in range(p.vec.size):
-        keep = p.vec[j]
-        p.vec[j] = keep + h
-        up = (forward(p, x)[0] - y) ** 2
-        p.vec[j] = keep - h
-        dn = (forward(p, x)[0] - y) ** 2
-        p.vec[j] = keep
-        out[j] = (up - dn) / (2.0 * h)
+    for lo in range(0, p.vec.size, FD_CHUNK):
+        js = np.arange(lo, min(lo + FD_CHUNK, p.vec.size))
+        vecs = np.tile(p.vec, (2 * js.size, 1))
+        vecs.reshape(2, js.size, -1)[:, np.arange(js.size), js] = [p.vec[js] + h, p.vec[js] - h]
+        y_hat = forward(MLPParams(vecs, p.n_in), np.broadcast_to(x, (len(vecs), 1, x.size)))[0]
+        up, dn = (y_hat.reshape(2, -1) - y) ** 2
+        out[js] = (up - dn) / (2.0 * h)
     return out
 
 
@@ -285,7 +286,7 @@ def load_params(path) -> MLPParams:
 
 
 def write_loss_curve(curve, path) -> None:
-    write_table(path, ["epoch", "mse"], enumerate(np.asarray(curve, dtype=float), start=1))
+    write_table(path, ["epoch", "mse"], (range(1, len(curve) + 1), np.asarray(curve, dtype=float)))
 
 
 def read_loss_curve(path) -> np.ndarray:

@@ -1,9 +1,10 @@
 """CSV tables and JSON files: the text formats of the stage files.
 
-A table is a header row plus data rows of the same length. Floats are
-written at 12 significant digits (`%.12g`), every other cell with `str`;
-rows go through `csv.writer`, so lines end in `\\r\\n`. Reading returns the
-cells as strings and leaves their parsing to the caller.
+A table is a header row plus data rows of the same length. One row format per
+table writes a float column at 12 significant digits (`%.12g`), any other with
+`str`, and ends lines in `\\r\\n`; no cell holds a comma, quote or newline, so
+the bytes are those of `csv.writer`. `csv.reader` reads the cells back as
+strings, and `float_cells` parses a table's float cells in one pass.
 
 A JSON file is one value with an indent of 2, sorted keys and a final
 newline. Every JSON reader holds a document to one rule: it is an object
@@ -18,16 +19,16 @@ import json
 import sys
 from dataclasses import MISSING
 
-
-def _cell(v) -> str:
-    return f"{v:.12g}" if isinstance(v, float) else str(v)
+import numpy as np
 
 
-def write_table(path, header, rows) -> None:
+def write_table(path, header, columns) -> None:
+    """Header row, then row i of the equal-length `columns` (arrays or lists) per line."""
+    columns = [np.asarray(c) for c in columns]
+    fmt = ",".join("%.12g" if c.dtype.kind == "f" else "%s" for c in columns) + "\r\n"
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        w.writerows([_cell(v) for v in row] for row in rows)
+        f.write(",".join(header) + "\r\n")
+        f.writelines(fmt % row for row in zip(*(c.tolist() for c in columns)))
 
 
 def read_table(path, header=None):
@@ -46,6 +47,12 @@ def read_table(path, header=None):
         if len(row) != len(got):
             raise ValueError(f"bad row {row!r} in {path}")
     return got, rows
+
+
+def float_cells(rows, ncols: int) -> np.ndarray:
+    """The first `ncols` cells of each row, parsed by `float`, as an (n, ncols) array."""
+    cells = (v for row in rows for v in row[:ncols])
+    return np.fromiter(map(float, cells), float, len(rows) * ncols).reshape(-1, ncols)
 
 
 def write_json(path, obj) -> None:

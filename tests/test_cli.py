@@ -308,6 +308,8 @@ def params_body(**extra):
     ("dataset", "trajectory.csv.meta.json", json.dumps({"dt": True})),
     ("dataset", "trajectory.csv.meta.json", json.dumps({"dt": -1.0})),
     ("dataset", "trajectory.csv.meta.json", json.dumps({"dt": math.nan})),
+    # a dt that disagrees with the spacing of the CSV times
+    ("dataset", "trajectory.csv.meta.json", json.dumps({"dt": 5.0})),
     ("dataset", "trajectory.csv.meta.json", json.dumps({"g": True})),
     ("dataset", "trajectory.csv.meta.json", json.dumps({"g": -3.0})),
     ("dataset", "trajectory.csv.meta.json", json.dumps({"g": math.inf})),

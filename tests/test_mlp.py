@@ -130,6 +130,38 @@ def test_gradient_matches_finite_differences():
     assert worst < 1e-4
 
 
+def _fd_one_entry_at_a_time(p, x, y, h=1e-5):
+    """Central differences as one forward pass per perturbed entry, on a copy of p."""
+    q = mlp.MLPParams(p.vec.copy(), p.n_in)
+    out = np.empty_like(q.vec)
+    for j in range(q.vec.size):
+        keep = q.vec[j]
+        q.vec[j] = keep + h
+        up = (mlp.forward(q, x)[0] - y) ** 2
+        q.vec[j] = keep - h
+        dn = (mlp.forward(q, x)[0] - y) ** 2
+        q.vec[j] = keep
+        out[j] = (up - dn) / (2.0 * h)
+    return out
+
+
+# P = 32 n_in + 577 leaves a partial last chunk at the default FD_CHUNK; chunks of 7
+# split each layer across passes, and 10_000 runs every entry in one pass
+@pytest.mark.parametrize("n_in, chunk", [(5, None), (3, None), (8, 7), (5, 10_000)])
+def test_fd_gradients_match_one_entry_at_a_time(monkeypatch, n_in, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(mlp, "FD_CHUNK", chunk)
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        p = mlp.init_params(rng, n_in=n_in)
+        x = rng.uniform(-1.0, 1.0, n_in)
+        y = float(rng.uniform(-1.0, 1.0))
+        before = p.vec.copy()
+        got = mlp.fd_gradients(p, x, y)
+        assert p.vec.tobytes() == before.tobytes()
+        assert np.max(np.abs(got - _fd_one_entry_at_a_time(p, x, y))) <= 1e-10
+
+
 def test_adam_zero_gradient():
     p = _params(4)
     before = p.vec.copy()
