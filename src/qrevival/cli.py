@@ -9,9 +9,9 @@ Stages only do their work: they raise StageError for a missing input, a
 numerical failure or a run-all mismatch, and ValueError for a malformed
 input. `main` alone turns failures into exit codes, first loading the
 configs, where any failure is 2 (config validation), then running the
-stages: 3 numerical failure (unphysical state or diverged training), 4
-missing stage inputs, 5 malformed stage files (including an unusable dataset
-split), 6 run-all config mismatch.
+stages: 3 numerical failure (unphysical state, diverged training or an
+overflowing prediction), 4 missing stage inputs, 5 malformed stage files
+(including an unusable dataset split), 6 run-all config mismatch.
 """
 
 import argparse
@@ -198,7 +198,10 @@ def read_predictions(path):
 def cmd_predict(cfg: RunConfig) -> None:
     ds_path, params_path = _inputs(cfg, DATASET_CSV, PARAMS_JSON)
     _, test = dsmod.chronological_split(dsmod.read_dataset(ds_path))
-    preds = mlp.predict_series(mlp.load_params(params_path), test.xs)
+    try:
+        preds = mlp.predict_series(mlp.load_params(params_path), test.xs)
+    except FloatingPointError as e:
+        raise StageError(EXIT_INTEGRATION, f"prediction failure: {e}") from e
     write_predictions(test.t_index, preds, _path(cfg, PREDICTIONS_CSV))
     print(f"predictions: {len(preds)}")
 

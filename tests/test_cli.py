@@ -227,6 +227,24 @@ def test_training_divergence_exits_3(tmp_path, capsys):
     assert not (run / "loss.csv").exists()
 
 
+def test_overflowing_prediction_exits_3(tmp_path, capsys):
+    # finite weights of 1e200 overflow the hidden layers; the output is affine,
+    # so nothing downstream would turn the inf back into a number
+    run = tmp_path / "run"
+    cfg = write_doc(tmp_path, rtn_doc(run))
+    assert chain(cfg, "simulate", "dataset", "train") == 0
+    params = json.loads((run / "params.json").read_text())
+    for name in ("w1", "w2"):
+        params[name] = np.full(np.shape(params[name]), 1e200).tolist()
+    (run / "params.json").write_text(json.dumps(params))
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")          # numpy's overflow warnings included
+        assert cli.main(["predict", "--config", cfg]) == cli.EXIT_INTEGRATION
+    assert capsys.readouterr().err.startswith("prediction failure: overflow")
+    assert not (run / "predictions.csv").exists()
+
+
 @pytest.mark.parametrize("params, rate_clamp, grid, state, t_fail", [
     ({"b": 5.0, "lambda": 1.0}, 1000.0, {"t_end": 3.0, "n_steps": 20},
      "tilted_excited", "0.15"),

@@ -1,6 +1,7 @@
 """Forward/backward, optimizer, training, and file-format tests."""
 
 import csv
+import dataclasses
 import json
 import os
 
@@ -10,9 +11,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from qrevival import cli, mlp
 from qrevival import dataset as dset
 from qrevival import dynamics as dy
-from qrevival import mlp
+from qrevival import memory_metric as mm
 
 
 def _params(seed=0):
@@ -101,7 +103,7 @@ def test_backward_b3_closed_form():
     y = 0.4
     y_hat, acts = mlp.forward(p, x)
     g = mlp.MLPParams(mlp.backward(p, acts, y_hat, y), n_in=5)
-    assert g.b3 == pytest.approx(2.0 * (y_hat - y) * (1.0 - y_hat ** 2), rel=1e-15)
+    assert g.b3 == pytest.approx(2.0 * (y_hat - y), rel=1e-15)
 
 
 def test_batch_gradient_is_mean_of_row_gradients():
@@ -239,7 +241,7 @@ def _plain_train(ds, cfg):
     def fwd(p, x):
         h1 = np.maximum(x @ p.w1.T + p.b1, 0.0)
         h2 = np.maximum(h1 @ p.w2.T + p.b2, 0.0)
-        return np.tanh(h2 @ p.w3 + p.b3), h1, h2
+        return h2 @ p.w3 + p.b3, h1, h2
 
     t = 0
     curve = []
@@ -250,7 +252,7 @@ def _plain_train(ds, cfg):
             x, y = xs[idx], ys[idx]
             p = mlp.MLPParams(vec, ds.window_len)
             y_hat, h1, h2 = fwd(p, x)
-            r = 2.0 * (y_hat - y) * (1.0 - y_hat ** 2) / len(x)
+            r = 2.0 * (y_hat - y) / len(x)
             d2 = np.where(h2 > 0.0, np.outer(r, p.w3), 0.0)
             d1 = np.where(h1 > 0.0, d2 @ p.w2, 0.0)
             g = np.concatenate([(d1.T @ x).ravel(), d1.sum(axis=0), (d2.T @ h1).ravel(),
@@ -311,6 +313,33 @@ def test_train_learns_exchange_oscillation():
     _, test = dset.chronological_split(ds)
     preds = mlp.predict_series(p, test.xs)
     assert mlp.mse(preds, test.ys) < 1e-3
+
+
+def test_train_all_reaches_least_squares_floor():
+    # With a fixed generator, <Z_S> is close to a linear recurrence in past samples (the
+    # transfer-tensor idea, Cerrillo & Cao, PRL 112, 110401 (2014)), so a least-squares
+    # readout of the window plus a bias is a floor for the network's revival count.
+    # Documented values: ad MSE 3.5e-5 and n_rev 87, rtn MSE 1.6e-12 and n_rev 188.
+    cfgs = cli.load_pair_config(os.path.join(os.path.dirname(__file__), os.pardir,
+                                             "configs", "run_all.json"))
+    datasets = [dset.build_windows(dy.evolve(dy.initial_state(c.initial_state), c.grid,
+                                             c.g, c.channel), c.window_len) for c in cfgs]
+    floor = (87, 188)
+    halves = [dset.chronological_split(ds) for ds in datasets]
+
+    def design(half):
+        return np.column_stack([half.xs, np.ones(len(half))])
+    for (train, test), cfg, mse_max, n_rev in zip(halves, cfgs, (1e-4, 1e-10), floor):
+        preds = design(test) @ np.linalg.lstsq(design(train), train.ys, rcond=None)[0]
+        assert mlp.mse(preds, test.ys) < mse_max
+        assert mm.score_pipeline(preds, cfg.epsilon).n_rev == n_rev
+    # seed 7 was the tanh head's worst seed: ad n_rev 31 and a ratio of 6.00
+    results = mlp.train_all(datasets, dataclasses.replace(cfgs[0].train, seed=7))
+    reports = [mm.score_pipeline(mlp.predict_series(p, test.xs), cfg.epsilon)
+               for (_, test), cfg, (p, _) in zip(halves, cfgs, results)]
+    for report, n_rev in zip(reports, floor):
+        assert abs(report.n_rev - n_rev) <= 5
+    assert 1.5 <= reports[1].score / reports[0].score <= 3.5
 
 
 def test_predict_series_basics():
