@@ -139,6 +139,14 @@ def _inputs(cfg: RunConfig, *names):
     return paths
 
 
+def _outputs(cfg: RunConfig, *names):
+    """Paths of a stage's output files, each removed first: a failed stage leaves none."""
+    paths = [_path(cfg, name) for name in names]
+    for p in filter(os.path.isfile, paths):
+        os.remove(p)
+    return paths
+
+
 def _evolve(cfg: RunConfig) -> dy.Trajectory:
     """The config's trajectory; a broken physicality invariant is exit 3."""
     try:
@@ -167,14 +175,15 @@ def cmd_dataset(cfg: RunConfig) -> None:
 
 def cmd_train(*cfgs: RunConfig) -> None:
     """One network per config, trained in lockstep with the first config's `train`."""
+    outputs = [_outputs(cfg, PARAMS_JSON, LOSS_CSV) for cfg in cfgs]
     datasets = [dsmod.read_dataset(_inputs(cfg, DATASET_CSV)[0]) for cfg in cfgs]
     try:
         results = mlp.train_all(datasets, cfgs[0].train)
     except FloatingPointError as e:
         raise StageError(EXIT_INTEGRATION, f"training failure: {e}") from e
-    for cfg, (params, curve) in zip(cfgs, results):
-        mlp.save_params(params, _path(cfg, PARAMS_JSON))
-        mlp.write_loss_curve(curve, _path(cfg, LOSS_CSV))
+    for (params_path, loss_path), (params, curve) in zip(outputs, results):
+        mlp.save_params(params, params_path)
+        mlp.write_loss_curve(curve, loss_path)
         print(f"final train mse: {curve[-1]:.6e}")
 
 
@@ -196,13 +205,14 @@ def read_predictions(path):
 
 
 def cmd_predict(cfg: RunConfig) -> None:
+    [out] = _outputs(cfg, PREDICTIONS_CSV)
     ds_path, params_path = _inputs(cfg, DATASET_CSV, PARAMS_JSON)
     _, test = dsmod.chronological_split(dsmod.read_dataset(ds_path))
     try:
         preds = mlp.predict_series(mlp.load_params(params_path), test.xs)
     except FloatingPointError as e:
         raise StageError(EXIT_INTEGRATION, f"prediction failure: {e}") from e
-    write_predictions(test.t_index, preds, _path(cfg, PREDICTIONS_CSV))
+    write_predictions(test.t_index, preds, out)
     print(f"predictions: {len(preds)}")
 
 

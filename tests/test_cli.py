@@ -245,6 +245,28 @@ def test_overflowing_prediction_exits_3(tmp_path, capsys):
     assert not (run / "predictions.csv").exists()
 
 
+def test_failed_stage_leaves_no_stale_output(tmp_path, capsys):
+    # a failing predict or train removes what an earlier run of it wrote, so the
+    # next stage finds its input missing instead of reading stale files
+    run = tmp_path / "run"
+    cfg = write_doc(tmp_path, rtn_doc(run))
+    assert chain(cfg, "simulate", "dataset", "train", "predict") == 0
+    params = json.loads((run / "params.json").read_text())
+    for name in ("w1", "w2"):
+        params[name] = np.full(np.shape(params[name]), 1e200).tolist()
+    (run / "params.json").write_text(json.dumps(params))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["predict", "--config", cfg]) == cli.EXIT_INTEGRATION
+    assert not (run / "predictions.csv").exists()
+    assert cli.main(["score", "--config", cfg]) == cli.EXIT_MISSING
+    (run / "dataset.csv").write_text("not a dataset\n")
+    assert cli.main(["train", "--config", cfg]) == cli.EXIT_MALFORMED
+    assert not (run / "params.json").exists() and not (run / "loss.csv").exists()
+    assert cli.main(["predict", "--config", cfg]) == cli.EXIT_MISSING
+    assert capsys.readouterr().err.count("missing input: ") == 2
+
+
 @pytest.mark.parametrize("params, rate_clamp, grid, state, t_fail", [
     ({"b": 5.0, "lambda": 1.0}, 1000.0, {"t_end": 3.0, "n_steps": 20},
      "tilted_excited", "0.15"),

@@ -471,8 +471,34 @@ def test_evolve_matches_plain_reference(name):
     rho0 = dy.initial_state(tag)
     traj = dy.evolve(rho0, grid, g, chan)
     z = _plain_evolve(rho0, grid, g, chan)
-    assert np.array_equal(traj.z_s, z[0])
-    assert np.array_equal(traj.z_a, z[1])
+    # the same RK4 map, reassociated: equal to rounding, not bit for bit
+    assert np.max(np.abs(traj.z_s - z[0])) <= 1e-13
+    assert np.max(np.abs(traj.z_a - z[1])) <= 1e-13
+
+
+@pytest.mark.parametrize("chan", [
+    dy.ChannelSpec.amplitude_damping(b=0.05, lam=10.0, rate_clamp=30.0),
+    dy.ChannelSpec.rtn_dephasing(v=1.0, kappa=1.0 / 7.0, rate_clamp=30.0)])
+def test_step_matrix_matches_rk4_stages(chan):
+    # one step v + E v from the rate-monomial expansion against the four stages written out
+    h = dy.build_xy_hamiltonian(1.0)
+    l_h = dy._superoperator(lambda r: -1j * (h @ r - r @ h))
+    l_d = dy._superoperator(chan.dissipator)
+    dt = 0.01
+    rng = np.random.default_rng(7)
+    rates = rng.uniform(0.0, chan.rate_clamp, (3, 40))
+    rates[:, :8] = np.array(np.meshgrid([0.0, chan.rate_clamp], [0.0, chan.rate_clamp],
+                                        [0.0, chan.rate_clamp])).reshape(3, 8)
+    e = dy._step_matrices(dy._rk4_terms(l_h, l_d, dt), *rates)
+    f = lambda v, rate: l_h @ v + rate * (l_d @ v)  # noqa: E731
+    for k, (r1, r2, r3) in enumerate(rates.T):
+        v = rng.standard_normal(16) + 1j * rng.standard_normal(16)
+        k1 = f(v, r1)
+        k2 = f(v + 0.5 * dt * k1, r2)
+        k3 = f(v + 0.5 * dt * k2, r2)
+        k4 = f(v + dt * k3, r3)
+        want = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert np.linalg.norm(v + e[k] @ v - want) <= 1e-15 * np.linalg.norm(want)
 
 
 def test_initial_states():

@@ -58,10 +58,11 @@ def test_forward_dead_second_layer():
 def test_forward_nonlinear():
     p = _params(5)
     x = np.array([0.3, -0.4, 0.2, 0.9, -0.1])
-    y1, _ = mlp.forward(p, x)
+    y1, (_, _, h2) = mlp.forward(p, x)
     y2, _ = mlp.forward(p, 2.0 * x)
     assert y1 != pytest.approx(y2)
-    assert -1.0 < y1 < 1.0 and -1.0 < y2 < 1.0
+    # the head is affine in the last hidden layer: nothing bounds or squashes it
+    assert y1 == pytest.approx(h2 @ p.w3 + p.b3, rel=1e-12, abs=1e-15)
 
 
 def test_forward_rejects_wrong_shape():
@@ -355,7 +356,8 @@ def test_predict_series_basics():
                                rtol=1e-12, atol=0.0)
     again = mlp.predict_series(p, [x])
     assert np.array_equal(out, again)
-    assert np.all(np.abs(out) < 1.0)
+    _, (_, _, h2) = mlp.forward(p, np.stack([x, x2]))
+    np.testing.assert_allclose(both, h2 @ p.w3 + p.b3, rtol=1e-12, atol=1e-15)
 
 
 def test_train_rejects_empty_split():
