@@ -139,9 +139,9 @@ def _inputs(cfg: RunConfig, *names):
     return paths
 
 
-def _outputs(cfg: RunConfig, *names):
-    """Paths of a stage's output files, each removed first: a failed stage leaves none."""
-    paths = [_path(cfg, name) for name in names]
+def _outputs(out_dir: str, *names):
+    """Paths of a stage's outputs in out_dir, each removed first: a failed stage leaves none."""
+    paths = [os.path.join(out_dir, name) for name in names]
     for p in filter(os.path.isfile, paths):
         os.remove(p)
     return paths
@@ -160,22 +160,24 @@ def _evolve(cfg: RunConfig) -> dy.Trajectory:
 
 def cmd_simulate(cfg: RunConfig) -> None:
     os.makedirs(cfg.output_dir, exist_ok=True)
+    out, _ = _outputs(cfg.output_dir, TRAJECTORY_CSV, TRAJECTORY_CSV + ".meta.json")
     traj = _evolve(cfg)
-    dy.write_trajectory(traj, _path(cfg, TRAJECTORY_CSV))
+    dy.write_trajectory(traj, out)
     print(f"regime: {cfg.channel.regime()}")
     print(f"clamp events: {traj.clamp_events}")
 
 
 def cmd_dataset(cfg: RunConfig) -> None:
+    [out] = _outputs(cfg.output_dir, DATASET_CSV)
     [src] = _inputs(cfg, TRAJECTORY_CSV)
     ds = dsmod.build_windows(dy.read_trajectory(src), cfg.window_len)
-    dsmod.write_dataset(ds, _path(cfg, DATASET_CSV))
+    dsmod.write_dataset(ds, out)
     print(f"windows: {len(ds)} (split at {ds.split_index})")
 
 
 def cmd_train(*cfgs: RunConfig) -> None:
     """One network per config, trained in lockstep with the first config's `train`."""
-    outputs = [_outputs(cfg, PARAMS_JSON, LOSS_CSV) for cfg in cfgs]
+    outputs = [_outputs(cfg.output_dir, PARAMS_JSON, LOSS_CSV) for cfg in cfgs]
     datasets = [dsmod.read_dataset(_inputs(cfg, DATASET_CSV)[0]) for cfg in cfgs]
     try:
         results = mlp.train_all(datasets, cfgs[0].train)
@@ -205,7 +207,7 @@ def read_predictions(path):
 
 
 def cmd_predict(cfg: RunConfig) -> None:
-    [out] = _outputs(cfg, PREDICTIONS_CSV)
+    [out] = _outputs(cfg.output_dir, PREDICTIONS_CSV)
     ds_path, params_path = _inputs(cfg, DATASET_CSV, PARAMS_JSON)
     _, test = dsmod.chronological_split(dsmod.read_dataset(ds_path))
     try:
@@ -219,16 +221,18 @@ def cmd_predict(cfg: RunConfig) -> None:
 def cmd_score(cfg: RunConfig, on_truth: bool = False) -> None:
     if on_truth:
         # diagnostic: score the simulated test labels instead of predictions
+        [out] = _outputs(cfg.output_dir, TRUTH_REPORT_JSON)
         [src] = _inputs(cfg, DATASET_CSV)
         _, test = dsmod.chronological_split(dsmod.read_dataset(src))
         report = mm.score_pipeline(test.ys, cfg.epsilon)
-        mm.write_report(report, _path(cfg, TRUTH_REPORT_JSON))
+        mm.write_report(report, out)
     else:
+        out, segments = _outputs(cfg.output_dir, REPORT_JSON, SEGMENTS_CSV)
         [src] = _inputs(cfg, PREDICTIONS_CSV)
         _, series = read_predictions(src)
         report = mm.score_pipeline(series, cfg.epsilon)
-        mm.write_report(report, _path(cfg, REPORT_JSON))
-        mm.write_segments_csv(report, _path(cfg, SEGMENTS_CSV))
+        mm.write_report(report, out)
+        mm.write_segments_csv(report, segments)
     print(f"n_rev={report.n_rev} n_eval={report.n_eval} "
           f"score={report.score:.6f} epsilon={report.epsilon:g}")
 
@@ -258,6 +262,7 @@ def cmd_run_all(ad_cfg: RunConfig, rtn_cfg: RunConfig, comparison_dir: str) -> N
             or ad_cfg.window_len != rtn_cfg.window_len or ad_cfg.train != rtn_cfg.train):
         raise StageError(EXIT_MISMATCH, "config mismatch: run-all requires a "
                          "shared grid, epsilon, window length and train section")
+    [out] = _outputs(comparison_dir, COMPARISON_JSON)
     run_pipeline(ad_cfg, rtn_cfg)
     ad_rep = mm.read_report(_path(ad_cfg, REPORT_JSON))
     rtn_rep = mm.read_report(_path(rtn_cfg, REPORT_JSON))
@@ -272,7 +277,7 @@ def cmd_run_all(ad_cfg: RunConfig, rtn_cfg: RunConfig, comparison_dir: str) -> N
         "epsilon": ad_rep.epsilon,
     }
     os.makedirs(comparison_dir, exist_ok=True)
-    write_json(os.path.join(comparison_dir, COMPARISON_JSON), comparison)
+    write_json(out, comparison)
     ratio_txt = "undefined" if ratio is None else f"{ratio:.6f}"
     print(f"ad_score={ad_rep.score:.6f} ({ad_rep.n_rev}/{ad_rep.n_eval}) "
           f"rtn_score={rtn_rep.score:.6f} ({rtn_rep.n_rev}/{rtn_rep.n_eval}) "

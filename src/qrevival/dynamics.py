@@ -159,12 +159,6 @@ class ChannelSpec:
                                     neginf=0.0), 0.0, self.rate_clamp)
         return out if out.ndim else float(out)
 
-    def dissipator(self, rho: np.ndarray) -> np.ndarray:
-        """Rate-free Lindblad term L rho L^dag - {L^dag L, rho}/2 of L = JUMP."""
-        jump = self.JUMP
-        jtj = jump.conj().T @ jump
-        return jump @ rho @ jump.conj().T - 0.5 * (jtj @ rho + rho @ jtj)
-
     def to_dict(self) -> dict:
         _, *attrs = self.__dataclass_fields__
         return {"kind": self.kind,
@@ -373,10 +367,13 @@ class Trajectory:
                                          self.initial_state_tag)))
 
 
-def _superoperator(f) -> np.ndarray:
-    """Matrix of the linear map f on row-major vec(rho): column j is f(E_j), raveled."""
-    return np.stack([f(e).ravel() for e in np.eye(16, dtype=complex).reshape(16, 4, 4)],
-                    axis=1)
+def _generators(g: float, chan: ChannelSpec):
+    """(L_H, L_D) on row-major vec(rho), by vec(A X B) = (A (x) B^T) vec(X): L_H = -i[H, .]
+    and L_D = J . J^dag - {J^dag J, .}/2, the rate-free dissipator of J = chan.JUMP."""
+    h, j = build_xy_hamiltonian(g), chan.JUMP
+    jtj = j.conj().T @ j
+    return (-1j * (np.kron(h, la.I4) - np.kron(la.I4, h.T)),
+            np.kron(j, j.conj()) - 0.5 * (np.kron(jtj, la.I4) + np.kron(la.I4, jtj.T)))
 
 
 def _rk4_terms(l_h: np.ndarray, l_d: np.ndarray, dt: float) -> np.ndarray:
@@ -407,15 +404,14 @@ def evolve(rho0: np.ndarray, grid: TimeGrid, g: float, chan: ChannelSpec,
     """Fixed-step RK4 over the grid on row-major vec(rho); validates every state.
 
     The generator is L_H + rate * L_D, L_H = -i[H, .] and L_D the channel's rate-free
-    dissipator (zero for noise_free); each step is v += E v, E built per block (_rk4_terms).
+    dissipator (zero for noise_free), both Kronecker closed forms built once per call
+    (_generators); each step is v += E v, E built per block (_rk4_terms).
     Nothing repairs the state: states are validated in blocks of BLOCK, and the first
     to break a tolerance (dt too large or rate_clamp too generous) raises by its t.
     """
     validate_density_matrix(rho0, context="initial state")
-    h = build_xy_hamiltonian(g)
     times, dt, n = grid.times(), grid.dt, grid.n_steps
-    terms = _rk4_terms(_superoperator(lambda r: -1j * (h @ r - r @ h)),
-                       _superoperator(chan.dissipator), dt)
+    terms = _rk4_terms(*_generators(g, chan), dt)
 
     # rates at nodes and midpoints, clamped once up front; count every node
     # where the raw signed rate had to be altered (negative, over cap, or

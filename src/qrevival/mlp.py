@@ -21,8 +21,7 @@ from typing import Tuple
 import numpy as np
 
 from .dataset import WindowDataset, chronological_split, stack
-from .table import (check_keys, count, positive_real, read_json, read_table, write_json,
-                    write_table)
+from .table import check_keys, count, positive_real, read_json, write_json, write_table
 
 H1 = 32
 H2 = 16
@@ -287,14 +286,3 @@ def load_params(path) -> MLPParams:
 
 def write_loss_curve(curve, path) -> None:
     write_table(path, ["epoch", "mse"], (range(1, len(curve) + 1), np.asarray(curve, dtype=float)))
-
-
-def read_loss_curve(path) -> np.ndarray:
-    _, rows = read_table(path, ["epoch", "mse"])
-    for k, row in enumerate(rows, start=1):
-        if int(row[0]) != k:
-            raise ValueError(f"bad loss-curve row {row!r} in {path}")
-    curve = np.array([float(row[1]) for row in rows])
-    if not np.all((curve >= 0.0) & np.isfinite(curve)):
-        raise ValueError(f"loss curve in {path} holds a negative or non-finite mse")
-    return curve

@@ -221,8 +221,9 @@ def test_criterion_9_run_all_determinism(comparison_runs):
              os.path.join("ad", cli.PREDICTIONS_CSV),
              os.path.join("rtn", cli.PREDICTIONS_CSV)]
     for rel in files:
-        a = open(os.path.join(outs[0], rel), "rb").read()
-        b = open(os.path.join(outs[1], rel), "rb").read()
+        with open(os.path.join(outs[0], rel), "rb") as fa, \
+                open(os.path.join(outs[1], rel), "rb") as fb:
+            a, b = fa.read(), fb.read()
         assert a == b, f"{rel} differs between identical runs"
     print(f"criterion 9: PASS - {len(files)} score artifacts byte-identical "
           f"across repeated run-all executions")

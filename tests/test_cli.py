@@ -246,11 +246,12 @@ def test_overflowing_prediction_exits_3(tmp_path, capsys):
 
 
 def test_failed_stage_leaves_no_stale_output(tmp_path, capsys):
-    # a failing predict or train removes what an earlier run of it wrote, so the
-    # next stage finds its input missing instead of reading stale files
+    # a failing stage removes what an earlier run of it wrote, so the next stage
+    # finds its input missing instead of reading stale files
     run = tmp_path / "run"
     cfg = write_doc(tmp_path, rtn_doc(run))
-    assert chain(cfg, "simulate", "dataset", "train", "predict") == 0
+    assert chain(cfg, *ALL_STAGES) == 0
+    assert cli.main(["score", "--config", cfg, "--on-truth"]) == 0
     params = json.loads((run / "params.json").read_text())
     for name in ("w1", "w2"):
         params[name] = np.full(np.shape(params[name]), 1e200).tolist()
@@ -260,11 +261,33 @@ def test_failed_stage_leaves_no_stale_output(tmp_path, capsys):
         assert cli.main(["predict", "--config", cfg]) == cli.EXIT_INTEGRATION
     assert not (run / "predictions.csv").exists()
     assert cli.main(["score", "--config", cfg]) == cli.EXIT_MISSING
+    assert not (run / "report.json").exists() and not (run / "segments.csv").exists()
     (run / "dataset.csv").write_text("not a dataset\n")
+    assert cli.main(["score", "--config", cfg, "--on-truth"]) == cli.EXIT_MALFORMED
+    assert not (run / "truth_report.json").exists()
     assert cli.main(["train", "--config", cfg]) == cli.EXIT_MALFORMED
     assert not (run / "params.json").exists() and not (run / "loss.csv").exists()
     assert cli.main(["predict", "--config", cfg]) == cli.EXIT_MISSING
-    assert capsys.readouterr().err.count("missing input: ") == 2
+    # a failed simulate leaves no trajectory of another config for dataset to window
+    markov = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "rtn_markovian.json")
+    assert cli.main(["simulate", "--config", markov, "--out", str(run)]) == 0
+    assert cli.main(["dataset", "--config", cfg]) == 0
+    ad = write_doc(tmp_path, failing_ad_doc(run), "ad.json")
+    assert cli.main(["simulate", "--config", ad]) == cli.EXIT_INTEGRATION
+    assert not (run / "trajectory.csv").exists()
+    assert not (run / "trajectory.csv.meta.json").exists()
+    assert cli.main(["dataset", "--config", ad]) == cli.EXIT_MISSING
+    assert not (run / "dataset.csv").exists()
+    # a failed run-all leaves no earlier comparison behind
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "comparison.json").write_text("{}")
+    pair = write_doc(tmp_path, {"ad": failing_ad_doc(out / "ad"),
+                                "rtn": rtn_doc(out / "rtn", grid={"t_end": 3.0, "n_steps": 20})},
+                     "pair.json")
+    assert cli.main(["run-all", "--config", pair, "--out", str(out)]) == cli.EXIT_INTEGRATION
+    assert not (out / "comparison.json").exists()
+    assert capsys.readouterr().err.count("missing input: ") == 3
 
 
 @pytest.mark.parametrize("params, rate_clamp, grid, state, t_fail", [

@@ -164,7 +164,7 @@ def test_rate_is_scaled_log_derivative_of_coherence():
     free = dy.NoiseFree()
     assert (free.coherence(2.0), free.signed_rate(2.0), free.non_markovian) == (1.0, 0.0, False)
     assert np.array_equal(free.signed_rate(ts), np.zeros_like(ts))
-    assert not np.any(free.dissipator(I4 / 4.0))
+    assert not np.any(dy._generators(1.0, free)[1])
 
 
 def test_regime_flags():
@@ -190,13 +190,39 @@ def test_param_validation():
         dy.RTNParams(v=1.0, kappa=-2.0)
 
 
+def _dissipator(chan, rho):
+    """The rate-free dissipator of chan applied to rho as L_D @ vec(rho)."""
+    return (dy._generators(1.0, chan)[1] @ rho.ravel()).reshape(4, 4)
+
+
+@pytest.mark.parametrize("chan", [dy.ChannelSpec.amplitude_damping(b=0.05, lam=10.0),
+                                  dy.ChannelSpec.rtn_dephasing(v=1.0, kappa=1.0 / 7.0),
+                                  dy.NoiseFree()])
+def test_generators_match_matrix_products(chan):
+    # the Kronecker closed forms against -i[H, rho] and J rho J^dag - {J^dag J, rho}/2
+    rng = np.random.default_rng(5)
+    j = chan.JUMP
+    jtj = j.conj().T @ j
+    for g in (1.0, 0.7, 2.5):
+        h = dy.build_xy_hamiltonian(g)
+        l_h, l_d = dy._generators(g, chan)
+        for _ in range(10):
+            a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            rho = a @ a.conj().T
+            rho = rho / np.trace(rho)
+            v = rho.ravel()
+            assert np.max(np.abs(l_h @ v - (-1j * (h @ rho - rho @ h)).ravel())) <= 1e-14
+            want = j @ rho @ j.conj().T - 0.5 * (jtj @ rho + rho @ jtj)
+            assert np.max(np.abs(l_d @ v - want.ravel())) <= 1e-14
+
+
 def test_ad_dissipator_hand_example():
     # D[rho] = A rho A^dag - {A^dag A, rho}/2 with A = I (x) sigma_minus,
     # applied to |00><00|: drains the ancilla excited population into |01>
     chan = dy.ChannelSpec.amplitude_damping(b=5.0, lam=1.0)
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0                       # |00><00|
-    out = chan.dissipator(rho)
+    out = _dissipator(chan, rho)
     expect = np.zeros((4, 4), dtype=complex)
     expect[0, 0] = -1.0
     expect[1, 1] = 1.0
@@ -204,7 +230,7 @@ def test_ad_dissipator_hand_example():
     # coherence between ancilla levels decays at half weight
     rho2 = np.zeros((4, 4), dtype=complex)
     rho2[0, 1] = 1.0
-    out2 = chan.dissipator(rho2)
+    out2 = _dissipator(chan, rho2)
     assert out2[0, 1] == pytest.approx(-0.5)
     assert np.count_nonzero(np.abs(out2) > 1e-14) == 1
 
@@ -213,13 +239,13 @@ def test_rtn_dissipator_hand_example():
     # D[rho] = Z_A rho Z_A - rho kills ancilla coherences, doubles nothing else
     chan = dy.ChannelSpec.rtn_dephasing(v=1.0, kappa=4.0)
     plus_a = dm(np.kron(KET0, KET_PLUS))
-    out = chan.dissipator(plus_a)
+    out = _dissipator(chan, plus_a)
     # |+><+| off-diagonal is 1/2 and the Z flip doubles the loss: entry -> -1
     expect = np.zeros((4, 4), dtype=complex)
     expect[0, 1] = -1.0
     expect[1, 0] = -1.0
     assert np.allclose(out, expect, atol=1e-14)
-    assert np.allclose(chan.dissipator(I4 / 4.0), 0.0, atol=1e-15)
+    assert np.allclose(_dissipator(chan, I4 / 4.0), 0.0, atol=1e-15)
 
 
 def test_dissipator_trace_free():
@@ -230,7 +256,7 @@ def test_dissipator_trace_free():
             a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
             rho = a @ a.conj().T
             rho = rho / np.trace(rho)
-            assert abs(np.trace(chan.dissipator(rho))) < 1e-12
+            assert abs(np.trace(_dissipator(chan, rho))) < 1e-12
 
 
 def test_exchange_oracle_single_excitation():
@@ -320,12 +346,16 @@ def test_cross_integrator_markovian():
     # independent adaptive integrator on the smooth monotone-rate channel
     chan = dy.ChannelSpec.amplitude_damping(b=5.0, lam=1.0)
     h = dy.build_xy_hamiltonian(1.0)
+    j = chan.JUMP
+    jtj = j.conj().T @ j
     rho0 = dy.initial_state(dy.STATE_EXCITED_EXCITED)
 
     def rhs(t, y):
-        # d rho/dt = -i[H, rho] + rate(t) D[rho], written out independently of evolve
+        # d rho/dt = -i[H, rho] + rate(t) (J rho J^dag - {J^dag J, rho}/2), written out
+        # as 4x4 products, independently of evolve's vectorized generators
         rho = y.reshape(4, 4)
-        return (-1j * (h @ rho - rho @ h) + chan.rate(t) * chan.dissipator(rho)).ravel()
+        lindblad = j @ rho @ j.conj().T - 0.5 * (jtj @ rho + rho @ jtj)
+        return (-1j * (h @ rho - rho @ h) + chan.rate(t) * lindblad).ravel()
 
     sol = solve_ivp(rhs, (0.0, 4.0), rho0.ravel().astype(complex),
                     t_eval=np.linspace(0.0, 4.0, 81), rtol=1e-10, atol=1e-12)
@@ -434,9 +464,7 @@ def test_validate_stack_matches_one_state_at_a_time(data, m, seed):
 
 def _plain_evolve(rho0, grid, g, chan):
     """evolve written out plainly: two matvecs per stage, a check and a readout per step."""
-    h = dy.build_xy_hamiltonian(g)
-    l_h = dy._superoperator(lambda r: -1j * (h @ r - r @ h))
-    l_d = dy._superoperator(chan.dissipator)
+    l_h, l_d = dy._generators(g, chan)
     times, dt, n = grid.times(), grid.dt, grid.n_steps
     r_node, r_mid = chan.rate(times), chan.rate(times[:-1] + dt / 2.0)
 
@@ -481,9 +509,7 @@ def test_evolve_matches_plain_reference(name):
     dy.ChannelSpec.rtn_dephasing(v=1.0, kappa=1.0 / 7.0, rate_clamp=30.0)])
 def test_step_matrix_matches_rk4_stages(chan):
     # one step v + E v from the rate-monomial expansion against the four stages written out
-    h = dy.build_xy_hamiltonian(1.0)
-    l_h = dy._superoperator(lambda r: -1j * (h @ r - r @ h))
-    l_d = dy._superoperator(chan.dissipator)
+    l_h, l_d = dy._generators(1.0, chan)
     dt = 0.01
     rng = np.random.default_rng(7)
     rates = rng.uniform(0.0, chan.rate_clamp, (3, 40))
