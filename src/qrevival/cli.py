@@ -46,6 +46,11 @@ SEGMENTS_CSV = "segments.csv"
 COMPARISON_JSON = "comparison.json"
 TRAJECTORY_SVG = "trajectory.svg"
 PREDICTION_SVG = "prediction.svg"
+# the files each stage writes, in pipeline order: simulate, dataset, train, predict, score,
+# figures, run-all's comparison, and last `score --on-truth`, which no stage reads
+STAGE_OUTPUTS = ((TRAJECTORY_CSV, TRAJECTORY_CSV + ".meta.json"), (DATASET_CSV,),
+                 (PARAMS_JSON, LOSS_CSV), (PREDICTIONS_CSV,), (REPORT_JSON, SEGMENTS_CSV),
+                 (TRAJECTORY_SVG, PREDICTION_SVG), (COMPARISON_JSON,), (TRUTH_REPORT_JSON,))
 
 
 class StageError(Exception):
@@ -126,10 +131,6 @@ def _path(cfg: RunConfig, name: str) -> str:
     return os.path.join(cfg.output_dir, name)
 
 
-def _err(msg: str) -> None:
-    print(msg, file=sys.stderr)
-
-
 def _inputs(cfg: RunConfig, *names):
     """Paths of a stage's input files; StageError (exit 4) for the first absent one."""
     paths = [_path(cfg, name) for name in names]
@@ -140,20 +141,13 @@ def _inputs(cfg: RunConfig, *names):
 
 
 def _outputs(out_dir: str, *names):
-    """Paths of a stage's outputs in out_dir, each removed first: a failed stage leaves none."""
-    paths = [os.path.join(out_dir, name) for name in names]
-    for p in filter(os.path.isfile, paths):
-        os.remove(p)
-    return paths
-
-
-def _evolve(cfg: RunConfig) -> dy.Trajectory:
-    """The config's trajectory; a broken physicality invariant is exit 3."""
-    try:
-        return dy.evolve(dy.initial_state(cfg.initial_state), cfg.grid, cfg.g,
-                         cfg.channel, initial_state_tag=cfg.initial_state)
-    except ValueError as e:
-        raise StageError(EXIT_INTEGRATION, f"integration failure: {e}") from e
+    """Paths of a stage's outputs in out_dir. They are removed first, with the outputs of
+    every later stage: a failed stage leaves none, and no later stage reads older files."""
+    stage = next(i for i, outs in enumerate(STAGE_OUTPUTS) if names[0] in outs)
+    for name in names + sum(STAGE_OUTPUTS[stage + 1:], ()):
+        if os.path.isfile(path := os.path.join(out_dir, name)):
+            os.remove(path)
+    return [os.path.join(out_dir, name) for name in names]
 
 
 # ---------- pipeline stages ----------
@@ -161,7 +155,11 @@ def _evolve(cfg: RunConfig) -> dy.Trajectory:
 def cmd_simulate(cfg: RunConfig) -> None:
     os.makedirs(cfg.output_dir, exist_ok=True)
     out, _ = _outputs(cfg.output_dir, TRAJECTORY_CSV, TRAJECTORY_CSV + ".meta.json")
-    traj = _evolve(cfg)
+    try:                    # a broken physicality invariant is exit 3
+        traj = dy.evolve(dy.initial_state(cfg.initial_state), cfg.grid, cfg.g,
+                         cfg.channel, initial_state_tag=cfg.initial_state)
+    except ValueError as e:
+        raise StageError(EXIT_INTEGRATION, f"integration failure: {e}") from e
     dy.write_trajectory(traj, out)
     print(f"regime: {cfg.channel.regime()}")
     print(f"clamp events: {traj.clamp_events}")
@@ -348,6 +346,7 @@ def _svg_chart(path, title, series, markers=()) -> None:
 
 def emit_plots(cfg: RunConfig) -> None:
     """Trajectory and prediction figures for a completed run directory."""
+    traj_svg, pred_svg = _outputs(cfg.output_dir, TRAJECTORY_SVG, PREDICTION_SVG)
     traj = dy.read_trajectory(_path(cfg, TRAJECTORY_CSV))
     t_indices, preds = read_predictions(_path(cfg, PREDICTIONS_CSV))
     if len(t_indices) and t_indices[-1] >= len(traj):
@@ -359,7 +358,7 @@ def emit_plots(cfg: RunConfig) -> None:
                          f"{len(preds)} predictions")
     kind = cfg.channel.kind
     _svg_chart(
-        _path(cfg, TRAJECTORY_SVG),
+        traj_svg,
         f"{kind}: simulated Z expectations",
         [("system", traj.times, traj.z_s, "#1f77b4", False),
          ("ancilla", traj.times, traj.z_a, "#d62728", True)],
@@ -369,7 +368,7 @@ def emit_plots(cfg: RunConfig) -> None:
     markers = [(float(t_test[peak]), float(preds[peak]))
                for _, peak in report.segments]
     _svg_chart(
-        _path(cfg, PREDICTION_SVG),
+        pred_svg,
         f"{kind}: test-half prediction (n_rev={report.n_rev})",
         [("truth", t_test, truth, "#888888", True),
          ("prediction", t_test, preds, "#1f77b4", False)],
@@ -407,7 +406,7 @@ def main(argv=None) -> int:
     try:
         cfgs = _configs(args)
     except (OSError, ValueError, TypeError) as e:
-        _err(f"config error: {e}")
+        print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     try:
         if args.command == "run-all":
@@ -421,10 +420,10 @@ def main(argv=None) -> int:
         stages[args.command](*cfgs)
         return 0
     except StageError as e:
-        _err(str(e))
+        print(e, file=sys.stderr)
         return e.code
     except ValueError as e:
-        _err(f"malformed input: {e}")
+        print(f"malformed input: {e}", file=sys.stderr)
         return EXIT_MALFORMED
 
 

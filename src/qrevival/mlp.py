@@ -6,10 +6,11 @@ squared residual (y_hat - y)^2 (no 1/2 convention); gradients below are the
 exact chain-rule derivatives of that loss, verified against central finite
 differences. Optimization is Adam with bias-corrected moments.
 
-All weights and biases live in one float64 vector; the per-layer arrays are
-views into it, so training, prediction and the gradient check share one
-forward pass, and each minibatch runs as a few matrix products into `Buffers`,
-for all the networks that `train_all` trains in lockstep on a (k, P) stack.
+Weights and biases live in one float64 vector, one block [W | b] per layer; the
+named arrays, which params.json keeps, are views into it. Inputs and hidden
+activations are columns, one per window, over a row of ones, so a layer is one
+matmul (bias included) and one ReLU, and its gradient one matmul. A minibatch
+writes into `Buffers`, for all the networks `train_all` trains on a (k, P) stack.
 """
 
 from __future__ import annotations
@@ -26,67 +27,67 @@ from .table import check_keys, count, positive_real, read_json, write_json, writ
 H1 = 32
 H2 = 16
 
-# Adam moment decay rates and denominator guard
-BETA1 = 0.9
-BETA2 = 0.999
-EPS = 1e-8
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8      # Adam moment decay rates and denominator guard
 # as 0-d arrays, which numpy takes as they are instead of converting a float on every call
-_BETA1, _1_BETA1, _BETA2, _1_BETA2, _EPS = map(np.array, (BETA1, 1 - BETA1, BETA2, 1 - BETA2, EPS))
+_BETA1, _1_BETA1, _BETA2, _1_BETA2 = map(np.array, (BETA1, 1 - BETA1, BETA2, 1 - BETA2))
 
 _FIELDS = ("w1", "b1", "w2", "b2", "w3", "b3")
 FD_CHUNK = 32           # entries per stacked pass of fd_gradients: a (64, P) stack
 _ZERO = np.zeros(())    # ReLU threshold; numpy would convert a Python 0.0 on every call
 
 
-def _shapes(n_in: int):
-    """Shape of each parameter block, in the vector order of _FIELDS."""
-    return ((H1, n_in), (H1,), (H2, H1), (H2,), (H2,), ())
+def _blocks(n_in: int):
+    """Shape of each layer's augmented [W | b] block, in vector order."""
+    return ((H1, n_in + 1), (H2, H1 + 1), (1, H2 + 1))
+
+
+def n_params(n_in: int) -> int:
+    return sum(rows * cols for rows, cols in _blocks(n_in))
 
 
 class MLPParams:
     """Weights and biases as one float64 vector `vec`, or k of them as a (k, P) stack.
 
-    w1 (H1, n_in), b1 (H1,), w2 (H2, H1), b2 (H2,), w3 (H2,) and b3 (0-d)
-    are reshaped views into `vec`, laid out in that order; writing to a view
-    writes to `vec`. Stacked, each block is a (k, rows, cols) view (vectors as
-    rows), which broadcasts over a batch; w1t, w2t and w3t are transposed views.
+    `vec` holds the blocks a1 = [w1 | b1] (H1, n_in + 1), a2 = [w2 | b2] (H2, H1 + 1)
+    and a3 = [w3 | b3] (1, H2 + 1) in that order; w1 (H1, n_in), b1 (H1,), w2, b2, w3
+    (H2,) and b3 (0-d) are views into them, and w2t and w3t (a column) transposed
+    views. Writing to a view writes to `vec`. Stacked, each view gains a k axis.
     """
 
     def __init__(self, vec, n_in: int):
         self.vec = np.asarray(vec, dtype=float)
         self.n_in = n_in
         lead = self.vec.shape[:-1]
-        sizes = [math.prod(s) for s in _shapes(n_in)]
-        if self.vec.shape[-1:] != (sum(sizes),) or len(lead) > 1:
-            raise ValueError(f"expected {sum(sizes)} parameters for n_in={n_in}, "
+        if self.vec.shape[-1:] != (n_params(n_in),) or len(lead) > 1:
+            raise ValueError(f"expected {n_params(n_in)} parameters for n_in={n_in}, "
                              f"got shape {self.vec.shape}")
-        pos = 0
-        for name, shape, size in zip(_FIELDS, _shapes(n_in), sizes):
-            shape = lead + (1,) * (2 - len(shape)) * len(lead) + shape
-            setattr(self, name, self.vec[..., pos:pos + size].reshape(shape))
-            pos += size
-        self.in_ndims = (3,) if lead else (1, 2)   # what forward takes: stacked, a batch each
-        self.w1t, self.w2t, self.w3t = (w.swapaxes(-1, -2) if w.ndim > 1 else w
-                                        for w in (self.w1, self.w2, self.w3))
+        (r1, c1), (r2, c2), (r3, c3) = _blocks(n_in)
+        e1, e2 = r1 * c1, r1 * c1 + r2 * c2
+        self.a1, self.a2, self.a3 = (self.vec[..., :e1].reshape(lead + (r1, c1)),
+                                     self.vec[..., e1:e2].reshape(lead + (r2, c2)),
+                                     self.vec[..., e2:].reshape(lead + (r3, c3)))
+        (self.w1, self.b1), (self.w2, self.b2), (self.w3, self.b3) = (
+            (a[..., :-1], a[..., -1]) for a in (self.a1, self.a2, self.a3[..., 0, :]))
+        self.w2t, self.w3t = (a[..., :-1].swapaxes(-1, -2) for a in (self.a2, self.a3))
 
 
 class Buffers:
-    """out= targets for `rows`-window batches of params p; Buffers() lets numpy allocate."""
+    """out= targets for `rows`-column batches of the networks p, made once and reused.
 
-    def __init__(self, rows: int = 0, p: MLPParams | None = None):
-        lead = () if p is None else p.vec.shape[:-1]
+    Activations h1, h2 and deltas dh1, dh2 are (.., H + 1, rows) blocks whose first
+    H rows (z1, z2, d1, d2) take matmul outputs and whose last row is 1, so the next
+    matmul adds the bias and a ReLU or mask runs on the whole contiguous block.
+    """
 
-        def empty(*shape, dtype=float):
-            return None if p is None else np.empty(lead + shape, dtype)
-        self.h1, self.d1, self.h2, self.d2 = (empty(rows, k) for k in (H1, H1, H2, H2))
-        self.m1, self.m2 = empty(rows, H1, dtype=bool), empty(rows, H2, dtype=bool)
-        # per-row outputs; stacked, (k, rows, 1) columns
-        self.y, self.r = (empty(rows, *(1,) * len(lead)) for _ in range(2))
-        self.a, self.b = (None, None) if p is None else np.empty((2,) + p.vec.shape)
-        self.grad = None if p is None else MLPParams(np.empty_like(p.vec), p.n_in)
-
-
-NO_BUFFERS = Buffers()
+    def __init__(self, rows: int, p: MLPParams):
+        lead = p.vec.shape[:-1]
+        self.h1, self.h2, self.dh1, self.dh2 = (np.ones(lead + (h + 1, rows)) for h in (H1, H2) * 2)
+        self.z1, self.z2 = self.h1[..., :H1, :], self.h2[..., :H2, :]
+        self.d1, self.d2 = self.dh1[..., :H1, :], self.dh2[..., :H2, :]
+        self.m1, self.m2 = np.empty_like(self.h1), np.empty_like(self.h2)   # float ReLU masks
+        self.y, self.r = np.empty((2,) + lead + (1, rows))
+        self.a, self.b = np.empty((2,) + p.vec.shape)
+        self.grad = MLPParams(np.empty_like(p.vec), p.n_in)
 
 
 @dataclass
@@ -106,78 +107,71 @@ class TrainConfig:
 def init_params(rng: np.random.Generator, n_in: int = 5) -> MLPParams:
     """Uniform in +-sqrt(1/fan_in) per layer, weights drawn before biases."""
     blocks = []
-    for rows, cols in ((H1, n_in), (H2, H1), (1, H2)):
-        s = math.sqrt(1.0 / cols)
-        blocks += [rng.uniform(-s, s, size=rows * cols), rng.uniform(-s, s, size=rows)]
+    for rows, cols in _blocks(n_in):
+        s = math.sqrt(1.0 / (cols - 1))
+        w = rng.uniform(-s, s, size=(rows, cols - 1))
+        blocks.append(np.concatenate([w, rng.uniform(-s, s, size=(rows, 1))], axis=1).ravel())
     return MLPParams(np.concatenate(blocks), n_in)
 
 
-def forward(p: MLPParams, xs, buf: Buffers = NO_BUFFERS):
-    """Outputs for one window (n_in,) or a batch of windows (n, n_in).
-
-    Returns y_hat (a scalar or an (n,) array) and the activations
-    (xs, h1, h2) that backward needs, in buf if it is sized for n rows.
-    Stacked params take (k, n, n_in) windows and give (k, n, 1) outputs.
-    """
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim not in p.in_ndims or xs.shape[-1] != p.n_in:
-        raise ValueError(f"expected input of shape ({p.n_in},) or (n, {p.n_in}) per network, "
-                         f"got {xs.shape}")
-    h1 = np.matmul(xs, p.w1t, out=buf.h1)
-    h1 = np.maximum(np.add(h1, p.b1, out=h1), _ZERO, out=h1)
-    h2 = np.matmul(h1, p.w2t, out=buf.h2)
-    h2 = np.maximum(np.add(h2, p.b2, out=h2), _ZERO, out=h2)
-    y_hat = np.add(np.matmul(h2, p.w3t, out=buf.y), p.b3, out=buf.y)
-    return y_hat, (xs, h1, h2)
+def columns(xs) -> np.ndarray:
+    """Windows (.., n, n_in) as forward's input: (.., n_in + 1, n) columns over a row of ones."""
+    xs = np.asarray(xs, dtype=float).swapaxes(-1, -2)
+    return np.concatenate([xs, np.ones_like(xs[..., :1, :])], axis=-2)
 
 
-def mse(preds, labels) -> float:
-    preds = np.asarray(preds, dtype=float)
-    labels = np.asarray(labels, dtype=float)
-    if preds.shape != labels.shape:
-        raise ValueError(f"length mismatch: {preds.shape} vs {labels.shape}")
-    if preds.size == 0:
-        raise ValueError("mse of empty arrays")
-    return float(np.mean((preds - labels) ** 2))
+def forward(p: MLPParams, xa, buf: Buffers | None = None):
+    """Outputs (.., 1, rows) of the networks p for the input columns xa (see `columns`),
+    and the activations (xa, h1, h2) that backward needs, in buf if it is given.
+    Stacked params take (k, n_in + 1, rows) columns, or one set that all of them read."""
+    buf = buf or Buffers(xa.shape[-1], p)
+    np.matmul(p.a1, xa, out=buf.z1)
+    np.maximum(buf.h1, _ZERO, out=buf.h1)
+    np.matmul(p.a2, buf.h1, out=buf.z2)
+    np.maximum(buf.h2, _ZERO, out=buf.h2)
+    return np.matmul(p.a3, buf.h2, out=buf.y), (xa, buf.h1, buf.h2)
 
 
-def backward(p: MLPParams, acts, y_hat, ys, buf: Buffers = NO_BUFFERS) -> np.ndarray:
+def backward(p: MLPParams, acts, y_hat, ys, buf: Buffers | None = None) -> np.ndarray:
     """Gradient of the batch-mean (y_hat - y)^2, as a vector in p.vec's layout.
 
     acts and y_hat come from forward on the same input. The output is affine,
     so per row d loss/d y_hat = 2 (y_hat - y); the rest is the chain rule
     through h2 = relu(z2) and h1 = relu(z1), with the ReLU subgradient at 0
-    taken as 0 (h > 0 exactly where z > 0). Stacked, one gradient per row.
+    taken as 0 (h > 0 exactly where z > 0). A layer's gradient is one matmul of its
+    deltas with the activations below, whose row of ones gives the bias gradient.
     """
-    xs, h1, h2 = np.atleast_2d(*acts)
-    keep = p.vec.ndim > 1                        # stacked: reduce into (k, 1, cols) rows
-    r = np.multiply(2.0, np.subtract(y_hat, ys, out=buf.r), out=buf.r)
-    r = np.divide(np.atleast_1d(r), xs.shape[-2], out=buf.r)
-    rc = r.reshape(h2.shape[:-1] + (1,))         # r as a column
-    d2 = np.multiply(rc, p.w3, out=buf.d2)       # np.outer(r, w3)
-    np.copyto(d2, _ZERO, where=np.logical_not(np.greater(h2, _ZERO, out=buf.m2), out=buf.m2))
-    d1 = np.matmul(d2, p.w2, out=buf.d1)
-    np.copyto(d1, _ZERO, where=np.logical_not(np.greater(h1, _ZERO, out=buf.m1), out=buf.m1))
-    g = buf.grad or MLPParams(np.empty_like(p.vec), p.n_in)
-    np.matmul(d1.swapaxes(-1, -2), xs, out=g.w1)
-    np.add.reduce(d1, axis=-2, keepdims=keep, out=g.b1)   # np.sum without its Python wrapper
-    np.matmul(d2.swapaxes(-1, -2), h1, out=g.w2)
-    np.add.reduce(d2, axis=-2, keepdims=keep, out=g.b2)
-    np.matmul(h2.swapaxes(-1, -2), r, out=g.w3t)
-    np.add.reduce(rc, axis=(-2, -1), keepdims=keep, out=g.b3)
+    xa, h1, h2 = acts
+    buf = buf or Buffers(xa.shape[-1], p)
+    g = buf.grad
+    r = np.subtract(y_hat, ys, out=buf.r)
+    r = np.divide(r, r.shape[-1] / 2, out=r)          # 2 (y_hat - y) / rows; rows / 2 is exact
+    np.matmul(r, h2.swapaxes(-1, -2), out=g.a3)
+    np.multiply(p.w3t, r, out=buf.d2)                 # np.outer(w3, r)
+    np.multiply(buf.dh2, np.greater(h2, _ZERO, out=buf.m2), out=buf.dh2)
+    np.matmul(buf.d2, h1.swapaxes(-1, -2), out=g.a2)
+    np.matmul(p.w2t, buf.d2, out=buf.d1)
+    np.multiply(buf.dh1, np.greater(h1, _ZERO, out=buf.m1), out=buf.dh1)
+    np.matmul(buf.d1, xa.swapaxes(-1, -2), out=g.a1)
     return g.vec
 
 
 def adam_step(p: MLPParams, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
-              t: int, lr: float, buf: Buffers = NO_BUFFERS) -> None:
-    """Adam update number t (from 1) of p.vec and its moments m, v, in place."""
-    np.add(np.multiply(_BETA1, m, out=m), np.multiply(_1_BETA1, grad, out=buf.a), out=m)
+              t: int, lr: float, buf: Buffers | None = None) -> None:
+    """Adam update number t (from 1) of p.vec and its moments m, v, in place.
+
+    With c_i = 1 - beta_i^t, p -= (lr sqrt(c2) / c1) m / (sqrt(v) + eps sqrt(c2)): the
+    bias-corrected step with both corrections in two scalars (Kingma & Ba, 2015, sec. 2).
+    """
+    buf = buf or Buffers(0, p)
+    a, b = buf.a, buf.b
+    np.add(np.multiply(_BETA1, m, out=m), np.multiply(_1_BETA1, grad, out=a), out=m)
     np.add(np.multiply(_BETA2, v, out=v),
-           np.multiply(np.multiply(_1_BETA2, grad, out=buf.a), grad, out=buf.a), out=v)
-    c1, c2 = 1.0 - BETA1 ** t, 1.0 - BETA2 ** t
-    step = np.multiply(lr, np.divide(m, c1, out=buf.a), out=buf.a)
-    den = np.add(np.sqrt(np.divide(v, c2, out=buf.b), out=buf.b), _EPS, out=buf.b)
-    np.subtract(p.vec, np.divide(step, den, out=buf.a), out=p.vec)
+           np.multiply(np.multiply(_1_BETA2, grad, out=a), grad, out=a), out=v)
+    c1, root_c2 = 1.0 - BETA1 ** t, math.sqrt(1.0 - BETA2 ** t)
+    den = np.add(np.sqrt(v, out=b), EPS * root_c2, out=b)
+    np.subtract(p.vec, np.multiply(np.divide(m, den, out=a), lr * root_c2 / c1, out=a),
+                out=p.vec)
     if not np.isfinite(p.vec).all():
         raise ValueError("optimizer produced non-finite parameters")
 
@@ -201,25 +195,27 @@ def train_all(datasets, cfg: TrainConfig) -> list[Tuple[MLPParams, np.ndarray]]:
     into one (k, P) stack. One diverging network stops all of them.
     """
     halves = [stack(chronological_split(ds)[0]) for ds in datasets]
-    xs, ys = np.stack([x for x, _ in halves]), np.stack([y for _, y in halves])[..., None]
-    k, n, n_in, bs = *xs.shape, cfg.batch_size
+    # per network and window, one column: its input column (see `columns`) over its label
+    data = np.stack([np.vstack([columns(x), y]) for x, y in halves])
+    k, n_in, n, bs = data.shape[0], data.shape[1] - 2, data.shape[2], cfg.batch_size
     rng = np.random.default_rng(cfg.seed)
     p = MLPParams(np.tile(init_params(rng, n_in=n_in).vec, (k, 1)), n_in)
     m, v = np.zeros_like(p.vec), np.zeros_like(p.vec)
     bufs = {rows: Buffers(rows, p) for rows in (min(bs, n), (n - 1) % bs + 1, n)}
-    xs_perm, ys_perm = np.empty_like(xs), np.empty_like(ys)
-    t, curve, lr = 0, np.empty((k, cfg.epochs)), np.array(cfg.lr)
+    shuffled = np.empty_like(data)      # each epoch's minibatches are the same slices of it
+    batches = [(shuffled[:, :-1, lo:lo + bs], shuffled[:, -1:, lo:lo + bs],
+                bufs[min(bs, n - lo)]) for lo in range(0, n, bs)]
+    t, curve = 0, np.empty((k, cfg.epochs))
     try:
         for epoch in range(cfg.epochs):
-            order = rng.permutation(n)
-            np.take(xs, order, axis=1, out=xs_perm)
-            np.take(ys, order, axis=1, out=ys_perm)
-            for lo in range(0, n, bs):
+            # "clip" skips the bounds check, which would buffer out=
+            np.take(data, rng.permutation(n), axis=-1, out=shuffled, mode="clip")
+            for xa, ys, buf in batches:
                 t += 1
-                buf, by = bufs[min(bs, n - lo)], ys_perm[:, lo:lo + bs]
-                y_hat, acts = forward(p, xs_perm[:, lo:lo + bs], buf)
-                adam_step(p, backward(p, acts, y_hat, by, buf), m, v, t, lr, buf)
-            curve[:, epoch] = [mse(y, y_true) for y, y_true in zip(forward(p, xs, bufs[n])[0], ys)]
+                y_hat, acts = forward(p, xa, buf)
+                adam_step(p, backward(p, acts, y_hat, ys, buf), m, v, t, cfg.lr, buf)
+            err = np.subtract(forward(p, data[:, :-1], bufs[n])[0], data[:, -1:], out=bufs[n].y)
+            curve[:, epoch] = np.mean(np.square(err, out=err), axis=(-2, -1))
     except (FloatingPointError, ValueError) as e:
         raise FloatingPointError(f"{e} at step {t}") from e
     return [(MLPParams(p.vec[i], n_in), curve[i]) for i in range(k)]
@@ -228,7 +224,7 @@ def train_all(datasets, cfg: TrainConfig) -> list[Tuple[MLPParams, np.ndarray]]:
 @np.errstate(over="raise", invalid="raise")
 def predict_series(p: MLPParams, xs) -> np.ndarray:
     """Predictions for the windows xs (n, n_in), in order; FloatingPointError on overflow."""
-    return forward(p, xs)[0]
+    return forward(p, columns(xs))[0][0]
 
 
 # ---------- finite-difference verifier ----------
@@ -236,25 +232,28 @@ def predict_series(p: MLPParams, xs) -> np.ndarray:
 def fd_gradients(p: MLPParams, x, y: float, h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of the squared loss, in p.vec's layout; p is only read.
 
-    Per chunk of m <= FD_CHUNK entries j_i, one forward pass runs 2m copies of p.vec:
-    copy i holds p.vec[j_i] + h at entry j_i, and copy m + i holds p.vec[j_i] - h.
+    Per chunk of up to m = min(FD_CHUNK, P) entries j_i, one forward pass runs one stack of
+    2m copies of p.vec: copy i holds p.vec[j_i] + h at entry j_i, copy m + i p.vec[j_i] - h.
     """
-    x = np.asarray(x, dtype=float)
+    m = min(FD_CHUNK, p.vec.size)
+    q = MLPParams(np.tile(p.vec, (2 * m, 1)), p.n_in)
+    pairs, xa, buf = q.vec.reshape(2, m, -1), columns([x]), Buffers(1, q)
     out = np.empty_like(p.vec)
-    for lo in range(0, p.vec.size, FD_CHUNK):
-        js = np.arange(lo, min(lo + FD_CHUNK, p.vec.size))
-        vecs = np.tile(p.vec, (2 * js.size, 1))
-        vecs.reshape(2, js.size, -1)[:, np.arange(js.size), js] = [p.vec[js] + h, p.vec[js] - h]
-        y_hat = forward(MLPParams(vecs, p.n_in), np.broadcast_to(x, (len(vecs), 1, x.size)))[0]
-        up, dn = (y_hat.reshape(2, -1) - y) ** 2
+    for lo in range(0, p.vec.size, m):
+        js = np.arange(lo, min(lo + m, p.vec.size))
+        copies = np.arange(js.size)
+        pairs[:, copies, js] = [p.vec[js] + h, p.vec[js] - h]
+        up, dn = (forward(q, xa, buf)[0].reshape(2, m)[:, :js.size] - y) ** 2
+        pairs[:, copies, js] = p.vec[js]
         out[js] = (up - dn) / (2.0 * h)
     return out
 
 
 def gradient_max_rel_error(p: MLPParams, x, y: float, h: float = 1e-5) -> float:
     """max_j |analytic_j - fd_j| / max(|analytic_j|, |fd_j|, 1e-8)."""
-    y_hat, acts = forward(p, x)
-    analytic = backward(p, acts, y_hat, y)
+    buf = Buffers(1, p)
+    y_hat, acts = forward(p, columns([x]), buf)
+    analytic = backward(p, acts, y_hat, y, buf)
     numeric = fd_gradients(p, x, y, h)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
     return float(np.max(np.abs(analytic - numeric) / denom))
@@ -270,18 +269,20 @@ def load_params(path) -> MLPParams:
     obj = read_json(path)
     check_keys(obj, _FIELDS, _FIELDS, f"parameter file {path}")
     try:
-        blocks = [np.asarray(obj[k], dtype=float) for k in _FIELDS]
+        arrays = [np.asarray(obj[k], dtype=float) for k in _FIELDS]
     except TypeError as e:                          # a layer holding an object
         raise ValueError(f"parameter file {path}: {e}") from e
-    n_in = blocks[0].shape[1] if blocks[0].ndim == 2 else 0
-    for name, block, shape in zip(_FIELDS, blocks, _shapes(n_in)):
-        if block.shape != shape:
+    n_in = arrays[0].shape[1] if arrays[0].ndim == 2 else 0
+    p = MLPParams(np.empty(n_params(n_in)), n_in)
+    for name, array in zip(_FIELDS, arrays):
+        view = getattr(p, name)
+        if array.shape != view.shape:
             raise ValueError(f"inconsistent layer shapes in {path}: {name} has "
-                             f"shape {block.shape}, expected {shape}")
-    vec = np.concatenate([b.ravel() for b in blocks])
-    if not np.all(np.isfinite(vec)):
+                             f"shape {array.shape}, expected {view.shape}")
+        view[...] = array
+    if not np.all(np.isfinite(p.vec)):
         raise ValueError(f"parameter file {path} holds non-finite values")
-    return MLPParams(vec, n_in)
+    return p
 
 
 def write_loss_curve(curve, path) -> None:

@@ -156,7 +156,7 @@ def pipeline_runs(tmp_path_factory):
         _, preds = cli.read_predictions(
             os.path.join(cfg.output_dir, cli.PREDICTIONS_CSV))
         report = mm.read_report(os.path.join(cfg.output_dir, cli.REPORT_JSON))
-        test_mse = mlp.mse(preds, test.ys)
+        test_mse = float(np.mean((preds - test.ys) ** 2))
         runs[name] = {"config": cfg, "report": report, "test_mse": test_mse,
                       "wall": wall}
     return runs

@@ -290,6 +290,28 @@ def test_failed_stage_leaves_no_stale_output(tmp_path, capsys):
     assert capsys.readouterr().err.count("missing input: ") == 3
 
 
+def test_failed_stage_removes_later_stage_outputs(tmp_path):
+    # a stage that starts removes its outputs and every later stage's, plots included,
+    # so the stages after a failure find their inputs missing, not an older run's files
+    run = tmp_path / "run"
+    cfg = write_doc(tmp_path, rtn_doc(run, emit_plots=True))
+
+    def good_run():
+        assert cli.run_pipeline(cli.load_run_config(cfg)) == 0
+        assert cli.main(["score", "--config", cfg, "--on-truth"]) == 0
+        assert len(os.listdir(run)) == 11     # every output but run-all's comparison
+    good_run()
+    (run / "trajectory.csv").write_text("not a trajectory\n")
+    assert cli.main(["dataset", "--config", cfg]) == cli.EXIT_MALFORMED
+    assert sorted(os.listdir(run)) == ["trajectory.csv", "trajectory.csv.meta.json"]
+    good_run()
+    ad = write_doc(tmp_path, failing_ad_doc(run), "ad.json")
+    assert cli.main(["simulate", "--config", ad]) == cli.EXIT_INTEGRATION
+    assert os.listdir(run) == []
+    assert cli.main(["predict", "--config", ad]) == cli.EXIT_MISSING
+    assert cli.main(["score", "--config", ad]) == cli.EXIT_MISSING
+
+
 @pytest.mark.parametrize("params, rate_clamp, grid, state, t_fail", [
     ({"b": 5.0, "lambda": 1.0}, 1000.0, {"t_end": 3.0, "n_steps": 20},
      "tilted_excited", "0.15"),

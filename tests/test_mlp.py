@@ -25,6 +25,12 @@ def _zero_params():
     return mlp.MLPParams(np.zeros(737), n_in=5)
 
 
+def _forward(p, xs):
+    """forward on windows (n, n_in), or one window (n_in,): outputs (n,) and activations."""
+    y_hat, acts = mlp.forward(p, mlp.columns(np.atleast_2d(xs)))
+    return y_hat[0], acts
+
+
 def _noisy_windows(n_samples, seed=8):
     rng = np.random.default_rng(seed)
     z = np.clip(rng.standard_normal(n_samples) * 0.3, -1, 1)
@@ -36,10 +42,11 @@ def _noisy_windows(n_samples, seed=8):
 
 def test_forward_zero_params():
     p = _zero_params()
-    y, (_, h1, h2) = mlp.forward(p, np.zeros(5))
+    y, (_, h1, h2) = _forward(p, np.zeros(5))
     assert y == 0.0
-    assert np.all(h1 == 0.0) and np.all(h2 == 0.0)
-    y2, _ = mlp.forward(p, np.array([0.5, -0.5, 1.0, -1.0, 0.2]))
+    assert np.all(h1[:-1] == 0.0) and np.all(h2[:-1] == 0.0)
+    assert np.all(h1[-1] == 1.0) and np.all(h2[-1] == 1.0)    # the bias rows
+    y2, _ = _forward(p, np.array([0.5, -0.5, 1.0, -1.0, 0.2]))
     assert y2 == 0.0
 
 
@@ -49,25 +56,25 @@ def test_forward_dead_second_layer():
     p.b1[:] = 0.7
     p.w3[:] = 1.0
     assert np.count_nonzero(p.vec) == mlp.H1 + mlp.H2   # views write the vector
-    y, (_, h1, h2) = mlp.forward(p, np.array([0.1, 0.2, 0.3, 0.4, 0.5]))
-    assert np.all(h1 == 0.7)
-    assert np.all(h2 == 0.0)
+    y, (_, h1, h2) = _forward(p, np.array([0.1, 0.2, 0.3, 0.4, 0.5]))
+    assert np.all(h1[:-1] == 0.7)
+    assert np.all(h2[:-1] == 0.0)
     assert y == 0.0
 
 
 def test_forward_nonlinear():
     p = _params(5)
     x = np.array([0.3, -0.4, 0.2, 0.9, -0.1])
-    y1, (_, _, h2) = mlp.forward(p, x)
-    y2, _ = mlp.forward(p, 2.0 * x)
+    y1, (_, _, h2) = _forward(p, x)
+    y2, _ = _forward(p, 2.0 * x)
     assert y1 != pytest.approx(y2)
     # the head is affine in the last hidden layer: nothing bounds or squashes it
-    assert y1 == pytest.approx(h2 @ p.w3 + p.b3, rel=1e-12, abs=1e-15)
+    assert y1 == pytest.approx(h2[:-1, 0] @ p.w3 + p.b3, rel=1e-12, abs=1e-15)
 
 
 def test_forward_rejects_wrong_shape():
     with pytest.raises(ValueError):
-        mlp.forward(_params(), np.zeros(4))
+        _forward(_params(), np.zeros(4))
 
 
 def test_params_layout():
@@ -76,24 +83,45 @@ def test_params_layout():
     assert (p.w1.shape, p.b1.shape, p.w2.shape) == ((mlp.H1, 5), (mlp.H1,), (mlp.H2, mlp.H1))
     assert (p.b2.shape, p.w3.shape, p.b3.shape) == ((mlp.H2,), (mlp.H2,), ())
     assert np.array_equal(p.vec[:5], p.w1[0]) and p.vec[-1] == p.b3
+    # one augmented [W | b] block per layer, each bias after its weight row
+    assert (p.a1.shape, p.a2.shape, p.a3.shape) == ((mlp.H1, 6), (mlp.H2, mlp.H1 + 1),
+                                                    (1, mlp.H2 + 1))
+    assert p.vec[5] == p.b1[0] and p.vec[6] == p.w1[1, 0]
+    assert np.array_equal(np.concatenate([p.a1.ravel(), p.a2.ravel(), p.a3.ravel()]), p.vec)
+    for name in ("w1", "b1", "w2", "b2", "w3", "b3", "w2t", "w3t"):
+        assert np.shares_memory(getattr(p, name), p.vec), name
+    assert np.array_equal(p.w2t, p.w2.T) and np.array_equal(p.w3t[:, 0], p.w3)
     with pytest.raises(ValueError):
         mlp.MLPParams(np.zeros(736), n_in=5)
 
 
-def test_mse_examples():
-    assert mlp.mse([0.1, 0.2], [0.1, 0.2]) == 0.0
-    assert mlp.mse([0.0, 0.0], [1.0, -1.0]) == 1.0
-    assert mlp.mse([0.5], [0.9]) == pytest.approx(0.16)
-    with pytest.raises(ValueError):
-        mlp.mse([0.0], [0.0, 1.0])
-    with pytest.raises(ValueError):
-        mlp.mse([], [])
+@pytest.mark.parametrize("n_in", [5, 3])
+def test_init_params_keeps_draw_order(n_in):
+    # the flat layout's draw: each layer's weights row-major, then its biases
+    seed = 12
+    p = mlp.init_params(np.random.default_rng(seed), n_in)
+    rng = np.random.default_rng(seed)
+    expected = {}
+    for (w, b), (rows, cols) in zip((("w1", "b1"), ("w2", "b2"), ("w3", "b3")),
+                                    ((mlp.H1, n_in), (mlp.H2, mlp.H1), (1, mlp.H2))):
+        s = np.sqrt(1.0 / cols)
+        expected[w] = rng.uniform(-s, s, size=rows * cols)
+        expected[b] = rng.uniform(-s, s, size=rows)
+    for name, values in expected.items():
+        assert np.array_equal(getattr(p, name).ravel(), values), name
+
+
+def test_columns_put_each_window_over_a_row_of_ones():
+    xs = np.arange(10.0).reshape(2, 5)
+    assert np.array_equal(mlp.columns(xs), np.vstack([xs.T, np.ones(2)]))
+    stacked = mlp.columns(np.stack([xs, -xs]))
+    assert stacked.shape == (2, 6, 2) and np.array_equal(stacked[1, :5], -xs.T)
 
 
 def test_backward_zero_residual():
     p = _params(2)
     x = np.array([0.2, 0.4, -0.3, 0.1, 0.6])
-    y_hat, acts = mlp.forward(p, x)
+    y_hat, acts = mlp.forward(p, mlp.columns([x]))
     g = mlp.backward(p, acts, y_hat, y_hat)
     assert np.array_equal(g, np.zeros(737))
 
@@ -102,9 +130,9 @@ def test_backward_b3_closed_form():
     p = _params(3)
     x = np.array([0.3, -0.2, 0.8, 0.1, -0.5])
     y = 0.4
-    y_hat, acts = mlp.forward(p, x)
+    y_hat, acts = mlp.forward(p, mlp.columns([x]))
     g = mlp.MLPParams(mlp.backward(p, acts, y_hat, y), n_in=5)
-    assert g.b3 == pytest.approx(2.0 * (y_hat - y), rel=1e-15)
+    assert g.b3 == pytest.approx(2.0 * (y_hat.item() - y), rel=1e-15)
 
 
 def test_batch_gradient_is_mean_of_row_gradients():
@@ -112,10 +140,10 @@ def test_batch_gradient_is_mean_of_row_gradients():
     rng = np.random.default_rng(9)
     xs = rng.uniform(-1.0, 1.0, size=(8, 5))
     ys = rng.uniform(-1.0, 1.0, size=8)
-    y_hat, acts = mlp.forward(p, xs)
-    rows = [mlp.forward(p, x) for x in xs]
+    y_hat, acts = mlp.forward(p, mlp.columns(xs))
+    rows = [mlp.forward(p, mlp.columns([x])) for x in xs]
     # matrix-matrix and matrix-vector products may round differently
-    np.testing.assert_allclose(y_hat, [y for y, _ in rows], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(y_hat[0], [y.item() for y, _ in rows], rtol=1e-12, atol=0.0)
     g = mlp.backward(p, acts, y_hat, ys)
     mean = np.mean([mlp.backward(p, a, y1, y) for (y1, a), y in zip(rows, ys)], axis=0)
     assert np.count_nonzero(g) > 0
@@ -140,9 +168,9 @@ def _fd_one_entry_at_a_time(p, x, y, h=1e-5):
     for j in range(q.vec.size):
         keep = q.vec[j]
         q.vec[j] = keep + h
-        up = (mlp.forward(q, x)[0] - y) ** 2
+        up = (_forward(q, x)[0].item() - y) ** 2
         q.vec[j] = keep - h
-        dn = (mlp.forward(q, x)[0] - y) ** 2
+        dn = (_forward(q, x)[0].item() - y) ** 2
         q.vec[j] = keep
         out[j] = (up - dn) / (2.0 * h)
     return out
@@ -229,8 +257,9 @@ def test_train_deterministic():
 
 
 def _plain_train(ds, cfg):
-    """The trainer written out with fresh arrays at every step: a fancy-indexed
-    minibatch, np.where ReLU masks and an out-of-place Adam update."""
+    """The textbook trainer with fresh arrays at every step: a fancy-indexed minibatch
+    of row windows, separate bias terms, np.where ReLU masks, bias gradients as sums
+    and the out-of-place Adam update with bias-corrected moments."""
     train_half, _ = dset.chronological_split(ds)
     xs, ys = train_half.xs, train_half.ys
     n = len(ys)
@@ -256,8 +285,11 @@ def _plain_train(ds, cfg):
             r = 2.0 * (y_hat - y) / len(x)
             d2 = np.where(h2 > 0.0, np.outer(r, p.w3), 0.0)
             d1 = np.where(h1 > 0.0, d2 @ p.w2, 0.0)
-            g = np.concatenate([(d1.T @ x).ravel(), d1.sum(axis=0), (d2.T @ h1).ravel(),
-                                d2.sum(axis=0), r @ h2, [r.sum()]])
+            grad = mlp.MLPParams(np.empty_like(vec), ds.window_len)
+            grad.w1[...], grad.b1[...] = d1.T @ x, d1.sum(axis=0)
+            grad.w2[...], grad.b2[...] = d2.T @ h1, d2.sum(axis=0)
+            grad.w3[...], grad.b3[...] = r @ h2, r.sum()
+            g = grad.vec
             t += 1
             m = mlp.BETA1 * m + (1.0 - mlp.BETA1) * g
             v = mlp.BETA2 * v + (1.0 - mlp.BETA2) * g * g
@@ -276,8 +308,11 @@ def test_train_matches_plain_reference():
         cfg = mlp.TrainConfig(epochs=12, batch_size=batch_size, lr=3e-3, seed=4)
         p, curve = mlp.train(ds, cfg)
         ref_vec, ref_curve = _plain_train(ds, cfg)
-        assert np.array_equal(p.vec, ref_vec), batch_size
-        assert np.array_equal(curve, ref_curve), batch_size
+        # the same arithmetic in another order: bias sums and bias terms inside matrix
+        # products, and Adam's corrections folded into its step; measured at most
+        # 2.2e-16 on the parameters and 3.2e-16 relative on the losses
+        np.testing.assert_allclose(p.vec, ref_vec, rtol=0.0, atol=1e-13, err_msg=str(batch_size))
+        np.testing.assert_allclose(curve, ref_curve, rtol=1e-12, atol=0.0, err_msg=str(batch_size))
 
 
 def test_train_all_matches_train_alone():
@@ -313,7 +348,7 @@ def test_train_learns_exchange_oscillation():
     p, _ = mlp.train(ds, mlp.TrainConfig(seed=2))
     _, test = dset.chronological_split(ds)
     preds = mlp.predict_series(p, test.xs)
-    assert mlp.mse(preds, test.ys) < 1e-3
+    assert np.mean((preds - test.ys) ** 2) < 1e-3
 
 
 def test_train_all_reaches_least_squares_floor():
@@ -332,7 +367,7 @@ def test_train_all_reaches_least_squares_floor():
         return np.column_stack([half.xs, np.ones(len(half))])
     for (train, test), cfg, mse_max, n_rev in zip(halves, cfgs, (1e-4, 1e-10), floor):
         preds = design(test) @ np.linalg.lstsq(design(train), train.ys, rcond=None)[0]
-        assert mlp.mse(preds, test.ys) < mse_max
+        assert np.mean((preds - test.ys) ** 2) < mse_max
         assert mm.score_pipeline(preds, cfg.epsilon).n_rev == n_rev
     # seed 7 was the tanh head's worst seed: ad n_rev 31 and a ratio of 6.00
     results = mlp.train_all(datasets, dataclasses.replace(cfgs[0].train, seed=7))
@@ -350,14 +385,14 @@ def test_predict_series_basics():
     x2 = np.array([0.2, 0.3, 0.4, 0.5, 0.6])
     out = mlp.predict_series(p, [x])
     assert out.shape == (1,)
-    assert out[0] == mlp.forward(p, x)[0]
+    assert out[0] == _forward(p, x)[0][0]
     both = mlp.predict_series(p, [x, x2])
-    np.testing.assert_allclose(both, [mlp.forward(p, x)[0], mlp.forward(p, x2)[0]],
+    np.testing.assert_allclose(both, [_forward(p, x)[0][0], _forward(p, x2)[0][0]],
                                rtol=1e-12, atol=0.0)
     again = mlp.predict_series(p, [x])
     assert np.array_equal(out, again)
-    _, (_, _, h2) = mlp.forward(p, np.stack([x, x2]))
-    np.testing.assert_allclose(both, h2 @ p.w3 + p.b3, rtol=1e-12, atol=1e-15)
+    _, (_, _, h2) = _forward(p, np.stack([x, x2]))
+    np.testing.assert_allclose(both, p.w3 @ h2[:-1] + p.b3, rtol=1e-12, atol=1e-15)
 
 
 def test_train_rejects_empty_split():
@@ -408,6 +443,37 @@ def test_params_roundtrip(tmp_path):
         json.dump(obj, f)
     with pytest.raises(ValueError, match="non-finite"):
         mlp.load_params(path)
+
+
+# Written by the flat-layout code (vec = w1, b1, w2, b2, w3, b3) with
+# save_params(init_params(default_rng(2024)) scaled by 1.5 and shifted by 0.01),
+# with the predictions that code's predict_series gave for these windows.
+_NAMED_PARAMS = os.path.join(os.path.dirname(__file__), "data", "params_named.json")
+_NAMED_XS = [[0.25019093320933394, 0.794427601939151, 0.551371380490387,
+              -0.5495856200188163, -0.39966743017754913],
+             [0.7471068907925238, -0.9894693908688506, 0.6424568367655326,
+              0.5941388575040925, -0.06413009431255845],
+             [-0.39393514636137295, -0.44314877579845335, -0.4902608246917508,
+              -0.10984738823470686, 0.009096517915906599],
+             [0.10699470414898493, 0.9910005668687853, 0.5853238384275061,
+              0.24435845888232532, 0.9779202953637698]]
+_NAMED_PREDS = [-0.10853301180107527, -0.1883964162325463, -0.3791414432052088,
+                -0.14716619304698353]
+
+
+def test_flat_layout_params_file_loads_and_predicts(tmp_path):
+    p = mlp.load_params(_NAMED_PARAMS)
+    with open(_NAMED_PARAMS) as f:
+        obj = json.load(f)
+    for name in ("w1", "b1", "w2", "b2", "w3", "b3"):
+        assert np.array_equal(getattr(p, name), obj[name]), name
+    # bias terms inside the matrix products sum in another order
+    np.testing.assert_allclose(mlp.predict_series(p, _NAMED_XS), _NAMED_PREDS,
+                               rtol=1e-14, atol=0.0)
+    again = os.path.join(tmp_path, "params.json")
+    mlp.save_params(p, again)
+    with open(_NAMED_PARAMS, "rb") as f1, open(again, "rb") as f2:
+        assert f1.read() == f2.read()
 
 
 def _loss_rows(path):
