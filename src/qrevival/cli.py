@@ -9,9 +9,10 @@ Stages only do their work: they raise StageError for a missing input, a
 numerical failure or a run-all mismatch, and ValueError for a malformed
 input. `main` alone turns failures into exit codes, first loading the
 configs, where any failure is 2 (config validation), then running the
-stages: 3 numerical failure (unphysical state, diverged training or an
-overflowing prediction), 4 missing stage inputs, 5 malformed stage files
-(including an unusable dataset split), 6 run-all config mismatch.
+stages: 2 an output directory that cannot be made, 3 numerical failure
+(unphysical state, diverged training or an overflowing prediction), 4
+missing stage inputs, 5 malformed stage files (including an unusable
+dataset split), 6 run-all config mismatch.
 """
 
 import argparse
@@ -36,6 +37,7 @@ EXIT_MALFORMED = 5
 EXIT_MISMATCH = 6
 
 TRAJECTORY_CSV = "trajectory.csv"
+TRAJECTORY_META = TRAJECTORY_CSV + ".meta.json"
 DATASET_CSV = "dataset.csv"
 PARAMS_JSON = "params.json"
 LOSS_CSV = "loss.csv"
@@ -47,10 +49,10 @@ COMPARISON_JSON = "comparison.json"
 TRAJECTORY_SVG = "trajectory.svg"
 PREDICTION_SVG = "prediction.svg"
 # the files each stage writes, in pipeline order: simulate, dataset, train, predict, score,
-# figures, run-all's comparison, and last `score --on-truth`, which no stage reads
-STAGE_OUTPUTS = ((TRAJECTORY_CSV, TRAJECTORY_CSV + ".meta.json"), (DATASET_CSV,),
-                 (PARAMS_JSON, LOSS_CSV), (PREDICTIONS_CSV,), (REPORT_JSON, SEGMENTS_CSV),
-                 (TRAJECTORY_SVG, PREDICTION_SVG), (COMPARISON_JSON,), (TRUTH_REPORT_JSON,))
+# figures, `score --on-truth` (no stage reads it), and last run-all's own comparison
+STAGE_OUTPUTS = ((TRAJECTORY_CSV, TRAJECTORY_META), (DATASET_CSV,), (PARAMS_JSON, LOSS_CSV),
+                 (PREDICTIONS_CSV,), (REPORT_JSON, SEGMENTS_CSV),
+                 (TRAJECTORY_SVG, PREDICTION_SVG), (TRUTH_REPORT_JSON,), (COMPARISON_JSON,))
 
 
 class StageError(Exception):
@@ -73,7 +75,6 @@ class RunConfig:
     train: mlp.TrainConfig = field(default_factory=mlp.TrainConfig)
     window_len: int = 5
     epsilon: float = 0.015
-    emit_plots: bool = False
 
     def __post_init__(self):
         for name in ("g", "epsilon"):
@@ -84,8 +85,6 @@ class RunConfig:
         count("window_len", self.window_len, 2)
         if not isinstance(self.output_dir, str) or not self.output_dir:
             raise ValueError("output_dir must be a non-empty string")
-        if not isinstance(self.emit_plots, bool):
-            raise ValueError("emit_plots must be a boolean")
 
 
 def run_config_from_dict(doc: dict, where: str = "config") -> RunConfig:
@@ -114,8 +113,7 @@ def _apply_overrides(cfg: RunConfig, args, out_dir=None) -> RunConfig:
         output_dir=cfg.output_dir if out_dir is None else out_dir,
         train=(cfg.train if args.seed is None
                else dataclasses.replace(cfg.train, seed=args.seed)),
-        epsilon=cfg.epsilon if args.epsilon is None else args.epsilon,
-        emit_plots=cfg.emit_plots or getattr(args, "plots", False))
+        epsilon=cfg.epsilon if args.epsilon is None else args.epsilon)
 
 
 def _configs(args):
@@ -153,8 +151,12 @@ def _outputs(out_dir: str, *names):
 # ---------- pipeline stages ----------
 
 def cmd_simulate(cfg: RunConfig) -> None:
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    out, _ = _outputs(cfg.output_dir, TRAJECTORY_CSV, TRAJECTORY_CSV + ".meta.json")
+    try:                    # a file at or above output_dir is a bad config
+        os.makedirs(cfg.output_dir, exist_ok=True)
+    except OSError as e:
+        raise StageError(EXIT_CONFIG, f"config error: cannot make output directory "
+                         f"{cfg.output_dir}: {e.strerror}") from e
+    out, _ = _outputs(cfg.output_dir, TRAJECTORY_CSV, TRAJECTORY_META)
     try:                    # a broken physicality invariant is exit 3
         traj = dy.evolve(dy.initial_state(cfg.initial_state), cfg.grid, cfg.g,
                          cfg.channel, initial_state_tag=cfg.initial_state)
@@ -167,7 +169,7 @@ def cmd_simulate(cfg: RunConfig) -> None:
 
 def cmd_dataset(cfg: RunConfig) -> None:
     [out] = _outputs(cfg.output_dir, DATASET_CSV)
-    [src] = _inputs(cfg, TRAJECTORY_CSV)
+    src, _ = _inputs(cfg, TRAJECTORY_CSV, TRAJECTORY_META)
     ds = dsmod.build_windows(dy.read_trajectory(src), cfg.window_len)
     dsmod.write_dataset(ds, out)
     print(f"windows: {len(ds)} (split at {ds.split_index})")
@@ -236,19 +238,16 @@ def cmd_score(cfg: RunConfig, on_truth: bool = False) -> None:
 
 
 def run_pipeline(*cfgs: RunConfig) -> int:
-    """All five stages in order, each for every config before the next, then
-    the figures of each config with `emit_plots`; one `cmd_train` call trains
-    every network. Returns 0; a failing stage raises StageError or ValueError.
+    """The five stages, then the figures (`emit_plots`), each for every config before the
+    next; one `cmd_train` call trains every network. Returns 0; a failing stage raises
+    StageError or ValueError.
     """
-    for stage in (cmd_simulate, cmd_dataset, cmd_train, cmd_predict, cmd_score):
+    for stage in (cmd_simulate, cmd_dataset, cmd_train, cmd_predict, cmd_score, emit_plots):
         if stage is cmd_train:
             stage(*cfgs)
         else:
             for cfg in cfgs:
                 stage(cfg)
-    for cfg in cfgs:
-        if cfg.emit_plots:
-            emit_plots(cfg)
     return 0
 
 
@@ -390,9 +389,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="override output directory")
         p.add_argument("--seed", type=int, help="override train.seed")
         p.add_argument("--epsilon", type=float, help="override epsilon")
-        if name == "run-all":
-            p.add_argument("--plots", action="store_true",
-                           help="emit SVG figures")
         if name == "score":
             p.add_argument("--on-truth", action="store_true",
                            help="score the simulated test labels instead of "

@@ -24,7 +24,6 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -323,7 +322,7 @@ class Trajectory:
     times: np.ndarray
     z_s: np.ndarray
     z_a: np.ndarray
-    channel: Optional[ChannelSpec]
+    channel: ChannelSpec
     g: float
     initial_state_tag: str
     clamp_events: int = 0
@@ -347,10 +346,7 @@ class Trajectory:
             drift = np.abs(self.times[:1] + self.dt * np.arange(n) - self.times)
             if np.any(drift > 1e-11 * np.abs(self.times).max(initial=0.0)):  # 12-digit times
                 raise ValueError(f"dt {self.dt!r} disagrees with the spacing of the times")
-        # NaN stands for a g no sidecar gave, and round-trips as such
-        if (isinstance(self.g, bool) or not isinstance(self.g, (int, float))
-                or self.g <= 0 or self.g == math.inf):
-            raise ValueError(f"g must be a positive finite number or NaN, got {self.g!r}")
+        self.g = positive_real("g", self.g)
         if not isinstance(self.initial_state_tag, str):
             raise ValueError(f"initial_state must be a string, got {self.initial_state_tag!r}")
         count("clamp_events", self.clamp_events, 0)
@@ -362,9 +358,8 @@ class Trajectory:
     META_KEYS = ("channel", "g", "dt", "clamp_events", "initial_state")
 
     def meta_dict(self) -> dict:
-        chan = self.channel.to_dict() if self.channel is not None else None
-        return dict(zip(self.META_KEYS, (chan, self.g, self.dt, self.clamp_events,
-                                         self.initial_state_tag)))
+        return dict(zip(self.META_KEYS, (self.channel.to_dict(), self.g, self.dt,
+                                         self.clamp_events, self.initial_state_tag)))
 
 
 def _generators(g: float, chan: ChannelSpec):
@@ -457,21 +452,13 @@ def write_trajectory(traj: Trajectory, csv_path) -> None:
 
 
 def read_trajectory(csv_path) -> Trajectory:
-    """Load a trajectory CSV; picks up `<csv_path>.meta.json` when present.
-
-    The sidecar may omit keys but holds none that write_trajectory does not write;
-    a sidecar path that exists but is not a file is malformed.
-    """
+    """Load a trajectory CSV and its sidecar `<csv_path>.meta.json`, which holds exactly
+    the keys write_trajectory writes."""
     _, rows = read_table(csv_path, TRAJECTORY_HEADER)
     times, z_s, z_a = float_cells(rows, 3).T
     meta_path = str(csv_path) + ".meta.json"
-    if os.path.exists(meta_path) and not os.path.isfile(meta_path):
-        raise ValueError(f"trajectory sidecar {meta_path} is not a file")
-    meta = read_json(meta_path) if os.path.exists(meta_path) else {}
-    check_keys(meta, Trajectory.META_KEYS, (), f"trajectory sidecar {meta_path}")
-    chan = meta.get("channel")
-    return Trajectory(times=times, z_s=z_s, z_a=z_a,
-                      channel=None if chan is None else ChannelSpec.from_dict(chan),
-                      g=meta.get("g", math.nan),
-                      initial_state_tag=meta.get("initial_state", STATE_CUSTOM),
-                      clamp_events=meta.get("clamp_events", 0), dt=meta.get("dt"))
+    meta, keys = read_json(meta_path), Trajectory.META_KEYS
+    check_keys(meta, keys, keys, f"trajectory sidecar {meta_path}")
+    return Trajectory(times=times, z_s=z_s, z_a=z_a, g=meta["g"], dt=meta["dt"],
+                      channel=ChannelSpec.from_dict(meta["channel"]),
+                      initial_state_tag=meta["initial_state"], clamp_events=meta["clamp_events"])

@@ -98,7 +98,7 @@ def detect_segments(series, epsilon: float) -> List[Tuple[int, int]]:
     return segments
 
 
-def score_pipeline(preds, epsilon: float = 0.015) -> RevivalReport:
+def score_pipeline(preds, epsilon: float) -> RevivalReport:
     """Full report over a prediction series; n_eval = number of predictions."""
     arr = _check_series(preds)
     n_eval = arr.size

@@ -33,7 +33,6 @@ def rtn_doc(out_dir, **over):
         "train": {"epochs": 25, "batch_size": 16, "lr": 0.003, "seed": 1},
         "epsilon": 0.015,
         "output_dir": str(out_dir),
-        "emit_plots": False,
     }
     doc.update(over)
     return doc
@@ -54,6 +53,7 @@ def chain(cfg_path, *stages):
 
 
 ALL_STAGES = ("simulate", "dataset", "train", "predict", "score")
+META = "trajectory.csv.meta.json"
 
 
 def failing_ad_doc(out_dir):
@@ -111,11 +111,11 @@ def test_simulate_noise_free_zero_clamp_events(tmp_path, capsys):
     lambda d: d.update(window_len=1),
     lambda d: d.update(epsilon=-0.1),
     lambda d: d.update(output_dir=""),
-    lambda d: d.update(emit_plots="yes"),
     lambda d: d["channel"].update(kind="thermal"),
     lambda d: d["train"].update(seed=-1),
-    # the dropped shuffle knob is an unknown key
+    # the dropped shuffle knob and figure switch are unknown keys
     lambda d: d["train"].update(shuffle_within_train=True),
+    lambda d: d.update(emit_plots=True),
     # wrong JSON types and non-finite reals
     lambda d: d["train"].update(epochs=2.9),
     lambda d: d["grid"].update(n_steps=1000.7),
@@ -139,8 +139,7 @@ def test_config_defaults_come_from_the_dataclasses(tmp_path):
     del doc["channel"]["rate_clamp"]
     cfg = cli.load_run_config(write_doc(tmp_path, doc))
     assert cfg.train == mlp.TrainConfig()
-    assert (cfg.window_len, cfg.epsilon, cfg.emit_plots, cfg.channel.rate_clamp) == \
-        (5, 0.015, False, 1e3)
+    assert (cfg.window_len, cfg.epsilon, cfg.channel.rate_clamp) == (5, 0.015, 1e3)
 
 
 def test_non_json_config_exits_2(tmp_path, capsys):
@@ -294,7 +293,7 @@ def test_failed_stage_removes_later_stage_outputs(tmp_path):
     # a stage that starts removes its outputs and every later stage's, plots included,
     # so the stages after a failure find their inputs missing, not an older run's files
     run = tmp_path / "run"
-    cfg = write_doc(tmp_path, rtn_doc(run, emit_plots=True))
+    cfg = write_doc(tmp_path, rtn_doc(run))
 
     def good_run():
         assert cli.run_pipeline(cli.load_run_config(cfg)) == 0
@@ -342,8 +341,18 @@ def test_integration_failure_names_its_step(tmp_path, params, rate_clamp, grid, 
     assert capsys.readouterr().err.rstrip().endswith(f"(t={t_fail})")
 
 
-def sidecar(channel):
-    return json.dumps({"channel": channel, "g": 1.0})
+def sidecar(drop=None, **over):
+    """The sidecar of rtn_doc's trajectory, `over` replacing keys and `drop` left out."""
+    meta = {"channel": {"kind": "rtn_dephasing", "params": {"v": 1.0, "kappa": 1.0 / 7.0},
+                        "rate_clamp": 0.02},
+            "g": 1.0, "dt": 3.0 / 54, "clamp_events": 0, "initial_state": "plus_excited"}
+    meta.update(over)
+    meta.pop(drop, None)
+    return json.dumps(meta)
+
+
+def rtn_channel(**params):
+    return {"kind": "rtn_dephasing", "params": params, "rate_clamp": 0.02}
 
 
 def params_body(**extra):
@@ -371,42 +380,40 @@ def params_body(**extra):
     ("score", "predictions.csv", "t_index,y_hat\n9999,0.5\n-3,0.7\n"),
     ("score", "predictions.csv", "t_index,y_hat\n-3,0.5\n-2,0.7\n"),
     ("score", "predictions.csv", "t_index,y_hat\n5,0.5\n7,0.7\n"),
-    # trajectory sidecars whose channel params are missing, short, extra,
-    # not numbers, or of an unknown or absent kind, or whose channel is not
-    # an object
-    ("dataset", "trajectory.csv.meta.json", sidecar({"kind": "rtn_dephasing"})),
-    ("dataset", "trajectory.csv.meta.json",
-     sidecar({"kind": "rtn_dephasing", "params": {"v": 1.0}})),
-    ("dataset", "trajectory.csv.meta.json",
-     sidecar({"kind": "rtn_dephasing", "params": {"v": 1.0, "kappa": 0.5, "b": 1.0}})),
-    ("dataset", "trajectory.csv.meta.json",
-     sidecar({"kind": "rtn_dephasing", "params": {"v": 1.0, "kappa": None}})),
-    ("dataset", "trajectory.csv.meta.json", sidecar({"kind": "thermal", "params": {}})),
-    ("dataset", "trajectory.csv.meta.json", sidecar({"params": {}})),
-    ("dataset", "trajectory.csv.meta.json", sidecar([1, 2])),
+    # complete trajectory sidecars with one defect: channel params that are
+    # missing, short, extra or not numbers, a channel of an unknown or absent
+    # kind, or a channel that is not an object
+    ("dataset", META, sidecar(channel={"kind": "rtn_dephasing"})),
+    ("dataset", META, sidecar(channel=rtn_channel(v=1.0))),
+    ("dataset", META, sidecar(channel=rtn_channel(v=1.0, kappa=0.5, b=1.0))),
+    ("dataset", META, sidecar(channel=rtn_channel(v=1.0, kappa=None))),
+    ("dataset", META, sidecar(channel={"kind": "thermal", "params": {}})),
+    ("dataset", META, sidecar(channel={"params": {}})),
+    ("dataset", META, sidecar(channel=[1, 2])),
     # trajectory sidecars that are not an object, or whose g, dt,
-    # initial_state or clamp_events has the wrong type or sign
-    ("dataset", "trajectory.csv.meta.json", "[1, 2]"),
-    ("dataset", "trajectory.csv.meta.json", json.dumps({"g": "one"})),
-    ("dataset", "trajectory.csv.meta.json", json.dumps({"g": None})),
-    ("dataset", "trajectory.csv.meta.json", json.dumps({"dt": "0.1"})),
-    ("dataset", "trajectory.csv.meta.json", json.dumps({"dt": True})),
-    ("dataset", "trajectory.csv.meta.json", json.dumps({"dt": -1.0})),
-    ("dataset", "trajectory.csv.meta.json", json.dumps({"dt": math.nan})),
+    # initial_state or clamp_events has the wrong type or sign, or is NaN
+    ("dataset", META, "[1, 2]"),
+    ("dataset", META, sidecar(g="one")),
+    ("dataset", META, sidecar(g=None)),
+    ("dataset", META, sidecar(dt="0.1")),
+    ("dataset", META, sidecar(dt=True)),
+    ("dataset", META, sidecar(dt=-1.0)),
+    ("dataset", META, sidecar(dt=math.nan)),
     # a dt that disagrees with the spacing of the CSV times
-    ("dataset", "trajectory.csv.meta.json", json.dumps({"dt": 5.0})),
-    ("dataset", "trajectory.csv.meta.json", json.dumps({"g": True})),
-    ("dataset", "trajectory.csv.meta.json", json.dumps({"g": -3.0})),
-    ("dataset", "trajectory.csv.meta.json", json.dumps({"g": math.inf})),
-    ("dataset", "trajectory.csv.meta.json", json.dumps({"initial_state": 5})),
-    ("dataset", "trajectory.csv.meta.json", json.dumps({"clamp_events": None})),
-    ("dataset", "trajectory.csv.meta.json", json.dumps({"clamp_events": -1})),
-    ("dataset", "trajectory.csv.meta.json", json.dumps({"clamp_events": 2.5})),
-    ("dataset", "trajectory.csv.meta.json", json.dumps({"clamp_events": "3"})),
-    # trajectory sidecars with a key their writer does not write
-    ("dataset", "trajectory.csv.meta.json", json.dumps({"g": 1.0, "noise": 0.1})),
-    ("dataset", "trajectory.csv.meta.json",
-     sidecar({"kind": "rtn_dephasing", "params": {"v": 1.0, "kappa": 0.5}, "seed": 3})),
+    ("dataset", META, sidecar(dt=5.0)),
+    ("dataset", META, sidecar(g=True)),
+    ("dataset", META, sidecar(g=-3.0)),
+    ("dataset", META, sidecar(g=math.inf)),
+    ("dataset", META, sidecar(g=math.nan)),
+    ("dataset", META, sidecar(initial_state=5)),
+    ("dataset", META, sidecar(clamp_events=None)),
+    ("dataset", META, sidecar(clamp_events=-1)),
+    ("dataset", META, sidecar(clamp_events=2.5)),
+    ("dataset", META, sidecar(clamp_events="3")),
+    # trajectory sidecars without a key their writer writes, or with a key it does not
+    ("dataset", META, sidecar(drop="clamp_events")),
+    ("dataset", META, sidecar(noise=0.1)),
+    ("dataset", META, sidecar(channel=dict(rtn_channel(v=1.0, kappa=0.5), seed=3))),
 ])
 def test_malformed_stage_file_exits_5(tmp_path, stage, name, body, capsys):
     run = tmp_path / "run"
@@ -422,17 +429,29 @@ def test_malformed_stage_file_exits_5(tmp_path, stage, name, body, capsys):
         assert not (run / "dataset.csv").exists()
 
 
-def test_directory_sidecar_exits_5(tmp_path, capsys):
+def test_complete_sidecar_is_read(tmp_path, capsys):
+    # the base of the one-defect sidecars above is itself well formed
     run = tmp_path / "run"
     cfg = write_doc(tmp_path, rtn_doc(run))
     assert cli.main(["simulate", "--config", cfg]) == 0
-    meta = run / "trajectory.csv.meta.json"
+    (run / META).write_text(sidecar())
+    assert cli.main(["dataset", "--config", cfg]) == 0
+
+
+@pytest.mark.parametrize("kind", ["absent", "directory"])
+def test_absent_or_directory_sidecar_exits_4(tmp_path, kind, capsys):
+    # the sidecar is a stage input like any other
+    run = tmp_path / "run"
+    cfg = write_doc(tmp_path, rtn_doc(run))
+    assert cli.main(["simulate", "--config", cfg]) == 0
+    meta = run / META
     meta.unlink()
-    meta.mkdir()
+    if kind == "directory":
+        meta.mkdir()
     capsys.readouterr()
-    assert cli.main(["dataset", "--config", cfg]) == cli.EXIT_MALFORMED
+    assert cli.main(["dataset", "--config", cfg]) == cli.EXIT_MISSING
     err = capsys.readouterr().err
-    assert err.startswith("malformed input: ") and str(meta) in err
+    assert err.startswith("missing input: ") and str(meta) in err
     assert not (run / "dataset.csv").exists()
 
 
@@ -440,6 +459,7 @@ def test_malformed_trajectory_exits_5(tmp_path, capsys):
     run = tmp_path / "run"
     run.mkdir()
     (run / "trajectory.csv").write_text("wrong,header,row\n1,2,3\n")
+    (run / META).write_text(sidecar())
     cfg = write_doc(tmp_path, rtn_doc(run))
     assert cli.main(["dataset", "--config", cfg]) == cli.EXIT_MALFORMED
 
@@ -451,6 +471,7 @@ def test_nan_or_unordered_trajectory_exits_5(tmp_path, capsys):
     rows = [f"{0.1 * i:.12g},0.5,0.25" for i in range(8)]
     bad_value = rows[:3] + ["0.3,nan,0.25"] + rows[4:]
     bad_order = rows[:3] + ["0.2,0.5,0.25"] + rows[4:]
+    (run / META).write_text(sidecar(dt=0.1))
     for body in (bad_value, bad_order):
         (run / "trajectory.csv").write_text("\n".join(["t,z_s,z_a"] + body) + "\n")
         assert cli.main(["dataset", "--config", cfg]) == cli.EXIT_MALFORMED
@@ -610,8 +631,7 @@ def test_run_config_checks_itself(tmp_path):
     cfg = cli.load_run_config(write_doc(tmp_path, rtn_doc(tmp_path / "run")))
     assert dataclasses.replace(cfg, epsilon=0.5).epsilon == 0.5
     for field, value in (("epsilon", -1.0), ("g", 0.0), ("window_len", 1),
-                         ("initial_state", "sideways"), ("output_dir", ""),
-                         ("emit_plots", "yes")):
+                         ("initial_state", "sideways"), ("output_dir", "")):
         with pytest.raises(ValueError, match=field):
             dataclasses.replace(cfg, **{field: value})
 
@@ -704,6 +724,35 @@ def test_run_all_shared_output_dir_exits_2(tmp_path, capsys):
     assert cli.main(["run-all", "--config", cfg]) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("command", ["simulate", "run-all"])
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+def test_output_dir_blocked_by_a_file_exits_2(tmp_path, command, under, capsys):
+    blocker = tmp_path / "afile"
+    blocker.write_text("keep")
+    out = blocker / "sub" if under else blocker
+    doc = pair_doc(tmp_path) if command == "run-all" else rtn_doc(tmp_path / "run")
+    cfg = write_doc(tmp_path, doc)
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot make output directory ") and str(out) in err
+    assert blocker.read_text() == "keep"
+
+
+def test_run_all_keeps_truth_report_in_its_directory(tmp_path, monkeypatch, capsys):
+    # without --out the comparison directory is the working directory; run-all removes
+    # only its own comparison there, also when a pipeline then fails
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "truth_report.json").write_text("{}")
+    (tmp_path / "comparison.json").write_text("{}")
+    pair = write_doc(tmp_path, {"ad": failing_ad_doc(tmp_path / "ad"),
+                                "rtn": rtn_doc(tmp_path / "rtn",
+                                               grid={"t_end": 3.0, "n_steps": 20})},
+                     "pair.json")
+    assert cli.main(["run-all", "--config", pair]) == cli.EXIT_INTEGRATION
+    assert (tmp_path / "truth_report.json").read_text() == "{}"
+    assert not (tmp_path / "comparison.json").exists()
+
+
 def test_run_all_unknown_pair_key_exits_2(tmp_path, capsys):
     doc = pair_doc(tmp_path)
     doc["noise"] = {}
@@ -744,7 +793,7 @@ def test_run_all_reruns_byte_identical(tmp_path, capsys):
     trees = []
     for name in ("one", "two"):
         out = tmp_path / name
-        assert cli.main(["run-all", "--config", cfg, "--out", str(out), "--plots"]) == 0
+        assert cli.main(["run-all", "--config", cfg, "--out", str(out)]) == 0
         trees.append({p.relative_to(out): p.read_bytes()
                       for p in out.rglob("*") if p.is_file()})
     assert len(trees[0]) == 21 and trees[0].keys() == trees[1].keys()
@@ -755,8 +804,7 @@ def test_run_all_reruns_byte_identical(tmp_path, capsys):
 def test_plots_emitted(tmp_path, capsys):
     cfg = write_doc(tmp_path, pair_doc(tmp_path), "pair.json")
     out = tmp_path / "plotted"
-    assert cli.main(["run-all", "--config", cfg, "--out", str(out),
-                     "--plots"]) == 0
+    assert cli.main(["run-all", "--config", cfg, "--out", str(out)]) == 0
     for key in ("ad", "rtn"):
         for name in ("trajectory.svg", "prediction.svg"):
             body = (out / key / name).read_text()
@@ -764,8 +812,9 @@ def test_plots_emitted(tmp_path, capsys):
             assert "polyline" in body
 
 
-@pytest.mark.parametrize("stage", ALL_STAGES)
-def test_plots_flag_only_on_run_all(tmp_path, stage, capsys):
+@pytest.mark.parametrize("stage", ALL_STAGES + ("run-all",))
+def test_plots_flag_is_gone(tmp_path, stage, capsys):
+    # run-all always draws the figures, and no single stage draws them
     cfg = write_doc(tmp_path, rtn_doc(tmp_path / "run"))
     with pytest.raises(SystemExit) as exc:
         cli.main([stage, "--config", cfg, "--plots"])
