@@ -17,6 +17,7 @@ dataset split), 6 run-all config mismatch.
 
 import argparse
 import dataclasses
+import functools
 import os
 import sys
 from dataclasses import dataclass, field
@@ -377,6 +378,7 @@ def emit_plots(cfg: RunConfig) -> None:
 
 # ---------- entry point ----------
 
+@functools.cache                       # parse_args leaves the parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qrevival",

@@ -288,6 +288,9 @@ def validate_density_matrix(rho: np.ndarray, context: str | Callable[[int], str]
 
     rho is a 4x4 state or an (m, 4, 4) stack; a stack raises for its first failing state,
     as one call per state would. `context` labels the state, or maps that index to a label.
+    Positivity is gated by one Cholesky factorization of sym - EIG_FLOOR I, which exists
+    iff every eigenvalue exceeds EIG_FLOOR; to rounding, so a success admits eigenvalues
+    down to about EIG_FLOOR - 1e-15. Only a failed factorization runs eigvalsh.
     """
     def where(i):
         text = context(i) if callable(context) else context
@@ -301,12 +304,16 @@ def validate_density_matrix(rho: np.ndarray, context: str | Callable[[int], str]
         tr = np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0)
     cheap = np.flatnonzero(~np.isfinite(herm) | (herm > HERM_TOL) | (tr > TRACE_TOL))
     i = cheap[0] if len(cheap) else len(stack)
-    ok = stack[:i]                      # eigvalsh only before the first cheap failure
-    min_eig = np.linalg.eigvalsh(0.5 * (ok + ok.conj().transpose(0, 2, 1)))[:, 0]
-    neg = np.flatnonzero(min_eig < EIG_FLOOR)
-    if len(neg):
-        raise ValueError(f"positivity violated: min eigenvalue = {min_eig[neg[0]]:.3e}"
-                         f"{where(neg[0])}")
+    ok = stack[:i]                      # positivity only before the first cheap failure
+    sym = 0.5 * (ok + ok.conj().transpose(0, 2, 1))
+    try:
+        np.linalg.cholesky(sym - EIG_FLOOR * la.I4)
+    except np.linalg.LinAlgError:       # some state is near or below the floor: find it
+        min_eig = np.linalg.eigvalsh(sym)[:, 0]
+        neg = np.flatnonzero(min_eig < EIG_FLOOR)
+        if len(neg):
+            raise ValueError(f"positivity violated: min eigenvalue = {min_eig[neg[0]]:.3e}"
+                             f"{where(neg[0])}")
     if len(cheap):
         if not np.isfinite(herm[i]):
             raise ValueError(f"non-finite state{where(i)}")
@@ -347,8 +354,8 @@ class Trajectory:
             if np.any(drift > 1e-11 * np.abs(self.times).max(initial=0.0)):  # 12-digit times
                 raise ValueError(f"dt {self.dt!r} disagrees with the spacing of the times")
         self.g = positive_real("g", self.g)
-        if not isinstance(self.initial_state_tag, str):
-            raise ValueError(f"initial_state must be a string, got {self.initial_state_tag!r}")
+        if self.initial_state_tag not in (tags := [*INITIAL_KETS, STATE_CUSTOM]):
+            raise ValueError(f"initial_state {self.initial_state_tag!r} is not one of {tags}")
         count("clamp_events", self.clamp_events, 0)
 
     def __len__(self) -> int:

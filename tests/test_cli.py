@@ -406,6 +406,8 @@ def params_body(**extra):
     ("dataset", META, sidecar(g=math.inf)),
     ("dataset", META, sidecar(g=math.nan)),
     ("dataset", META, sidecar(initial_state=5)),
+    # an initial state no config may name
+    ("dataset", META, sidecar(initial_state="sideways")),
     ("dataset", META, sidecar(clamp_events=None)),
     ("dataset", META, sidecar(clamp_events=-1)),
     ("dataset", META, sidecar(clamp_events=2.5)),
@@ -658,6 +660,24 @@ def test_score_on_truth_writes_truth_report(tmp_path, capsys):
     _, test = dsmod.chronological_split(ds)
     expect = mm.score_pipeline(test.ys, epsilon=0.015)
     assert mm.read_report(run / "truth_report.json") == expect
+
+
+def test_parser_is_built_once_and_calls_share_no_state(tmp_path, capsys):
+    assert cli._build_parser() is cli._build_parser()
+    run = tmp_path / "run"
+    cfg = write_doc(tmp_path, rtn_doc(run))
+    assert chain(cfg, "simulate", "dataset") == 0
+    assert cli.main(["score", "--config", cfg, "--on-truth", "--epsilon", "0.5"]) == 0
+    assert mm.read_report(run / "truth_report.json").epsilon == 0.5
+    # neither --on-truth nor the --epsilon override carries over to the next call
+    capsys.readouterr()
+    assert cli.main(["score", "--config", cfg]) == cli.EXIT_MISSING
+    assert capsys.readouterr().err == f"missing input: {run / 'predictions.csv'}\n"
+    assert cli.main(["score", "--config", cfg, "--on-truth"]) == 0
+    assert mm.read_report(run / "truth_report.json").epsilon == 0.015
+    cli.write_predictions(range(len(WORKED)), WORKED, run / "predictions.csv")
+    assert cli.main(["score", "--config", cfg]) == 0
+    assert mm.read_report(run / "report.json").epsilon == 0.015
 
 
 def pair_doc(tmp_path, **ad_over):

@@ -408,6 +408,38 @@ def test_validate_density_matrix_rejections():
             dy.validate_density_matrix(bad, context="t=1")
 
 
+def _eigvalsh_spy(monkeypatch):
+    """Count the calls of np.linalg.eigvalsh, which the positivity gate runs only on failure."""
+    calls, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape) or eigvalsh(a))
+    return calls
+
+
+def test_validate_gate_at_the_floor(monkeypatch):
+    calls = _eigvalsh_spy(monkeypatch)
+    # lowest eigenvalue exactly EIG_FLOOR: the shifted factorization fails, eigvalsh admits it
+    at_floor = np.diag([0.5 - dy.EIG_FLOOR, 0.3, 0.2, dy.EIG_FLOOR]).astype(complex)
+    dy.validate_density_matrix(at_floor)
+    assert len(calls) == 1
+    below = at_floor + np.diag([1e-9, 0.0, 0.0, -1e-9])
+    with pytest.raises(ValueError,
+                       match=r"^positivity violated: min eigenvalue = -1\.001e-06 \(t=2\)$"):
+        dy.validate_density_matrix(np.stack([I4 / 4.0, at_floor, below, I4 / 2.0]),
+                                   context=lambda i: f"t={i}")
+    assert len(calls) == 2
+
+
+def test_evolve_runs_no_eigvalsh_on_the_shipped_configs(monkeypatch):
+    calls = _eigvalsh_spy(monkeypatch)
+    for name in ("ad_markovian", "ad_non_markovian", "rtn_markovian", "rtn_non_markovian"):
+        cfg = cli.load_run_config(os.path.join(CONFIGS, f"{name}.json"))
+        dy.evolve(dy.initial_state(cfg.initial_state), cfg.grid, cfg.g, cfg.channel)
+    assert calls == []
+    with pytest.raises(ValueError, match="positivity"):       # the spy sees a failing state
+        dy.validate_density_matrix(np.diag([0.6, 0.5, -0.1, 0.0]).astype(complex))
+    assert calls == [(1, 4, 4)]
+
+
 def _faulty(rho, fault):
     """rho with one fault: a failing check, or two that the order decides."""
     bad = np.array(rho, dtype=complex)
