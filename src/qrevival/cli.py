@@ -9,10 +9,10 @@ Stages only do their work: they raise StageError for a missing input, a
 numerical failure or a run-all mismatch, and ValueError for a malformed
 input. `main` alone turns failures into exit codes, first loading the
 configs, where any failure is 2 (config validation), then running the
-stages: 2 an output directory that cannot be made, 3 numerical failure
-(unphysical state, diverged training or an overflowing prediction), 4
-missing stage inputs, 5 malformed stage files (including an unusable
-dataset split), 6 run-all config mismatch.
+stages: 2 an output directory that cannot be made or an output that is not a
+file, 3 numerical failure (unphysical state, diverged training or an
+overflowing prediction), 4 missing stage inputs, 5 malformed stage files
+(including an unusable dataset split), 6 run-all config mismatch.
 """
 
 import argparse
@@ -38,7 +38,7 @@ EXIT_MALFORMED = 5
 EXIT_MISMATCH = 6
 
 TRAJECTORY_CSV = "trajectory.csv"
-TRAJECTORY_META = TRAJECTORY_CSV + ".meta.json"
+TRAJECTORY_META = dy.meta_path(TRAJECTORY_CSV)
 DATASET_CSV = "dataset.csv"
 PARAMS_JSON = "params.json"
 LOSS_CSV = "loss.csv"
@@ -141,12 +141,17 @@ def _inputs(cfg: RunConfig, *names):
 
 def _outputs(out_dir: str, *names):
     """Paths of a stage's outputs in out_dir. They are removed first, with the outputs of
-    every later stage: a failed stage leaves none, and no later stage reads older files."""
+    every later stage: a failed stage leaves none, and no later stage reads older files.
+    An output that is still there is not a file, and is a bad config (exit 2)."""
     stage = next(i for i, outs in enumerate(STAGE_OUTPUTS) if names[0] in outs)
     for name in names + sum(STAGE_OUTPUTS[stage + 1:], ()):
         if os.path.isfile(path := os.path.join(out_dir, name)):
             os.remove(path)
-    return [os.path.join(out_dir, name) for name in names]
+    paths = [os.path.join(out_dir, name) for name in names]
+    for path in paths:
+        if os.path.exists(path):
+            raise StageError(EXIT_CONFIG, f"config error: cannot write output {path}: not a file")
+    return paths
 
 
 # ---------- pipeline stages ----------

@@ -25,7 +25,7 @@ import cmath
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -84,22 +84,6 @@ class ChannelSpec:
             value = positive_real(f"{self.kind} params.{name}", getattr(self, attr))
             object.__setattr__(self, attr, value)
         object.__setattr__(self, "rate_clamp", positive_real("rate_clamp", self.rate_clamp))
-
-    # constructors
-
-    @staticmethod
-    def amplitude_damping(b: float, lam: float, rate_clamp: float = 1e3) -> "ChannelSpec":
-        return ADParams(b, lam, rate_clamp=rate_clamp)
-
-    @staticmethod
-    def rtn_dephasing(v: float, kappa: float, rate_clamp: float = 1e3) -> "ChannelSpec":
-        return RTNParams(v, kappa, rate_clamp=rate_clamp)
-
-    @staticmethod
-    def noise_free() -> "ChannelSpec":
-        return NoiseFree()
-
-    # behavior
 
     @property
     def c(self) -> complex:
@@ -230,6 +214,9 @@ class NoiseFree(ChannelSpec):
 
 # every channel kind a config or sidecar may name, and its class
 CHANNELS = {cls.kind: cls for cls in (ADParams, RTNParams, NoiseFree)}
+# the classes are the constructors: ChannelSpec.amplitude_damping(b, lam, rate_clamp=...)
+ChannelSpec.amplitude_damping, ChannelSpec.rtn_dephasing, ChannelSpec.noise_free = \
+    ADParams, RTNParams, NoiseFree
 
 
 # the signed AD rate and the RTN coherence factor by the names the acceptance
@@ -326,15 +313,16 @@ def validate_density_matrix(rho: np.ndarray, context: str | Callable[[int], str]
 
 @dataclass
 class Trajectory:
+    """The CSV columns times, z_s, z_a, then the sidecar: one key per later field."""
+
     times: np.ndarray
     z_s: np.ndarray
     z_a: np.ndarray
     channel: ChannelSpec
     g: float
-    initial_state_tag: str
+    dt: float                   # full precision in the sidecar, the CSV times at 12 digits
+    initial_state: str
     clamp_events: int = 0
-    # the sidecar keeps dt at full precision, the CSV times at 12 digits
-    dt: Optional[float] = None                       # None: times[1] - times[0]
 
     def __post_init__(self):
         n = len(self.times)
@@ -346,27 +334,21 @@ class Trajectory:
             if not np.all(np.abs(arr) <= Z_BOUND):     # also rejects NaN
                 m = float(np.max(np.abs(arr)))
                 raise ValueError(f"{name} leaves [-1, 1] by {m - 1.0:.3e}")
-        if self.dt is None:
-            self.dt = float(self.times[1] - self.times[0]) if n > 1 else 0.0
-        else:
-            self.dt = positive_real("dt", self.dt)
-            drift = np.abs(self.times[:1] + self.dt * np.arange(n) - self.times)
-            if np.any(drift > 1e-11 * np.abs(self.times).max(initial=0.0)):  # 12-digit times
-                raise ValueError(f"dt {self.dt!r} disagrees with the spacing of the times")
+        self.dt = positive_real("dt", self.dt)
+        drift = np.abs(self.times[:1] + self.dt * np.arange(n) - self.times)
+        if np.any(drift > 1e-11 * np.abs(self.times).max(initial=0.0)):  # 12-digit times
+            raise ValueError(f"dt {self.dt!r} disagrees with the spacing of the times")
         self.g = positive_real("g", self.g)
-        if self.initial_state_tag not in (tags := [*INITIAL_KETS, STATE_CUSTOM]):
-            raise ValueError(f"initial_state {self.initial_state_tag!r} is not one of {tags}")
+        if self.initial_state not in (tags := [*INITIAL_KETS, STATE_CUSTOM]):
+            raise ValueError(f"initial_state {self.initial_state!r} is not one of {tags}")
         count("clamp_events", self.clamp_events, 0)
 
     def __len__(self) -> int:
         return len(self.times)
 
-    # the keys of the sidecar, the one list its writer and reader share
-    META_KEYS = ("channel", "g", "dt", "clamp_events", "initial_state")
 
-    def meta_dict(self) -> dict:
-        return dict(zip(self.META_KEYS, (self.channel.to_dict(), self.g, self.dt,
-                                         self.clamp_events, self.initial_state_tag)))
+# the keys of the trajectory sidecar: the fields after the CSV columns
+META_KEYS = tuple(Trajectory.__dataclass_fields__)[3:]
 
 
 def _generators(g: float, chan: ChannelSpec):
@@ -443,8 +425,8 @@ def evolve(rho0: np.ndarray, grid: TimeGrid, g: float, chan: ChannelSpec,
                                     context=lambda i: f"t={times[k0 + 1 + i]:.6g}")
             z[:, k0 + 1: k0 + m + 1] = (readout @ blk[:m, :, None])[..., 0].real.T
 
-    return Trajectory(times=times, z_s=z[0], z_a=z[1], channel=chan, g=g,
-                      initial_state_tag=initial_state_tag, clamp_events=n_clamped)
+    return Trajectory(times, z[0], z[1], channel=chan, g=g, dt=dt,
+                      initial_state=initial_state_tag, clamp_events=n_clamped)
 
 
 # ---------- trajectory files ----------
@@ -452,20 +434,22 @@ def evolve(rho0: np.ndarray, grid: TimeGrid, g: float, chan: ChannelSpec,
 TRAJECTORY_HEADER = ("t", "z_s", "z_a")
 
 
+def meta_path(csv_path) -> str:
+    """The sidecar of a trajectory CSV: `<csv_path>.meta.json`."""
+    return str(csv_path) + ".meta.json"
+
+
 def write_trajectory(traj: Trajectory, csv_path) -> None:
-    """CSV `t,z_s,z_a` plus a JSON meta sidecar `<csv_path>.meta.json`."""
+    """CSV `t,z_s,z_a` plus its JSON sidecar of the META_KEYS."""
     write_table(csv_path, TRAJECTORY_HEADER, (traj.times, traj.z_s, traj.z_a))
-    write_json(str(csv_path) + ".meta.json", traj.meta_dict())
+    meta = {key: getattr(traj, key) for key in META_KEYS}
+    write_json(meta_path(csv_path), {**meta, "channel": traj.channel.to_dict()})
 
 
 def read_trajectory(csv_path) -> Trajectory:
-    """Load a trajectory CSV and its sidecar `<csv_path>.meta.json`, which holds exactly
-    the keys write_trajectory writes."""
+    """Load a trajectory CSV and its sidecar, which holds exactly the META_KEYS."""
     _, rows = read_table(csv_path, TRAJECTORY_HEADER)
-    times, z_s, z_a = float_cells(rows, 3).T
-    meta_path = str(csv_path) + ".meta.json"
-    meta, keys = read_json(meta_path), Trajectory.META_KEYS
-    check_keys(meta, keys, keys, f"trajectory sidecar {meta_path}")
-    return Trajectory(times=times, z_s=z_s, z_a=z_a, g=meta["g"], dt=meta["dt"],
-                      channel=ChannelSpec.from_dict(meta["channel"]),
-                      initial_state_tag=meta["initial_state"], clamp_events=meta["clamp_events"])
+    columns = float_cells(rows, 3).T
+    meta = read_json(path := meta_path(csv_path))
+    check_keys(meta, META_KEYS, META_KEYS, f"trajectory sidecar {path}")
+    return Trajectory(*columns, **{**meta, "channel": ChannelSpec.from_dict(meta["channel"])})

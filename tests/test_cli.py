@@ -758,6 +758,23 @@ def test_output_dir_blocked_by_a_file_exits_2(tmp_path, command, under, capsys):
     assert blocker.read_text() == "keep"
 
 
+@pytest.mark.parametrize("command, name", [("simulate", "trajectory.csv"),
+                                           ("dataset", "dataset.csv"),
+                                           ("run-all", "comparison.json")])
+def test_output_blocked_by_a_directory_exits_2(tmp_path, command, name, capsys):
+    out = tmp_path / "out"
+    cfg = write_doc(tmp_path, pair_doc(tmp_path) if command == "run-all" else rtn_doc(out))
+    if command == "dataset":
+        assert cli.main(["simulate", "--config", cfg]) == 0
+    (out / name).mkdir(parents=True)
+    before = sorted(os.listdir(out))
+    capsys.readouterr()
+    assert cli.main([command, "--config", cfg, "--out", str(out)]) == cli.EXIT_CONFIG
+    assert capsys.readouterr() == ("", f"config error: cannot write output {out / name}: "
+                                       "not a file\n")
+    assert sorted(os.listdir(out)) == before and (out / name).is_dir()   # no work done
+
+
 def test_run_all_keeps_truth_report_in_its_directory(tmp_path, monkeypatch, capsys):
     # without --out the comparison directory is the working directory; run-all removes
     # only its own comparison there, also when a pipeline then fails

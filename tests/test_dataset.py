@@ -17,7 +17,7 @@ def _traj(z_s, z_a):
     z_s = np.asarray(z_s, dtype=float)
     ts = np.arange(len(z_s), dtype=float)
     return dy.Trajectory(times=ts, z_s=z_s, z_a=np.asarray(z_a, dtype=float),
-                         channel=dy.NoiseFree(), g=1.0, initial_state_tag=dy.STATE_CUSTOM)
+                         channel=dy.NoiseFree(), g=1.0, dt=1.0, initial_state=dy.STATE_CUSTOM)
 
 
 def test_windows_from_seven_points():

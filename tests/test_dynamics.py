@@ -6,6 +6,8 @@ Lambda(t), and their log-derivative rates; a couple are re-derived in-test
 at 30 digits as a second route.
 """
 
+import dataclasses
+import json
 import math
 import os
 
@@ -177,6 +179,14 @@ def test_regime_flags():
     assert dy.ChannelSpec.amplitude_damping(b=0.05, lam=10.0).regime() == "non-markovian"
     assert dy.ChannelSpec.rtn_dephasing(v=1.0, kappa=4.0).regime() == "markovian"
     assert dy.ChannelSpec.noise_free().regime() == "noise-free"
+
+
+def test_channel_constructors_are_the_classes():
+    assert dy.ChannelSpec.amplitude_damping is dy.ADParams
+    assert dy.ChannelSpec.rtn_dephasing is dy.RTNParams
+    assert dy.ChannelSpec.noise_free is dy.NoiseFree
+    with pytest.raises(TypeError):                 # rate_clamp is keyword-only
+        dy.ChannelSpec.amplitude_damping(1.0, 2.0, 30.0)
 
 
 def test_param_validation():
@@ -613,14 +623,14 @@ def test_channel_spec_serialization():
 
 _positive = st.floats(min_value=1e-6, max_value=1e6)
 _channels = st.one_of(
-    st.builds(dy.ChannelSpec.amplitude_damping, _positive, _positive, _positive),
-    st.builds(dy.ChannelSpec.rtn_dephasing, _positive, _positive, _positive),
+    st.builds(dy.ChannelSpec.amplitude_damping, _positive, _positive, rate_clamp=_positive),
+    st.builds(dy.ChannelSpec.rtn_dephasing, _positive, _positive, rate_clamp=_positive),
     st.builds(dy.NoiseFree, rate_clamp=_positive))
 
 
 @settings(max_examples=30, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data(), chan=_channels, n=st.integers(2, 40),
+@given(data=st.data(), chan=_channels, n=st.integers(1, 40),
        dt=st.floats(1e-3, 10.0), g=_positive, clamp_events=st.integers(0, 10 ** 6),
        tag=st.sampled_from([*dy.INITIAL_KETS, dy.STATE_CUSTOM]))
 def test_trajectory_files_roundtrip_property(tmp_path, data, chan, n, dt, g,
@@ -628,11 +638,11 @@ def test_trajectory_files_roundtrip_property(tmp_path, data, chan, n, dt, g,
     assert dy.ChannelSpec.from_dict(chan.to_dict()) == chan
     z = data.draw(arrays(float, (2, n), elements=st.floats(-1.0, 1.0)))
     traj = dy.Trajectory(times=dt * np.arange(n), z_s=z[0], z_a=z[1], channel=chan,
-                         g=g, initial_state_tag=tag, clamp_events=clamp_events)
+                         g=g, dt=dt, initial_state=tag, clamp_events=clamp_events)
     first = os.path.join(tmp_path, "a.csv")
     dy.write_trajectory(traj, first)
     back = dy.read_trajectory(first)
-    assert (back.channel, back.g, back.initial_state_tag, back.clamp_events) == \
+    assert (back.channel, back.g, back.initial_state, back.clamp_events) == \
         (chan, g, tag, clamp_events)
     second = os.path.join(tmp_path, "b.csv")
     dy.write_trajectory(back, second)
@@ -653,7 +663,7 @@ def test_trajectory_roundtrip(tmp_path):
     assert np.allclose(back.z_s, traj.z_s, atol=1e-12)
     assert back.channel == chan
     assert back.g == 1.0
-    assert back.initial_state_tag == dy.STATE_EXCITED_EXCITED
+    assert back.initial_state == dy.STATE_EXCITED_EXCITED
     # re-export reproduces both files byte for byte
     second = os.path.join(tmp_path, "traj2.csv")
     dy.write_trajectory(back, second)
@@ -662,3 +672,22 @@ def test_trajectory_roundtrip(tmp_path):
     with open(csv_path + ".meta.json", "rb") as f1, \
             open(second + ".meta.json", "rb") as f2:
         assert f1.read() == f2.read()
+
+
+def test_sidecar_keys_are_the_trajectory_fields(tmp_path):
+    fields = [f.name for f in dataclasses.fields(dy.Trajectory)]
+    assert fields[:3] == ["times", "z_s", "z_a"]
+    assert list(dy.META_KEYS) == fields[3:]
+    traj = dy.Trajectory(times=np.arange(3.0), z_s=np.zeros(3), z_a=np.zeros(3),
+                         channel=dy.NoiseFree(), g=1.0, dt=1.0,
+                         initial_state=dy.STATE_CUSTOM)
+    csv_path = os.path.join(tmp_path, "traj.csv")
+    dy.write_trajectory(traj, csv_path)
+    with open(dy.meta_path(csv_path)) as f:
+        assert sorted(json.load(f)) == sorted(dy.META_KEYS)
+
+
+def test_trajectory_requires_dt():
+    with pytest.raises(TypeError):
+        dy.Trajectory(times=np.arange(3.0), z_s=np.zeros(3), z_a=np.zeros(3),
+                      channel=dy.NoiseFree(), g=1.0, initial_state=dy.STATE_CUSTOM)

@@ -36,7 +36,7 @@ def _noisy_windows(n_samples, seed=8):
     z = np.clip(rng.standard_normal(n_samples) * 0.3, -1, 1)
     traj = dy.Trajectory(times=np.arange(n_samples, dtype=float),
                          z_s=z, z_a=np.roll(z, 1),
-                         channel=dy.NoiseFree(), g=1.0, initial_state_tag=dy.STATE_CUSTOM)
+                         channel=dy.NoiseFree(), g=1.0, dt=1.0, initial_state=dy.STATE_CUSTOM)
     return dset.build_windows(traj)
 
 
@@ -239,7 +239,7 @@ def test_adam_step_rejects_non_finite(bad, buffered):
 def test_train_constant_labels():
     traj = dy.Trajectory(times=np.arange(60, dtype=float),
                          z_s=np.full(60, 0.3), z_a=np.full(60, -0.2),
-                         channel=dy.NoiseFree(), g=1.0, initial_state_tag=dy.STATE_CUSTOM)
+                         channel=dy.NoiseFree(), g=1.0, dt=1.0, initial_state=dy.STATE_CUSTOM)
     ds = dset.build_windows(traj)
     cfg = mlp.TrainConfig(epochs=200, batch_size=8, lr=1e-3, seed=1)
     p, curve = mlp.train(ds, cfg)
@@ -398,7 +398,7 @@ def test_predict_series_basics():
 def test_train_rejects_empty_split():
     traj = dy.Trajectory(times=np.arange(6, dtype=float),
                          z_s=np.zeros(6), z_a=np.zeros(6),
-                         channel=dy.NoiseFree(), g=1.0, initial_state_tag=dy.STATE_CUSTOM)
+                         channel=dy.NoiseFree(), g=1.0, dt=1.0, initial_state=dy.STATE_CUSTOM)
     ds = dset.build_windows(traj)       # 1 sample -> no train half
     with pytest.raises(ValueError):
         mlp.train(ds, mlp.TrainConfig(epochs=1))
