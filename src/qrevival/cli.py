@@ -43,6 +43,7 @@ DATASET_CSV = "dataset.csv"
 PARAMS_JSON = "params.json"
 LOSS_CSV = "loss.csv"
 PREDICTIONS_CSV = "predictions.csv"
+PREDICTIONS_HEADER = ("t_index", "y_hat")
 REPORT_JSON = "report.json"
 TRUTH_REPORT_JSON = "truth_report.json"
 SEGMENTS_CSV = "segments.csv"
@@ -78,6 +79,9 @@ class RunConfig:
     epsilon: float = 0.015
 
     def __post_init__(self):
+        for name in ("channel", "grid", "train"):     # each an instance of its annotation
+            if not isinstance(getattr(self, name), cls := self.__annotations__[name]):
+                raise ValueError(f"{name} must be a {cls.__name__}, got {getattr(self, name)!r}")
         for name in ("g", "epsilon"):
             object.__setattr__(self, name, positive_real(name, getattr(self, name)))
         if self.initial_state not in dy.INITIAL_KETS:
@@ -197,15 +201,14 @@ def cmd_train(*cfgs: RunConfig) -> None:
 
 def write_predictions(t_indices, preds, path) -> None:
     """CSV `t_index,y_hat` at 12 significant digits."""
-    write_table(path, ["t_index", "y_hat"],
+    write_table(path, PREDICTIONS_HEADER,
                 (np.asarray(t_indices, dtype=int), np.asarray(preds, dtype=float)))
 
 
 def read_predictions(path):
     """(t_index, y_hat) arrays; ValueError on a gap in t_index or a non-finite y_hat."""
-    _, rows = read_table(path, ["t_index", "y_hat"])
-    t_index = np.array([int(row[0]) for row in rows], dtype=int)
-    preds = np.array([float(row[1]) for row in rows], dtype=float)
+    _, (t_index, preds) = read_table(path, PREDICTIONS_HEADER)
+    t_index, preds = np.array(t_index, dtype=int), np.array(preds, dtype=float)
     dsmod.check_t_index(t_index, 0)
     if not np.all(np.isfinite(preds)):
         raise ValueError(f"non-finite y_hat in {path}")

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dynamics import Z_BOUND, Trajectory
-from .table import float_cells, read_table, write_table
+from .table import read_table, write_table
 
 
 def check_t_index(t_index: np.ndarray, first: int) -> None:
@@ -104,14 +104,19 @@ def write_dataset(ds: WindowDataset, path) -> None:
 
 
 def read_dataset(path) -> WindowDataset:
-    """Load a dataset CSV; validates ordering and the floor split rule."""
-    header, rows = read_table(path)
+    """Load a dataset CSV; validates the window shift, ordering and the floor split rule."""
+    header, columns = read_table(path)
     w = len(header) - 3
     if w < 1 or header != _header(w):
         raise ValueError(f"bad dataset header {header!r} in {path}")
-    values = float_cells(rows, w + 1)
-    ds = WindowDataset(xs=values[:, :w], ys=values[:, w],
-                       t_index=[int(row[w + 1]) for row in rows])
-    if [row[w + 2] for row in rows] != _split_column(ds):
+    xcols, (ys, t_index, split) = columns[:w], columns[w:]
+    for j in range(1, w):
+        if xcols[j][:-1] != xcols[j - 1][1:]:
+            raise ValueError(f"column x{j + 1} is not x{j} shifted up one row in {path}")
+    # so x1 and the last row's x2..xw are the series `build_windows` slid over
+    z = np.array(xcols[0] + tuple(c[-1] for c in xcols[1:] if c), dtype=float)
+    ds = WindowDataset(xs=sliding_window_view(z, w) if ys else np.empty((0, w)),
+                       ys=np.array(ys, dtype=float), t_index=np.array(t_index, dtype=int))
+    if list(split) != _split_column(ds):
         raise ValueError(f"split column inconsistent with floor rule in {path}")
     return ds

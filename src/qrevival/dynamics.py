@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from . import linalg as la
-from .table import (check_keys, count, float_cells, positive_real, read_json, read_table,
+from .table import (check_keys, count, positive_real, read_json, read_table,
                     write_json, write_table)
 
 # ---------- fixed operators ----------
@@ -448,8 +448,8 @@ def write_trajectory(traj: Trajectory, csv_path) -> None:
 
 def read_trajectory(csv_path) -> Trajectory:
     """Load a trajectory CSV and its sidecar, which holds exactly the META_KEYS."""
-    _, rows = read_table(csv_path, TRAJECTORY_HEADER)
-    columns = float_cells(rows, 3).T
+    _, columns = read_table(csv_path, TRAJECTORY_HEADER)
+    columns = np.array(columns, dtype=float)
     meta = read_json(path := meta_path(csv_path))
     check_keys(meta, META_KEYS, META_KEYS, f"trajectory sidecar {path}")
     return Trajectory(*columns, **{**meta, "channel": ChannelSpec.from_dict(meta["channel"])})

@@ -3,8 +3,9 @@
 A table is a header row plus data rows of the same length. One row format per
 table writes a float column at 12 significant digits (`%.12g`), any other with
 `str`, and ends lines in `\\r\\n`; no cell holds a comma, quote or newline, so
-the bytes are those of `csv.writer`. `csv.reader` reads the cells back as
-strings, and `float_cells` parses a table's float cells in one pass.
+the bytes are those of `csv.writer`. `read_table` splits lines at commas into
+columns of string cells, each parsed whole by its stage reader; it unquotes
+nothing, so a quoted cell fails its column's parse.
 
 A JSON file is one value with an indent of 2, sorted keys and a final
 newline. Every JSON reader holds a document to one rule: it is an object
@@ -14,7 +15,6 @@ whose keys are all known and include the required ones (`check_keys`), and
 `json` reads `Infinity`, `NaN` and any integer.
 """
 
-import csv
 import json
 import sys
 from dataclasses import MISSING
@@ -32,27 +32,19 @@ def write_table(path, header, columns) -> None:
 
 
 def read_table(path, header=None):
-    """(header, rows) of a CSV table, every cell a string.
+    """(header, columns) of a CSV table, each column a tuple of string cells.
 
     Raises ValueError on an empty file, on a header other than `header`
     (when given) and on a row whose length differs from the header's.
     """
-    with open(path, newline="") as f:
-        r = csv.reader(f)
-        got = next(r, None)
-        if got is None or (header is not None and got != list(header)):
-            raise ValueError(f"bad header {got!r} in {path}")
-        rows = list(r)
+    with open(path) as f:
+        got, *rows = [line.split(",") for line in f.read().splitlines()] or [None]
+    if got is None or (header is not None and got != list(header)):
+        raise ValueError(f"bad header {got!r} in {path}")
     for row in rows:
         if len(row) != len(got):
             raise ValueError(f"bad row {row!r} in {path}")
-    return got, rows
-
-
-def float_cells(rows, ncols: int) -> np.ndarray:
-    """The first `ncols` cells of each row, parsed by `float`, as an (n, ncols) array."""
-    cells = (v for row in rows for v in row[:ncols])
-    return np.fromiter(map(float, cells), float, len(rows) * ncols).reshape(-1, ncols)
+    return got, list(zip(*rows)) or [()] * len(got)
 
 
 def write_json(path, obj) -> None:

@@ -416,6 +416,9 @@ def params_body(**extra):
     ("dataset", META, sidecar(drop="clamp_events")),
     ("dataset", META, sidecar(noise=0.1)),
     ("dataset", META, sidecar(channel=dict(rtn_channel(v=1.0, kappa=0.5), seed=3))),
+    # a cell longer than any field limit of a CSV library
+    pytest.param("dataset", "trajectory.csv", "t,z_s,z_a\n" + "x" * 200000 + ",0,0\n",
+                 id="dataset-trajectory.csv-long-cell"),
 ])
 def test_malformed_stage_file_exits_5(tmp_path, stage, name, body, capsys):
     run = tmp_path / "run"
@@ -638,6 +641,14 @@ def test_run_config_checks_itself(tmp_path):
             dataclasses.replace(cfg, **{field: value})
 
 
+def test_run_config_checks_its_sections(tmp_path):
+    cfg = cli.load_run_config(write_doc(tmp_path, rtn_doc(tmp_path / "run")))
+    for field, value in (("channel", rtn_channel(v=1.0, kappa=0.5)), ("grid", "x"),
+                         ("train", {"epochs": 3})):
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(cfg, **{field: value})
+
+
 def test_epsilon_override_reaches_report(tmp_path, capsys):
     run = tmp_path / "run"
     run.mkdir()
@@ -660,6 +671,24 @@ def test_score_on_truth_writes_truth_report(tmp_path, capsys):
     _, test = dsmod.chronological_split(ds)
     expect = mm.score_pipeline(test.ys, epsilon=0.015)
     assert mm.read_report(run / "truth_report.json") == expect
+
+
+def test_shifted_window_column_exits_5(tmp_path, capsys):
+    # x3 of data row 10 no longer equals x2 of row 11, so the windows disagree
+    markov = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "rtn_markovian.json")
+    run = tmp_path / "run"
+    for stage in ("simulate", "dataset"):
+        assert cli.main([stage, "--config", markov, "--out", str(run)]) == 0
+    lines = (run / "dataset.csv").read_text().splitlines()
+    row = lines[10].split(",")
+    row[2] = "0.123"
+    lines[10] = ",".join(row)
+    (run / "dataset.csv").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert cli.main(["score", "--config", markov, "--out", str(run), "--on-truth"]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("malformed input: ") and "x3 is not x2 shifted" in err
+    assert not (run / "truth_report.json").exists()
 
 
 def test_parser_is_built_once_and_calls_share_no_state(tmp_path, capsys):

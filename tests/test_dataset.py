@@ -173,9 +173,10 @@ def test_csv_roundtrip(tmp_path, data, w, n):
 
 @_PROPERTY
 @given(data=st.data(), w=st.integers(1, 6), n=st.integers(1, 60),
-       fault=st.sampled_from(["nan", "range", "gap", "split"]))
+       fault=st.sampled_from(["nan", "range", "gap", "split", "shift"]))
 def test_read_rejects_corrupted_cell(tmp_path, data, w, n, fault):
     assume(fault != "gap" or n >= 2)        # a lone row's t_index has no gap
+    assume(fault != "shift" or (w >= 2 and n >= 2))     # else every window cell is unique
     path = os.path.join(tmp_path, "ds.csv")
     dset.write_dataset(_random_dataset(data, w, n), path)
     with open(path, newline="") as f:
@@ -186,11 +187,16 @@ def test_read_rejects_corrupted_cell(tmp_path, data, w, n, fault):
         row[col] = "nan" if fault == "nan" else data.draw(st.sampled_from(["1.5", "-2"]))
     elif fault == "gap":
         row[w + 1] = str(int(row[w + 1]) + data.draw(st.sampled_from([-1, 1, 2])))
-    else:
+    elif fault == "split":
         row[w + 2] = "test" if row[w + 2] == "train" else "train"
+    else:
+        # an x2..xw cell above the last row, which x_{j-1} repeats one row down
+        row = rows[1 + data.draw(st.integers(0, n - 2))]
+        col = data.draw(st.integers(1, w - 1))
+        row[col] = "0.123" if row[col] != "0.123" else "0.321"
     with open(path, "w", newline="") as f:
         csv.writer(f).writerows(rows)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="shifted" if fault == "shift" else None):
         dset.read_dataset(path)
 
 

@@ -478,8 +478,8 @@ def test_flat_layout_params_file_loads_and_predicts(tmp_path):
 
 def _loss_rows(path):
     """(epochs, mse) of a loss.csv, read back with the shared table reader."""
-    _, rows = read_table(path, ["epoch", "mse"])
-    return [int(row[0]) for row in rows], np.array([float(row[1]) for row in rows])
+    _, (epochs, mse) = read_table(path, ["epoch", "mse"])
+    return [int(e) for e in epochs], np.array(mse, dtype=float)
 
 
 def test_loss_curve_roundtrip(tmp_path):
