@@ -6,13 +6,14 @@ output is deterministic for a fixed config and seed, and every file that a
 later stage reads round-trips byte-for-byte through its reader/writer pair.
 
 Stages only do their work: they raise StageError for a missing input, a
-numerical failure or a run-all mismatch, and ValueError for a malformed
-input. `main` alone turns failures into exit codes, first loading the
-configs, where any failure is 2 (config validation), then running the
-stages: 2 an output directory that cannot be made or an output that is not a
-file, 3 numerical failure (unphysical state, diverged training or an
-overflowing prediction), 4 missing stage inputs, 5 malformed stage files
-(including an unusable dataset split), 6 run-all config mismatch.
+numerical failure or a run-all mismatch, and ValueError (OverflowError for a
+number too large for its type) for a malformed input. `main` alone turns
+failures into exit codes, first loading the configs, where any failure is 2
+(config validation), then running the stages: 2 an output directory that
+cannot be made or an output that is not a file, 3 numerical failure
+(unphysical state, diverged training or an overflowing prediction), 4 missing
+stage inputs, 5 malformed stage files (including an unusable dataset split),
+6 run-all config mismatch.
 """
 
 import argparse
@@ -228,20 +229,20 @@ def cmd_predict(cfg: RunConfig) -> None:
 
 
 def cmd_score(cfg: RunConfig, on_truth: bool = False) -> None:
+    """Score the predictions into report.json and segments.csv; with on_truth, a
+    diagnostic, score the simulated test labels into truth_report.json instead."""
     if on_truth:
-        # diagnostic: score the simulated test labels instead of predictions
-        [out] = _outputs(cfg.output_dir, TRUTH_REPORT_JSON)
+        out, *segments = _outputs(cfg.output_dir, TRUTH_REPORT_JSON)
         [src] = _inputs(cfg, DATASET_CSV)
-        _, test = dsmod.chronological_split(dsmod.read_dataset(src))
-        report = mm.score_pipeline(test.ys, cfg.epsilon)
-        mm.write_report(report, out)
+        series = dsmod.chronological_split(dsmod.read_dataset(src))[1].ys
     else:
-        out, segments = _outputs(cfg.output_dir, REPORT_JSON, SEGMENTS_CSV)
+        out, *segments = _outputs(cfg.output_dir, REPORT_JSON, SEGMENTS_CSV)
         [src] = _inputs(cfg, PREDICTIONS_CSV)
         _, series = read_predictions(src)
-        report = mm.score_pipeline(series, cfg.epsilon)
-        mm.write_report(report, out)
-        mm.write_segments_csv(report, segments)
+    report = mm.score_pipeline(series, cfg.epsilon)
+    mm.write_report(report, out)
+    if segments:
+        mm.write_segments_csv(report, *segments)
     print(f"n_rev={report.n_rev} n_eval={report.n_eval} "
           f"score={report.score:.6f} epsilon={report.epsilon:g}")
 
@@ -428,7 +429,7 @@ def main(argv=None) -> int:
     except StageError as e:
         print(e, file=sys.stderr)
         return e.code
-    except ValueError as e:
+    except (ValueError, OverflowError) as e:
         print(f"malformed input: {e}", file=sys.stderr)
         return EXIT_MALFORMED
 

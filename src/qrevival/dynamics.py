@@ -118,9 +118,11 @@ class ChannelSpec:
         if c == 0:
             out = scale * w2 * t / (1.0 + a * t)
         else:
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 sinh = np.sinh(c * t)
-                out = scale * w2 * np.real(sinh / (c * np.cosh(c * t) + a * sinh))
+                den = c * np.cosh(c * t) + a * sinh
+                # only a real c overflows, where tanh(c t) is 1.0: the t -> oo limit
+                out = scale * w2 * np.real(np.where(np.isfinite(den), sinh / den, 1 / (a + c)))
         return out if out.ndim else float(out)
 
     def rate(self, t):
@@ -401,9 +403,8 @@ def evolve(rho0: np.ndarray, grid: TimeGrid, g: float, chan: ChannelSpec,
     # where the raw signed rate had to be altered (negative, over cap, or
     # non-finite at a coherence zero)
     eval_times = np.concatenate([times, times[:-1] + dt / 2.0])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        raw = chan.signed_rate(eval_times)
-        clamped = chan.rate(eval_times)
+    raw = chan.signed_rate(eval_times)
+    clamped = chan.rate(eval_times)
     n_clamped = int(np.count_nonzero(clamped != raw))
     step_rates = np.stack([clamped[:n], clamped[n + 1:], clamped[1:n + 1]])  # r1, r2, r3
 

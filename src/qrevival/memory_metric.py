@@ -47,10 +47,6 @@ class RevivalReport:
             if t2 >= self.n_eval:
                 raise ValueError(f"segment peak {t2} outside [0, {self.n_eval})")
 
-    @staticmethod
-    def from_dict(obj: dict) -> "RevivalReport":
-        return from_doc(RevivalReport, obj, "revival report")
-
 
 def heaviside(x: float) -> int:
     """Strict step: 1 for x > 0, else 0 (0 at exactly 0)."""
@@ -59,52 +55,36 @@ def heaviside(x: float) -> int:
     return 1 if x > 0 else 0
 
 
-def _check_series(series) -> np.ndarray:
-    arr = np.asarray(series, dtype=float)
+def revival_count(series, epsilon: float) -> int:
+    """Number of forward differences strictly exceeding epsilon."""
+    return score_pipeline(series, epsilon).n_rev
+
+
+def score_pipeline(preds, epsilon: float) -> RevivalReport:
+    """Full report over a prediction series; n_eval = number of predictions.
+
+    n_rev counts the forward differences strictly exceeding epsilon. A segment
+    opens at index i when preds[i] - preds[i-1] exceeds epsilon, extends while
+    differences stay strictly positive (not necessarily above epsilon), and its
+    peak is the last rising index; a zero or downward step, or the end of the
+    series, closes it.
+    """
+    arr = np.asarray(preds, dtype=float)
     if arr.ndim != 1 or arr.size < 2:
         raise ValueError(f"need a 1-D series of length >= 2, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError("series contains non-finite values")
-    return arr
-
-
-def revival_count(series, epsilon: float) -> int:
-    """Number of forward differences strictly exceeding epsilon."""
-    arr = _check_series(series)
-    positive_real("epsilon", epsilon)
-    return int(np.count_nonzero(np.diff(arr) > epsilon))
-
-
-def detect_segments(series, epsilon: float) -> List[Tuple[int, int]]:
-    """(start, peak) index pairs of revival runs.
-
-    A run opens at index i when series[i] - series[i-1] > epsilon, extends
-    while differences stay strictly positive (not necessarily above epsilon),
-    and its peak is the last rising index; a zero or downward step, or the
-    end of the series, closes it.
-    """
-    arr = _check_series(series)
-    positive_real("epsilon", epsilon)
-    segments: List[Tuple[int, int]] = []
-    n = arr.size
-    i = 1
-    while i < n:
-        if arr[i] - arr[i - 1] > epsilon:
-            start = i
-            while i + 1 < n and arr[i + 1] - arr[i] > 0:
-                i += 1
-            segments.append((start, i))
-        i += 1
-    return segments
-
-
-def score_pipeline(preds, epsilon: float) -> RevivalReport:
-    """Full report over a prediction series; n_eval = number of predictions."""
-    arr = _check_series(preds)
-    n_eval = arr.size
-    n_rev = revival_count(arr, epsilon)
-    return RevivalReport(n_rev=n_rev, n_eval=n_eval, score=n_rev / n_eval,
-                         segments=detect_segments(arr, epsilon), epsilon=epsilon)
+    epsilon = positive_real("epsilon", epsilon)
+    d = np.diff(arr)
+    ups = np.flatnonzero(d > epsilon)
+    # every up-step lies in a run of rising steps, whose last step is the peak; a
+    # run's first up-step opens its segment
+    rising = d > 0
+    run_ends = np.flatnonzero(rising & ~np.append(rising[1:], False))
+    peaks, first = np.unique(run_ends[np.searchsorted(run_ends, ups)], return_index=True)
+    return RevivalReport(n_rev=ups.size, n_eval=arr.size, score=ups.size / arr.size,
+                         segments=list(zip((ups[first] + 1).tolist(), (peaks + 1).tolist())),
+                         epsilon=epsilon)
 
 
 def write_report(report: RevivalReport, path) -> None:
@@ -112,7 +92,7 @@ def write_report(report: RevivalReport, path) -> None:
 
 
 def read_report(path) -> RevivalReport:
-    return RevivalReport.from_dict(read_json(path))
+    return from_doc(RevivalReport, read_json(path), "revival report")
 
 
 def write_segments_csv(report: RevivalReport, path) -> None:

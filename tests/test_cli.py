@@ -99,6 +99,18 @@ def test_simulate_noise_free_zero_clamp_events(tmp_path, capsys):
     assert meta["clamp_events"] == 0
 
 
+def test_simulate_past_the_hyperbolic_overflow(tmp_path, capsys):
+    # at b 100, c cosh(c t) overflows from t near 14.1 on; the rate takes its limit there
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                           "ad_markovian.json")) as f:
+        doc = dict(json.load(f), output_dir=str(tmp_path / "run"))
+    doc["channel"]["params"]["b"] = 100.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["simulate", "--config", write_doc(tmp_path, doc)]) == 0
+    assert "clamp events: 0" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("mutate", [
     lambda d: d.update(extra_key=1),
     lambda d: d["channel"].update(unexpected=2),
@@ -380,6 +392,12 @@ def params_body(**extra):
     ("score", "predictions.csv", "t_index,y_hat\n9999,0.5\n-3,0.7\n"),
     ("score", "predictions.csv", "t_index,y_hat\n-3,0.5\n-2,0.7\n"),
     ("score", "predictions.csv", "t_index,y_hat\n5,0.5\n7,0.7\n"),
+    # integers too large for their type: a t_index of predictions or of a dataset, and
+    # a parameter
+    ("score", "predictions.csv", "t_index,y_hat\n99999999999999999999,0.5\n"),
+    ("train", "dataset.csv", "x1,x2,y,t_index,split\n0.1,0.2,0.3,99999999999999999999,test\n"),
+    pytest.param("predict", "params.json", params_body(b3=[10 ** 400]),
+                 id="predict-params.json-huge-int"),
     # complete trajectory sidecars with one defect: channel params that are
     # missing, short, extra or not numbers, a channel of an unknown or absent
     # kind, or a channel that is not an object

@@ -10,6 +10,7 @@ import dataclasses
 import json
 import math
 import os
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -121,6 +122,22 @@ def test_rtn_decoherence_oracle():
             assert params.signed_rate(t) == pytest.approx(gam_ref, rel=1e-12)
     slow = dy.RTNParams(v=1.0, kappa=1.0 / 7.0)
     assert abs(slow.c) / slow.kappa == pytest.approx(RTN_SLOW_CHI, rel=1e-14)
+
+
+@pytest.mark.parametrize("chan", [dy.ChannelSpec.amplitude_damping(b=100.0, lam=1.0),
+                                  dy.ChannelSpec.rtn_dephasing(v=1.0, kappa=40.0)])
+def test_rate_past_the_hyperbolic_overflow(chan):
+    # c t passes the ~710 where sinh and cosh overflow a double, at t near 14.2
+    # (amplitude damping) and 17.8 (RTN), and c cosh(c t) a little earlier
+    mp.mp.dps = 30
+    a, w2, scale = (mp.mpf(x) for x in chan.oscillator)
+    c = mp.sqrt(a * a - w2)
+    ts = np.arange(0.0, 24.0 + 1e-9, 0.01)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = chan.rate(ts)
+    want = [float(scale * w2 / (c / mp.tanh(c * t) + a)) if t else 0.0 for t in ts]
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_rtn_decoherence_second_route():

@@ -14,6 +14,10 @@ from qrevival import memory_metric as mm
 WORKED = [0.90, 0.92, 0.94, 0.93, 0.95, 0.97]
 
 
+def segments(series, epsilon):
+    return mm.score_pipeline(series, epsilon).segments
+
+
 def test_heaviside_strict():
     assert mm.heaviside(0.005) == 1
     assert mm.heaviside(0.0) == 0
@@ -44,7 +48,7 @@ def test_count_edge_cases():
         with pytest.raises(ValueError, match="epsilon"):
             mm.revival_count([0.0, 0.1], bad_epsilon)
         with pytest.raises(ValueError, match="epsilon"):
-            mm.detect_segments([0.0, 0.1], bad_epsilon)
+            mm.score_pipeline([0.0, 0.1], bad_epsilon)
     with pytest.raises(ValueError):
         mm.revival_count([0.0, float("inf")], 0.015)
 
@@ -83,21 +87,50 @@ def test_shift_invariance():
     s = rng.uniform(-0.5, 0.5, 50)
     for c in (-0.4, 0.3):
         assert mm.revival_count(s + c, 0.015) == mm.revival_count(s, 0.015)
-        assert mm.detect_segments(s + c, 0.015) == mm.detect_segments(s, 0.015)
+        assert segments(s + c, 0.015) == segments(s, 0.015)
 
 
 def test_worked_sequence_segments():
     # rise 0.90->0.94 peaks at index 2; rise 0.93->0.97 runs to the end
-    assert mm.detect_segments(WORKED, 0.015) == [(1, 2), (4, 5)]
+    assert segments(WORKED, 0.015) == [(1, 2), (4, 5)]
 
 
 def test_segment_edge_cases():
-    assert mm.detect_segments([1.0, 0.9, 0.8], 0.015) == []
-    assert mm.detect_segments([0.0, 0.1, 0.0], 0.015) == [(1, 1)]
+    assert segments([1.0, 0.9, 0.8], 0.015) == []
+    assert segments([0.0, 0.1, 0.0], 0.015) == [(1, 1)]
     # a zero step terminates the rising run
-    assert mm.detect_segments([0.0, 0.1, 0.1, 0.2], 0.015) == [(1, 1), (3, 3)]
+    assert segments([0.0, 0.1, 0.1, 0.2], 0.015) == [(1, 1), (3, 3)]
     # sub-threshold rises extend a run but never open one
-    assert mm.detect_segments([0.0, 0.1, 0.105, 0.0, 0.01], 0.015) == [(1, 2)]
+    assert segments([0.0, 0.1, 0.105, 0.0, 0.01], 0.015) == [(1, 2)]
+
+
+def _plain_segments(series, epsilon):
+    """The segment rule as a plain loop over the series, as a reference."""
+    out, i = [], 1
+    while i < len(series):
+        if series[i] - series[i - 1] > epsilon:
+            start = i
+            while i + 1 < len(series) and series[i + 1] - series[i] > 0:
+                i += 1
+            out.append((start, i))
+        i += 1
+    return out
+
+
+_STEPS = st.one_of(st.sampled_from([-0.1, -0.015, 0.0, 0.005, 0.015, 0.02, 0.3]),
+                   st.floats(-0.05, 0.05))
+
+
+@settings(max_examples=200, deadline=None)
+@given(start=st.floats(-1.0, 1.0), steps=st.lists(_STEPS, min_size=1, max_size=40),
+       epsilon=st.sampled_from([0.005, 0.015, 0.02]))
+def test_segments_match_the_plain_loop(start, steps, epsilon):
+    # zero steps repeat a value; steps of exactly epsilon land just under, at or
+    # just over it after rounding
+    series = np.cumsum([start] + steps)
+    report = mm.score_pipeline(series, epsilon)
+    assert report.segments == _plain_segments(series.tolist(), epsilon)
+    assert report.n_rev == sum(b - a > epsilon for a, b in zip(series, series[1:]))
 
 
 def test_segment_count_consistency():
@@ -140,15 +173,18 @@ def test_report_roundtrip(tmp_path):
         assert f.read() == "t1,t2\n1,2\n4,5\n"
 
 
-def test_report_validation():
+def test_report_validation(tmp_path):
     with pytest.raises(ValueError):
         mm.RevivalReport(n_rev=5, n_eval=4, score=1.0, segments=[], epsilon=0.015)
     with pytest.raises(ValueError):
         mm.RevivalReport(n_rev=1, n_eval=4, score=1.5, segments=[], epsilon=0.015)
     with pytest.raises(ValueError):
         mm.RevivalReport(n_rev=1, n_eval=4, score=0.25, segments=[(3, 2)], epsilon=0.015)
+    path = os.path.join(tmp_path, "report.json")
+    with open(path, "w") as f:
+        json.dump({"n_rev": 1}, f)
     with pytest.raises(ValueError, match="missing"):
-        mm.RevivalReport.from_dict({"n_rev": 1})
+        mm.read_report(path)
 
 
 def _report_doc(**over):
@@ -176,8 +212,6 @@ def _report_doc(**over):
     _report_doc(n_rev=191, n_eval=500, score=0.9, segments=[]),
 ])
 def test_report_reader_rejects_malformed(tmp_path, doc):
-    with pytest.raises(ValueError):
-        mm.RevivalReport.from_dict(doc)
     path = os.path.join(tmp_path, "report.json")
     with open(path, "w") as f:
         json.dump(doc, f)
