@@ -124,9 +124,8 @@ def _apply_overrides(cfg: RunConfig, args, out_dir=None) -> RunConfig:
 
 def _configs(args):
     """The run configs `args` names, overrides applied: one, or (ad, rtn) for run-all."""
-    if args.command == "run-all":
-        return [_apply_overrides(cfg, args, None if args.out is None
-                                 else os.path.join(args.out, key))
+    if args.command == "run-all":       # an empty --out stays empty, and RunConfig rejects it
+        return [_apply_overrides(cfg, args, args.out and os.path.join(args.out, key))
                 for key, cfg in zip(("ad", "rtn"), load_pair_config(args.config))]
     return [_apply_overrides(load_run_config(args.config), args, args.out)]
 
@@ -283,7 +282,6 @@ def cmd_run_all(ad_cfg: RunConfig, rtn_cfg: RunConfig, comparison_dir: str) -> N
         "n_eval": ad_rep.n_eval,
         "epsilon": ad_rep.epsilon,
     }
-    os.makedirs(comparison_dir, exist_ok=True)
     write_json(out, comparison)
     ratio_txt = "undefined" if ratio is None else f"{ratio:.6f}"
     print(f"ad_score={ad_rep.score:.6f} ({ad_rep.n_rev}/{ad_rep.n_eval}) "

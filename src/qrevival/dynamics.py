@@ -7,10 +7,11 @@ negative in the memory-bearing regime; the evolution applies their clamped
 positive part (see ChannelSpec.rate for why). Integration is fixed-step RK4 on
 vec(rho), each step applied as v += E v with E precomputed from the rate monomials.
 
-Every channel is one damped oscillator (a, w2, scale) with collapse operator L:
-  f(t)           = exp(-a t) [cosh(c t) + (a/c) sinh(c t)],   c = sqrt(a^2 - w2)
-  signed_rate(t) = -scale f'/f = scale w2 sinh(c t) / (c cosh(c t) + a sinh(c t))
-  non-Markovian iff w2 > a^2
+Every channel is one damped oscillator (a, w2, scale) with collapse operator L; for a real or
+imaginary c = sqrt(a^2 - w2), g = 1 - exp(-2 c t) is bounded on t >= 0 and nothing overflows:
+  f(t)           = exp(-a t) [cosh(c t) + (a/c) sinh(c t)] = Re[(2 - g + g a/c) e^{(c-a)t}]/2
+  signed_rate(t) = -scale f'/f = scale w2 Re[g / (c (2 - g) + a g)]
+  non-Markovian iff w2 > a^2; the code writes (c - a) t as -w2 t/(a + c), free of cancellation
     amplitude damping (b, lambda)  (b/2, lambda/2, 2)  L = I (x) sigma_-
     RTN dephasing (v, kappa)       (kappa, 4 v^2, 1/2)  L = I (x) Z
     noise-free                     (0, 0, 0)            L = 0
@@ -103,26 +104,24 @@ class ChannelSpec:
     def coherence(self, t):
         """Coherence factor f(t), real for every parameter set."""
         t = np.asarray(t, dtype=float)
-        a, c = self.oscillator[0], self.c
+        (a, w2, _), c = self.oscillator, self.c
         if c == 0:                                     # removable point
             out = np.exp(-a * t) * (1.0 + a * t)
         else:
-            out = np.exp(-a * t) * np.real(np.cosh(c * t) + (a / c) * np.sinh(c * t))
+            g = -np.expm1(-2.0 * c * t)
+            out = 0.5 * np.real(np.exp(-w2 * t / (a + c)) * ((2.0 - g) + (a / c) * g))
         return out if out.ndim else float(out)
 
     def signed_rate(self, t):
         """Signed, unclamped time-local rate -scale f'/f; diverges at zeros of f."""
         t = np.asarray(t, dtype=float)
-        a, w2, scale = self.oscillator
-        c = self.c
+        (a, w2, scale), c = self.oscillator, self.c
         if c == 0:
             out = scale * w2 * t / (1.0 + a * t)
         else:
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                sinh = np.sinh(c * t)
-                den = c * np.cosh(c * t) + a * sinh
-                # only a real c overflows, where tanh(c t) is 1.0: the t -> oo limit
-                out = scale * w2 * np.real(np.where(np.isfinite(den), sinh / den, 1 / (a + c)))
+            g = -np.expm1(-2.0 * c * t)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                out = scale * w2 * np.real(g / (c * (2.0 - g) + a * g))
         return out if out.ndim else float(out)
 
     def rate(self, t):

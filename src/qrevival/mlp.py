@@ -268,14 +268,13 @@ def save_params(p: MLPParams, path) -> None:
 def load_params(path) -> MLPParams:
     obj = read_json(path)
     check_keys(obj, _FIELDS, _FIELDS, f"parameter file {path}")
-    try:
-        arrays = [np.asarray(obj[k], dtype=float) for k in _FIELDS]
-    except TypeError as e:                          # a layer holding an object
-        raise ValueError(f"parameter file {path}: {e}") from e
+    arrays = [np.asarray(obj[k], dtype=object) for k in _FIELDS]
     n_in = arrays[0].shape[1] if arrays[0].ndim == 2 else 0
     p = MLPParams(np.empty(n_params(n_in)), n_in)
     for name, array in zip(_FIELDS, arrays):
         view = getattr(p, name)
+        if any(type(x) not in (int, float) for x in array.flat):   # bool is an int to Python
+            raise ValueError(f"parameter file {path}: {name} is not an array of JSON numbers")
         if array.shape != view.shape:
             raise ValueError(f"inconsistent layer shapes in {path}: {name} has "
                              f"shape {array.shape}, expected {view.shape}")

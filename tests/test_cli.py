@@ -100,7 +100,7 @@ def test_simulate_noise_free_zero_clamp_events(tmp_path, capsys):
 
 
 def test_simulate_past_the_hyperbolic_overflow(tmp_path, capsys):
-    # at b 100, c cosh(c t) overflows from t near 14.1 on; the rate takes its limit there
+    # at b 100, c t passes the ~710 where sinh and cosh overflow a double near t = 14.2
     with open(os.path.join(os.path.dirname(__file__), os.pardir, "configs",
                            "ad_markovian.json")) as f:
         doc = dict(json.load(f), output_dir=str(tmp_path / "run"))
@@ -642,12 +642,17 @@ def test_negative_seed_override_exits_2(tmp_path, capsys):
     (["--epsilon", "inf"], "epsilon"),
     (["--out", ""], "output_dir"),
 ])
-def test_bad_override_exits_2(tmp_path, argv, word, capsys):
-    cfg = write_doc(tmp_path, rtn_doc(tmp_path / "run"))
-    assert cli.main(["simulate", "--config", cfg, *argv]) == cli.EXIT_CONFIG
+@pytest.mark.parametrize("command", ["simulate", "run-all"])
+def test_bad_override_exits_2(tmp_path, monkeypatch, command, argv, word, capsys):
+    cwd = tmp_path / "cwd"              # what an empty --out would name
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    doc = pair_doc(tmp_path) if command == "run-all" else rtn_doc(tmp_path / "run")
+    assert cli.main([command, "--config", write_doc(tmp_path, doc), *argv]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and word in err
-    assert not (tmp_path / "run").exists()
+    assert not (tmp_path / "run").exists() and not (tmp_path / "pair").exists()
+    assert not os.listdir(cwd)
 
 
 def test_run_config_checks_itself(tmp_path):

@@ -125,19 +125,26 @@ def test_rtn_decoherence_oracle():
 
 
 @pytest.mark.parametrize("chan", [dy.ChannelSpec.amplitude_damping(b=100.0, lam=1.0),
-                                  dy.ChannelSpec.rtn_dephasing(v=1.0, kappa=40.0)])
-def test_rate_past_the_hyperbolic_overflow(chan):
-    # c t passes the ~710 where sinh and cosh overflow a double, at t near 14.2
-    # (amplitude damping) and 17.8 (RTN), and c cosh(c t) a little earlier
+                                  dy.ChannelSpec.rtn_dephasing(v=1.0, kappa=40.0),
+                                  dy.ChannelSpec.amplitude_damping(b=2.0, lam=2.0 - 1e-7),
+                                  dy.ChannelSpec.amplitude_damping(b=2.0, lam=2.0 + 1e-7)])
+def test_closed_forms_against_mpmath_on_a_long_grid(chan):
+    # c t passes the ~710 where sinh and cosh overflow a double at t near 14.2 (amplitude
+    # damping b 100) and 17.8 (RTN); b 2, lambda 2 -+ 1e-7 puts a real and an imaginary
+    # c of about 2.2e-4 on either side of the removable point c = 0
     mp.mp.dps = 30
     a, w2, scale = (mp.mpf(x) for x in chan.oscillator)
     c = mp.sqrt(a * a - w2)
     ts = np.arange(0.0, 24.0 + 1e-9, 0.01)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = chan.rate(ts)
-    want = [float(scale * w2 / (c / mp.tanh(c * t) + a)) if t else 0.0 for t in ts]
-    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        f, rate = chan.coherence(ts), chan.rate(ts)
+    want_f = [float(mp.re(mp.exp(-a * t) * (mp.cosh(c * t) + (a / c) * mp.sinh(c * t))))
+              for t in ts]
+    want_rate = [float(mp.re(scale * w2 / (c / mp.tanh(c * t) + a))) if t else 0.0
+                 for t in ts]
+    assert f == pytest.approx(want_f, rel=0.0, abs=1e-13)
+    assert rate == pytest.approx(want_rate, rel=1e-12, abs=0.0)
 
 
 def test_rtn_decoherence_second_route():

@@ -510,7 +510,8 @@ def test_params_roundtrip_property(tmp_path, seed, n_in):
 
 
 @_PROPERTY
-@given(data=st.data(), n_in=st.integers(1, 8), fault=st.sampled_from(["nan", "shape"]))
+@given(data=st.data(), n_in=st.integers(1, 8),
+       fault=st.sampled_from(["nan", "shape", "bool", "str"]))
 def test_load_params_rejects_corrupted_cell(tmp_path, data, n_in, fault):
     p = mlp.init_params(np.random.default_rng(0), n_in)
     if fault == "nan":
@@ -528,9 +529,14 @@ def test_load_params_rejects_corrupted_cell(tmp_path, data, n_in, fault):
             block[data.draw(st.integers(0, len(block) - 1))].append(0.0)  # ragged matrix
         else:
             block.pop(data.draw(st.integers(0, len(block) - 1)))          # short vector
+    if fault in ("bool", "str"):                        # one cell as JSON true or a string
+        owner, key = obj, data.draw(st.sampled_from(sorted(obj)))
+        while isinstance(owner[key], list):
+            owner, key = owner[key], data.draw(st.integers(0, len(owner[key]) - 1))
+        owner[key] = True if fault == "bool" else str(owner[key])
     with open(path, "w") as f:
         json.dump(obj, f)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="JSON numbers" if fault in ("bool", "str") else None):
         mlp.load_params(path)
 
 
