@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dynamics import Z_BOUND, Trajectory
-from .table import read_table, write_table
+from .table import read_table
 
 
 def check_t_index(t_index: np.ndarray, first: int) -> None:
@@ -98,9 +98,23 @@ def _split_column(ds: WindowDataset) -> List[str]:
     return ["train"] * ds.split_index + ["test"] * (len(ds) - ds.split_index)
 
 
+def _check_shift(xcols, path) -> None:
+    """ValueError unless each column x_{j+1}, an array or a tuple of cells, is x_j shifted up."""
+    for j in range(1, len(xcols)):
+        if np.any(xcols[j][:-1] != xcols[j - 1][1:]):
+            raise ValueError(f"column x{j + 1} is not x{j} shifted up one row in {path}")
+
+
 def write_dataset(ds: WindowDataset, path) -> None:
-    """CSV `x1..xw,y,t_index,split` at 12 significant digits."""
-    write_table(path, _header(ds.window_len), (*ds.xs.T, ds.ys, ds.t_index, _split_column(ds)))
+    """CSV `x1..xw,y,t_index,split` at 12 significant digits, the bytes of write_table; the series
+    x1, then the last row's x2..xw, is formatted once, and row i's window is its cells i..i+w-1."""
+    _check_shift(ds.xs.T, path)
+    w = ds.window_len
+    z = ["%.12g" % x for x in np.concatenate([ds.xs[:, 0], ds.xs[-1:, 1:].ravel()]).tolist()]
+    rows = zip(ds.ys.tolist(), ds.t_index.tolist(), _split_column(ds))
+    with open(path, "w", newline="") as f:
+        f.write(",".join(_header(w)) + "\r\n")
+        f.writelines(",".join(z[i:i + w]) + ",%.12g,%s,%s\r\n" % r for i, r in enumerate(rows))
 
 
 def read_dataset(path) -> WindowDataset:
@@ -110,9 +124,7 @@ def read_dataset(path) -> WindowDataset:
     if w < 1 or header != _header(w):
         raise ValueError(f"bad dataset header {header!r} in {path}")
     xcols, (ys, t_index, split) = columns[:w], columns[w:]
-    for j in range(1, w):
-        if xcols[j][:-1] != xcols[j - 1][1:]:
-            raise ValueError(f"column x{j + 1} is not x{j} shifted up one row in {path}")
+    _check_shift(xcols, path)
     # so x1 and the last row's x2..xw are the series `build_windows` slid over
     z = np.array(xcols[0] + tuple(c[-1] for c in xcols[1:] if c), dtype=float)
     ds = WindowDataset(xs=sliding_window_view(z, w) if ys else np.empty((0, w)),

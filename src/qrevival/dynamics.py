@@ -5,7 +5,7 @@ channel acts on the ancilla with a time-dependent scalar rate factored out
 of a fixed collapse operator. The signed time-local rates go transiently
 negative in the memory-bearing regime; the evolution applies their clamped
 positive part (see ChannelSpec.rate for why). Integration is fixed-step RK4 on
-vec(rho), each step applied as v += E v with E precomputed from the rate monomials.
+vec(rho), each step v <- P v with P from the rate monomials; equal rates reuse powers of P.
 
 Every channel is one damped oscillator (a, w2, scale) with collapse operator L; for a real or
 imaginary c = sqrt(a^2 - w2), g = 1 - exp(-2 c t) is bounded on t >= 0 and nothing overflows:
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -269,6 +270,8 @@ TRACE_TOL = 1e-9
 EIG_FLOOR = -1e-6
 # states that evolve validates and reads out per call
 BLOCK = 64
+# powers P^1 .. P^POWERS of a step matrix that evolve caches per rate triple (a power of 2)
+POWERS = 16
 
 
 def validate_density_matrix(rho: np.ndarray, context: str | Callable[[int], str] = "") -> None:
@@ -352,7 +355,7 @@ class Trajectory:
 META_KEYS = tuple(Trajectory.__dataclass_fields__)[3:]
 
 
-def _generators(g: float, chan: ChannelSpec):
+def _generators(g: float, chan):
     """(L_H, L_D) on row-major vec(rho), by vec(A X B) = (A (x) B^T) vec(X): L_H = -i[H, .]
     and L_D = J . J^dag - {J^dag J, .}/2, the rate-free dissipator of J = chan.JUMP."""
     h, j = build_xy_hamiltonian(g), chan.JUMP
@@ -361,9 +364,12 @@ def _generators(g: float, chan: ChannelSpec):
             np.kron(j, j.conj()) - 0.5 * (np.kron(jtj, la.I4) + np.kron(la.I4, jtj.T)))
 
 
-def _rk4_terms(l_h: np.ndarray, l_d: np.ndarray, dt: float) -> np.ndarray:
-    """C_abc as (12, 512) reals: an RK4 step of v' = (l_h + r l_d) v at rates r1, r2, r3 (node,
-    midpoint, next node) is v + E v, E = sum r1^a r2^b r3^c C_abc; C_abc is row 6a + 2b + c."""
+@functools.lru_cache(maxsize=8)
+def _terms(g: float, cls: type, dt: float) -> np.ndarray:
+    """C_abc as read-only (12, 512) reals, cached per key: with (l_h, l_d) = _generators(g, cls),
+    an RK4 step of v' = (l_h + r l_d) v at rates r1, r2, r3 (node, midpoint, next node) is
+    v + E v, E = sum r1^a r2^b r3^c C_abc; C_abc is row 6a + 2b + c."""
+    l_h, l_d = _generators(g, cls)
     def times_a(axis, p):               # (l_h + r_axis l_d) p, p[a, b, c] by rate monomial
         q = l_h @ p
         np.moveaxis(q, axis, 0)[1:] += l_d @ np.moveaxis(p, axis, 0)[:-1]
@@ -374,7 +380,9 @@ def _rk4_terms(l_h: np.ndarray, l_d: np.ndarray, dt: float) -> np.ndarray:
     a221 = times_a(1, a21)
     e = (dt / 6.0 * (a1 + 4.0 * a2 + a3) + dt ** 2 / 6.0 * (a21 + a22 + times_a(2, a2))
          + dt ** 3 / 12.0 * (a221 + times_a(2, a22)) + dt ** 4 / 24.0 * times_a(2, a221))
-    return e.reshape(12, 256).view(float)
+    terms = e.reshape(12, 256).view(float)
+    terms.flags.writeable = False       # every evolve with the key shares it
+    return terms
 
 
 def _step_matrices(terms: np.ndarray, r1, r2, r3) -> np.ndarray:
@@ -384,19 +392,29 @@ def _step_matrices(terms: np.ndarray, r1, r2, r3) -> np.ndarray:
     return (mono.reshape(12, -1).T @ terms).view(complex).reshape(-1, 16, 16)
 
 
+def _powers(p: np.ndarray) -> np.ndarray:
+    """(POWERS, 16, 16) stack of P^1 .. P^POWERS; P^(k+1) .. P^2k are P^1 .. P^k times P^k."""
+    out = np.empty((POWERS, 16, 16), dtype=complex)
+    out[0], k = p, 1
+    while k < POWERS:
+        np.matmul(out[:k], out[k - 1], out=out[k:2 * k])
+        k *= 2
+    return out
+
+
 def evolve(rho0: np.ndarray, grid: TimeGrid, g: float, chan: ChannelSpec,
            initial_state_tag: str = STATE_CUSTOM) -> Trajectory:
-    """Fixed-step RK4 over the grid on row-major vec(rho); validates every state.
+    """Classical fixed-step RK4 over the grid on row-major vec(rho); validates every state.
 
     The generator is L_H + rate * L_D, L_H = -i[H, .] and L_D the channel's rate-free
-    dissipator (zero for noise_free), both Kronecker closed forms built once per call
-    (_generators); each step is v += E v, E built per block (_rk4_terms).
+    dissipator (zero for noise_free), both Kronecker closed forms (_generators). A step is
+    v <- P v, P = I + E (_terms); one gemm per block gives the P of each run of equal rates
+    (_step_matrices), and a longer run takes P^1 v .. P^POWERS v at once (_powers).
     Nothing repairs the state: states are validated in blocks of BLOCK, and the first
     to break a tolerance (dt too large or rate_clamp too generous) raises by its t.
     """
     validate_density_matrix(rho0, context="initial state")
     times, dt, n = grid.times(), grid.dt, grid.n_steps
-    terms = _rk4_terms(*_generators(g, chan), dt)
 
     # rates at nodes and midpoints, clamped once up front; count every node
     # where the raw signed rate had to be altered (negative, over cap, or
@@ -406,21 +424,33 @@ def evolve(rho0: np.ndarray, grid: TimeGrid, g: float, chan: ChannelSpec,
     clamped = chan.rate(eval_times)
     n_clamped = int(np.count_nonzero(clamped != raw))
     step_rates = np.stack([clamped[:n], clamped[n + 1:], clamped[1:n + 1]])  # r1, r2, r3
+    # a run of equal rates starts where they change and at each block's first step
+    starts = np.append(True, np.any(np.diff(step_rates), axis=0))
+    starts[::BLOCK] = True
 
     # rows vec(Z^T), so that vec(Z^T) . vec(rho) = tr(Z rho)
     readout = np.stack([Z_S_OP.T.ravel(), Z_A_OP.T.ravel()])
     z = np.empty((2, n + 1))
     v = np.array(rho0, dtype=complex).ravel()
     z[:, 0] = (readout @ v).real
-    blk, tmp = np.empty((BLOCK, 16), dtype=complex), np.empty(16, dtype=complex)
-    # a state past the first unphysical one may overflow before its block is checked
+    blk, powers = np.empty((BLOCK, 16), dtype=complex), {}
+    # a huge g overflows the generators, and a state past the first unphysical one may
+    # overflow before its block is checked; either way the check names the first bad state
     with np.errstate(over="ignore", invalid="ignore"):
+        terms = _terms(g, type(chan), dt)
         for k0 in range(0, n, BLOCK):
             m = min(BLOCK, n - k0)
-            e = _step_matrices(terms, *step_rates[:, k0:k0 + m])
-            for j in range(m):
-                np.dot(e[j], v, out=tmp)
-                v = np.add(v, tmp, out=blk[j])
+            js = np.flatnonzero(starts[k0:k0 + m]).tolist()
+            p = _step_matrices(terms, *step_rates[:, [k0 + j for j in js]]) + np.eye(16)
+            for j, j_end, pj in zip(js, js[1:] + [m], p):
+                if j_end - j == 1:
+                    v = np.dot(pj, v, out=blk[j])
+                    continue
+                if (key := step_rates[:, k0 + j].tobytes()) not in powers:
+                    powers[key] = _powers(pj)
+                for i in range(j, j_end, POWERS):
+                    out = blk[i:min(i + POWERS, j_end)]
+                    v = np.matmul(powers[key][:len(out)], v, out=out)[-1]
             validate_density_matrix(blk[:m].reshape(m, 4, 4),
                                     context=lambda i: f"t={times[k0 + 1 + i]:.6g}")
             z[:, k0 + 1: k0 + m + 1] = (readout @ blk[:m, :, None])[..., 0].real.T

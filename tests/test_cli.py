@@ -111,6 +111,21 @@ def test_simulate_past_the_hyperbolic_overflow(tmp_path, capsys):
     assert "clamp events: 0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("g", [1e200, 1e308])
+def test_huge_coupling_exits_3_without_a_warning(tmp_path, g, capsys):
+    # the Hamiltonian (g 1e308) or the RK4 term table (g 1e200) overflows, so the
+    # first state is non-finite; a warning raised as an error would end in a traceback
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                           "rtn_markovian.json")) as f:
+        doc = dict(json.load(f), g=g, output_dir=str(tmp_path / "run"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["simulate", "--config", write_doc(tmp_path, doc)])
+    assert rc == cli.EXIT_INTEGRATION
+    assert capsys.readouterr().err == \
+        "integration failure: non-finite state (t=0.0239044)\n"
+
+
 @pytest.mark.parametrize("mutate", [
     lambda d: d.update(extra_key=1),
     lambda d: d["channel"].update(unexpected=2),

@@ -200,6 +200,29 @@ def test_read_rejects_corrupted_cell(tmp_path, data, w, n, fault):
         dset.read_dataset(path)
 
 
+def test_writer_and_reader_keep_one_shift_rule(tmp_path):
+    # x3 of data row 10 altered: windows that are not one slide of a series fail to write,
+    # and the same cell altered in a written file fails to read, in the same words
+    z = np.random.default_rng(3).uniform(-1, 1, (2, 30))
+    ds = dset.build_windows(_traj(z[0], z[1]), window_len=5)
+    path = os.path.join(tmp_path, "ds.csv")
+    dset.write_dataset(ds, path)
+    with open(path) as f:
+        lines = f.read().splitlines()
+    row = lines[10].split(",")
+    row[2] = "0.123"
+    lines[10] = ",".join(row)
+    with open(path, "w") as f:
+        f.write("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as read_exc:
+        dset.read_dataset(path)
+    ds.xs[9, 2] = 0.123
+    with pytest.raises(ValueError) as write_exc:
+        dset.write_dataset(ds, path)
+    assert str(read_exc.value) == str(write_exc.value) \
+        == f"column x3 is not x2 shifted up one row in {path}"
+
+
 def test_read_rejects_malformed(tmp_path):
     path = os.path.join(tmp_path, "bad.csv")
     with open(path, "w") as f:

@@ -553,12 +553,17 @@ def _plain_evolve(rho0, grid, g, chan):
 
 
 @pytest.mark.parametrize("name", ["ad_markovian", "ad_non_markovian", "rtn_markovian",
-                                  "rtn_non_markovian", "noise_free"])
+                                  "rtn_non_markovian", "noise_free", "noise_free_partial"])
 def test_evolve_matches_plain_reference(name):
     if name == "noise_free":
         # two full validation blocks and no partial one
         grid, g, chan, tag = (dy.TimeGrid(t_end=3.0, n_steps=2 * dy.BLOCK), 1.0, dy.NoiseFree(),
                               dy.STATE_TILTED_EXCITED)
+    elif name == "noise_free_partial":
+        # one run of equal rates across a block edge, longer than the stack of powers,
+        # that ends in a partial block
+        grid, g, chan, tag = (dy.TimeGrid(t_end=2.0, n_steps=dy.BLOCK + 17), 1.0,
+                              dy.NoiseFree(), dy.STATE_TILTED_EXCITED)
     else:
         cfg = cli.load_run_config(os.path.join(CONFIGS, f"{name}.json"))
         grid, g, chan, tag = cfg.grid, cfg.g, cfg.channel, cfg.initial_state
@@ -568,6 +573,34 @@ def test_evolve_matches_plain_reference(name):
     # the same RK4 map, reassociated: equal to rounding, not bit for bit
     assert np.max(np.abs(traj.z_s - z[0])) <= 1e-13
     assert np.max(np.abs(traj.z_a - z[1])) <= 1e-13
+
+
+def test_evolve_fails_where_plain_rk4_fails():
+    # noise-free plus_excited on the shipped grid leaves the positivity floor inside one
+    # run of equal rates; the powers of its step matrix fail at the same state, in the same words
+    grid, chan = dy.TimeGrid(t_end=24.0, n_steps=1004), dy.NoiseFree()
+    rho0 = dy.initial_state(dy.STATE_PLUS_EXCITED)
+    with pytest.raises(ValueError) as plain:
+        _plain_evolve(rho0, grid, 1.0, chan)
+    with pytest.raises(ValueError) as runs:
+        dy.evolve(rho0, grid, 1.0, chan)
+    assert str(runs.value) == str(plain.value) \
+        == "positivity violated: min eigenvalue = -1.005e-06 (t=2.24701)"
+
+
+def test_term_table_is_cached_read_only_and_left_unchanged():
+    chan = dy.ChannelSpec.amplitude_damping(b=0.05, lam=10.0, rate_clamp=0.005)
+    grid = dy.TimeGrid(t_end=3.0, n_steps=100)
+    terms = dy._terms(1.0, type(chan), grid.dt)
+    assert dy._terms(1.0, type(chan), grid.dt) is terms
+    assert not terms.flags.writeable
+    with pytest.raises(ValueError):
+        terms[0, 0] = 1.0
+    before = terms.copy()
+    assert np.array_equal(before, dy._terms.__wrapped__(1.0, type(chan), grid.dt))
+    dy.evolve(dy.initial_state(dy.STATE_TILTED_EXCITED), grid, 1.0, chan)
+    assert dy._terms(1.0, type(chan), grid.dt) is terms
+    assert np.array_equal(terms, before)
 
 
 @pytest.mark.parametrize("chan", [
@@ -581,7 +614,7 @@ def test_step_matrix_matches_rk4_stages(chan):
     rates = rng.uniform(0.0, chan.rate_clamp, (3, 40))
     rates[:, :8] = np.array(np.meshgrid([0.0, chan.rate_clamp], [0.0, chan.rate_clamp],
                                         [0.0, chan.rate_clamp])).reshape(3, 8)
-    e = dy._step_matrices(dy._rk4_terms(l_h, l_d, dt), *rates)
+    e = dy._step_matrices(dy._terms(1.0, type(chan), dt), *rates)
     f = lambda v, rate: l_h @ v + rate * (l_d @ v)  # noqa: E731
     for k, (r1, r2, r3) in enumerate(rates.T):
         v = rng.standard_normal(16) + 1j * rng.standard_normal(16)
