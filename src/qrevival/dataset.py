@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .dynamics import Z_BOUND, Trajectory
-from .table import read_table
+from .table import EOL, FLOAT_CELL, read_table
 
 
 def check_t_index(t_index: np.ndarray, first: int) -> None:
@@ -109,12 +109,12 @@ def write_dataset(ds: WindowDataset, path) -> None:
     """CSV `x1..xw,y,t_index,split` at 12 significant digits, the bytes of write_table; the series
     x1, then the last row's x2..xw, is formatted once, and row i's window is its cells i..i+w-1."""
     _check_shift(ds.xs.T, path)
-    w = ds.window_len
-    z = ["%.12g" % x for x in np.concatenate([ds.xs[:, 0], ds.xs[-1:, 1:].ravel()]).tolist()]
+    w, tail = ds.window_len, f",{FLOAT_CELL},%s,%s{EOL}"          # tail: y, t_index, split
+    z = [FLOAT_CELL % x for x in np.concatenate([ds.xs[:, 0], ds.xs[-1:, 1:].ravel()]).tolist()]
     rows = zip(ds.ys.tolist(), ds.t_index.tolist(), _split_column(ds))
     with open(path, "w", newline="") as f:
-        f.write(",".join(_header(w)) + "\r\n")
-        f.writelines(",".join(z[i:i + w]) + ",%.12g,%s,%s\r\n" % r for i, r in enumerate(rows))
+        f.write(",".join(_header(w)) + EOL)
+        f.writelines(",".join(z[i:i + w]) + tail % r for i, r in enumerate(rows))
 
 
 def read_dataset(path) -> WindowDataset:

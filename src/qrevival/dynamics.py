@@ -107,23 +107,19 @@ class ChannelSpec:
         t = np.asarray(t, dtype=float)
         (a, w2, _), c = self.oscillator, self.c
         if c == 0:                                     # removable point
-            out = np.exp(-a * t) * (1.0 + a * t)
-        else:
-            g = -np.expm1(-2.0 * c * t)
-            out = 0.5 * np.real(np.exp(-w2 * t / (a + c)) * ((2.0 - g) + (a / c) * g))
-        return out if out.ndim else float(out)
+            return np.exp(-a * t) * (1.0 + a * t)
+        g = -np.expm1(-2.0 * c * t)
+        return 0.5 * np.real(np.exp(-w2 * t / (a + c)) * ((2.0 - g) + (a / c) * g))
 
     def signed_rate(self, t):
         """Signed, unclamped time-local rate -scale f'/f; diverges at zeros of f."""
         t = np.asarray(t, dtype=float)
         (a, w2, scale), c = self.oscillator, self.c
         if c == 0:
-            out = scale * w2 * t / (1.0 + a * t)
-        else:
-            g = -np.expm1(-2.0 * c * t)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = scale * w2 * np.real(g / (c * (2.0 - g) + a * g))
-        return out if out.ndim else float(out)
+            return scale * w2 * t / (1.0 + a * t)
+        g = -np.expm1(-2.0 * c * t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return scale * w2 * np.real(g / (c * (2.0 - g) + a * g))
 
     def rate(self, t):
         """Evolution rate: positive part of signed_rate, clamped to [0, rate_clamp].
@@ -139,10 +135,12 @@ class ChannelSpec:
         Rates that are nonnegative to begin with are returned unchanged, so
         Markovian and noise-free runs are identical under either reading.
         """
-        raw = np.asarray(self.signed_rate(t), dtype=float)
-        out = np.clip(np.nan_to_num(raw, nan=self.rate_clamp, posinf=self.rate_clamp,
-                                    neginf=0.0), 0.0, self.rate_clamp)
-        return out if out.ndim else float(out)
+        return self.clamp(self.signed_rate(t))
+
+    def clamp(self, raw):
+        """The rule of `rate`: NaN and +inf to rate_clamp, then clipped to [0, rate_clamp]."""
+        return np.clip(np.nan_to_num(raw, nan=self.rate_clamp, posinf=self.rate_clamp,
+                                     neginf=0.0), 0.0, self.rate_clamp)
 
     def to_dict(self) -> dict:
         _, *attrs = self.__dataclass_fields__
@@ -416,12 +414,11 @@ def evolve(rho0: np.ndarray, grid: TimeGrid, g: float, chan: ChannelSpec,
     validate_density_matrix(rho0, context="initial state")
     times, dt, n = grid.times(), grid.dt, grid.n_steps
 
-    # rates at nodes and midpoints, clamped once up front; count every node
-    # where the raw signed rate had to be altered (negative, over cap, or
+    # rates at nodes and midpoints, evaluated and clamped once up front; count every node
+    # and midpoint where the raw signed rate had to be altered (negative, over cap, or
     # non-finite at a coherence zero)
-    eval_times = np.concatenate([times, times[:-1] + dt / 2.0])
-    raw = chan.signed_rate(eval_times)
-    clamped = chan.rate(eval_times)
+    raw = chan.signed_rate(np.concatenate([times, times[:-1] + dt / 2.0]))
+    clamped = chan.clamp(raw)
     n_clamped = int(np.count_nonzero(clamped != raw))
     step_rates = np.stack([clamped[:n], clamped[n + 1:], clamped[1:n + 1]])  # r1, r2, r3
     # a run of equal rates starts where they change and at each block's first step

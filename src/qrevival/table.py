@@ -21,13 +21,15 @@ from dataclasses import MISSING
 
 import numpy as np
 
+FLOAT_CELL, EOL = "%.12g", "\r\n"        # of every table writer: a float cell, a line end
+
 
 def write_table(path, header, columns) -> None:
     """Header row, then row i of the equal-length `columns` (arrays or lists) per line."""
     columns = [np.asarray(c) for c in columns]
-    fmt = ",".join("%.12g" if c.dtype.kind == "f" else "%s" for c in columns) + "\r\n"
+    fmt = ",".join(FLOAT_CELL if c.dtype.kind == "f" else "%s" for c in columns) + EOL
     with open(path, "w", newline="") as f:
-        f.write(",".join(header) + "\r\n")
+        f.write(",".join(header) + EOL)
         f.writelines(fmt % row for row in zip(*(c.tolist() for c in columns)))
 
 

@@ -376,6 +376,49 @@ def test_rate_positive_part_and_clamp():
     assert dy.ChannelSpec.noise_free().rate(3.0) == 0.0
 
 
+def test_clamp_is_the_rate_rule_bit_for_bit():
+    cap = 30.0
+    chan = dy.ChannelSpec.amplitude_damping(b=0.05, lam=10.0, rate_clamp=cap)
+    raw = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, -2.5, 1e-300, 7.25, cap, 31.0, 1e308])
+    # the rule written out: NaN and +inf to the cap, -inf to 0, then clipped to [0, cap]
+    old = np.clip(np.nan_to_num(raw, nan=cap, posinf=cap, neginf=0.0), 0.0, cap)
+    assert chan.clamp(raw).tobytes() == old.tobytes()
+    for x, want in zip(raw.tolist(), old.tolist()):
+        got = chan.clamp(x)
+        assert isinstance(got, float) and np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("chan", [dy.ADParams(b=0.05, lam=10.0), dy.ADParams(b=2.0, lam=2.0),
+                                  dy.RTNParams(v=1.0, kappa=1.0 / 7.0),
+                                  dy.RTNParams(v=1.0, kappa=2.0), dy.NoiseFree()])
+def test_rate_methods_return_a_float_for_a_scalar(chan):
+    # both oscillator branches: c != 0, and the removable point c == 0 that noise-free takes
+    ts = np.array([0.0, 1.3])
+    for method in (chan.coherence, chan.signed_rate, chan.rate):
+        for t in (0.0, 1.3, 2):
+            assert isinstance(method(t), float)
+        assert isinstance(out := method(ts), np.ndarray) and out.shape == ts.shape
+        assert np.allclose(out, [method(t) for t in ts.tolist()], rtol=1e-13, atol=0.0)
+
+
+def test_evolve_evaluates_the_signed_rate_once(monkeypatch):
+    calls, signed_rate = [], dy.ChannelSpec.signed_rate
+    monkeypatch.setattr(dy.ChannelSpec, "signed_rate",
+                        lambda self, t: calls.append(np.shape(t)) or signed_rate(self, t))
+    grid = dy.TimeGrid(t_end=10.0, n_steps=1004)
+    chan = dy.ChannelSpec.amplitude_damping(b=0.05, lam=10.0, rate_clamp=30.0)
+    dy.evolve(dy.initial_state(dy.STATE_EXCITED_EXCITED), grid, 1.0, chan)
+    assert calls == [(2 * grid.n_steps + 1,)]          # every node and midpoint, once
+
+
+@pytest.mark.parametrize("name, events", [("ad_markovian", 0), ("ad_non_markovian", 2008),
+                                          ("rtn_markovian", 0), ("rtn_non_markovian", 1996)])
+def test_clamp_events_on_the_shipped_configs(name, events):
+    cfg = cli.load_run_config(os.path.join(CONFIGS, f"{name}.json"))
+    traj = dy.evolve(dy.initial_state(cfg.initial_state), cfg.grid, cfg.g, cfg.channel)
+    assert traj.clamp_events == events
+
+
 def test_cross_integrator_markovian():
     # independent adaptive integrator on the smooth monotone-rate channel
     chan = dy.ChannelSpec.amplitude_damping(b=5.0, lam=1.0)
