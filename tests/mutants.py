@@ -1,0 +1,138 @@
+"""Hand-run mutation check of the stated tolerances and rules.
+
+Each mutant replaces one line's text in one source file. For each, the script
+copies src/, tests/, configs/ and pyproject.toml to a temporary directory,
+applies the mutant there, runs `pytest -x -q` on the copy and prints whether
+the suite killed it (failed) or let it survive (passed). The repository is
+never modified. A full run takes about 5 minutes on 2 cores.
+
+    python tests/mutants.py            # run every mutant
+    python tests/mutants.py --check    # only check that each mutant still applies
+
+`--check` confirms that each mutant's original text occurs exactly once in its
+file, so that an edit which moves or rewrites a mutated line fails at once
+instead of leaving this list stale. pytest does not collect this file.
+"""
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+COPIED = ("src", "tests", "configs", "pyproject.toml")
+
+# (name, file under src/qrevival, original text, mutated text)
+MUTANTS = (
+    ("revival rule d > eps to >=", "memory_metric.py",
+     "ups = np.flatnonzero(d > epsilon)", "ups = np.flatnonzero(d >= epsilon)"),
+    ("EIG_FLOOR -1e-6 to -1e-3", "dynamics.py", "EIG_FLOOR = -1e-6", "EIG_FLOOR = -1e-3"),
+    ("HERM_TOL 1e-9 to 1e-3", "dynamics.py", "HERM_TOL = 1e-9", "HERM_TOL = 1e-3"),
+    ("TRACE_TOL 1e-9 to 1e-3", "dynamics.py", "TRACE_TOL = 1e-9", "TRACE_TOL = 1e-3"),
+    ("RK4 dt^4/24 to dt^4/25", "dynamics.py", "dt ** 4 / 24.0", "dt ** 4 / 25.0"),
+    ("Adam EPS 1e-8 to 1e-6", "mlp.py",
+     "BETA1, BETA2, EPS = 0.9, 0.999, 1e-8", "BETA1, BETA2, EPS = 0.9, 0.999, 1e-6"),
+    ("clamp ceiling to 2 cap", "dynamics.py",
+     "neginf=0.0), 0.0, self.rate_clamp)", "neginf=0.0), 0.0, 2 * self.rate_clamp)"),
+    ("run starts broken", "dynamics.py",
+     "starts[::BLOCK] = True", "starts[::BLOCK] = True; starts[1::7] = False"),
+    ("split_index to (n + 1) // 2", "dataset.py",
+     "return len(self) // 2", "return (len(self) + 1) // 2"),
+    ("backward loses its factor 2", "mlp.py",
+     "r = np.divide(r, r.shape[-1] / 2, out=r)", "r = np.divide(r, r.shape[-1], out=r)"),
+    ("segment rule d > 0 to >=", "memory_metric.py", "rising = d > 0", "rising = d >= 0"),
+    ("run-all mismatch check without train", "cli.py",
+     "or ad_cfg.window_len != rtn_cfg.window_len or ad_cfg.train != rtn_cfg.train):",
+     "or ad_cfg.window_len != rtn_cfg.window_len):"),
+    ("load_params without its finiteness check", "mlp.py",
+     "if not np.all(np.isfinite(p.vec)):", "if False:"),
+    ("RevivalReport peak bound >= to >", "memory_metric.py",
+     "if t2 >= self.n_eval:", "if t2 > self.n_eval:"),
+    ("clamp_events != to <", "dynamics.py",
+     "np.count_nonzero(clamped != raw)", "np.count_nonzero(clamped < raw)"),
+    ("dataset reader without its split check", "dataset.py",
+     "if list(split) != _split_column(ds):", "if False:"),
+    ("adam_step without its finiteness check", "mlp.py",
+     "if not np.isfinite(p.vec).all():", "if False:"),
+    ("Trajectory dt agreement 1e-11 to 1e-3", "dynamics.py",
+     "drift > 1e-11 *", "drift > 1e-3 *"),
+    ("Z_BOUND 1 + 1e-6 to 1 + 1e-2", "dynamics.py", "Z_BOUND = 1.0 + 1e-6", "Z_BOUND = 1.0 + 1e-2"),
+    # equivalent on every shipped channel kind: a run longer than one step has r1 = r3,
+    # and no clamped rate changes inside one step and back
+    ("power-cache key reduced to the node rate", "dynamics.py",
+     "(key := step_rates[:, k0 + j].tobytes())", "(key := step_rates[0, k0 + j].tobytes())"),
+)
+EQUIVALENT = {"power-cache key reduced to the node rate"}
+
+
+def _source(root, name):
+    return os.path.join(root, "src", "qrevival", name)
+
+
+def check() -> list:
+    """The mutants whose original text does not occur exactly once in its file."""
+    stale = []
+    for name, path, original, _ in MUTANTS:
+        with open(_source(ROOT, path)) as f:
+            if f.read().count(original) != 1:
+                stale.append(name)
+    return stale
+
+
+def _copy(dst):
+    for name in COPIED:
+        src = os.path.join(ROOT, name)
+        if os.path.isdir(src):
+            shutil.copytree(src, os.path.join(dst, name),
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        else:
+            shutil.copy(src, dst)
+
+
+def _suite_passes(root) -> bool:
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    done = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
+                          cwd=root, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL)
+    return done.returncode == 0
+
+
+def run() -> int:
+    """Run every mutant; 1 if a mutant not known to be equivalent survives."""
+    with tempfile.TemporaryDirectory() as tmp:
+        _copy(tmp)
+        if not _suite_passes(tmp):
+            print("the suite fails without a mutant; nothing to measure")
+            return 1
+    survivors = []
+    for name, path, original, mutated in MUTANTS:
+        with tempfile.TemporaryDirectory() as tmp:
+            _copy(tmp)
+            with open(_source(tmp, path)) as f:
+                text = f.read()
+            with open(_source(tmp, path), "w") as f:
+                f.write(text.replace(original, mutated))
+            survived = _suite_passes(tmp)
+        note = " (equivalent)" if name in EQUIVALENT else ""
+        print(f"{'survived' if survived else 'killed':8}  {path:17} {name}{note}", flush=True)
+        if survived and name not in EQUIVALENT:
+            survivors.append(name)
+    return 1 if survivors else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="only check that each mutant's original text occurs once")
+    if parser.parse_args(argv).check:
+        stale = check()
+        for name in stale:
+            print(f"stale mutant: {name}")
+        return 1 if stale else 0
+    return run()
+
+
+if __name__ == "__main__":
+    sys.exit(main())

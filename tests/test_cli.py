@@ -596,33 +596,6 @@ def test_read_predictions_rejects_corrupted_cell(tmp_path, data, start, n, fault
         cli.read_predictions(path)
 
 
-def test_plots_reject_predictions_past_the_trajectory(tmp_path, capsys):
-    run = tmp_path / "run"
-    cfg_path = write_doc(tmp_path, rtn_doc(run))
-    assert chain(cfg_path, *ALL_STAGES) == 0
-    cli.write_predictions([9999, 10000], [0.5, 0.7], run / "predictions.csv")
-    with pytest.raises(ValueError, match="past the end"):
-        cli.emit_plots(cli.load_run_config(cfg_path))
-
-
-def test_plots_reject_an_inconsistent_report(tmp_path, capsys):
-    run = tmp_path / "run"
-    cfg_path = write_doc(tmp_path, rtn_doc(run))
-    assert chain(cfg_path, *ALL_STAGES) == 0
-    n_eval = mm.read_report(run / "report.json").n_eval
-    # a peak past the predictions, an n_eval that is not the number of
-    # predictions, and a score that is not n_rev / n_eval
-    for doc, match in (
-            ({"n_rev": 1, "n_eval": n_eval, "score": 1 / n_eval,
-              "segments": [[1, 9000]]}, "peak"),
-            ({"n_rev": 1, "n_eval": 1000, "score": 0.001,
-              "segments": [[600, 700]]}, "n_eval"),
-            ({"n_rev": 1, "n_eval": n_eval, "score": 0.9, "segments": []}, "score")):
-        (run / "report.json").write_text(json.dumps({**doc, "epsilon": 0.015}))
-        with pytest.raises(ValueError, match=match):
-            cli.emit_plots(cli.load_run_config(cfg_path))
-
-
 def test_train_deterministic_bytes(tmp_path, capsys):
     paths = []
     for name in ("a", "b"):
@@ -711,22 +684,68 @@ def test_score_on_truth_writes_truth_report(tmp_path, capsys):
     assert mm.read_report(run / "truth_report.json") == expect
 
 
+MARKOV = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "rtn_markovian.json")
+
+
+def markov_run(tmp_path, *stages):
+    """Output directory of `rtn_markovian` after the given stages."""
+    run = tmp_path / "run"
+    for stage in stages:
+        assert cli.main([stage, "--config", MARKOV, "--out", str(run)]) == 0
+    return run
+
+
+def set_cell(path, row, col, value):
+    """Rewrite one cell of a CSV file; row 0 is the header."""
+    lines = path.read_text().splitlines()
+    cells = lines[row].split(",")
+    cells[col] = value
+    lines[row] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+
+
 def test_shifted_window_column_exits_5(tmp_path, capsys):
     # x3 of data row 10 no longer equals x2 of row 11, so the windows disagree
-    markov = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "rtn_markovian.json")
-    run = tmp_path / "run"
-    for stage in ("simulate", "dataset"):
-        assert cli.main([stage, "--config", markov, "--out", str(run)]) == 0
-    lines = (run / "dataset.csv").read_text().splitlines()
-    row = lines[10].split(",")
-    row[2] = "0.123"
-    lines[10] = ",".join(row)
-    (run / "dataset.csv").write_text("\n".join(lines) + "\n")
+    run = markov_run(tmp_path, "simulate", "dataset")
+    set_cell(run / "dataset.csv", 10, 2, "0.123")
     capsys.readouterr()
-    assert cli.main(["score", "--config", markov, "--out", str(run), "--on-truth"]) == 5
+    assert cli.main(["score", "--config", MARKOV, "--out", str(run), "--on-truth"]) == 5
     err = capsys.readouterr().err
     assert err.startswith("malformed input: ") and "x3 is not x2 shifted" in err
     assert not (run / "truth_report.json").exists()
+
+
+@pytest.mark.parametrize("factor, err", [
+    (1 + 5e-12, ""),
+    (1 + 2e-11, "disagrees with the spacing of the times")])
+def test_sidecar_dt_at_its_tolerance(tmp_path, factor, err, capsys):
+    # the times are written at 12 digits, so dt may be off their spacing by 1e-11 relative
+    run = markov_run(tmp_path, "simulate")
+    meta = json.loads((run / META).read_text())
+    (run / META).write_text(json.dumps(dict(meta, dt=meta["dt"] * factor)))
+    capsys.readouterr()
+    rc = cli.main(["dataset", "--config", MARKOV, "--out", str(run)])
+    assert rc == (cli.EXIT_MALFORMED if err else 0)
+    want = f"malformed input: dt {meta['dt'] * factor!r} {err}\n" if err else ""
+    assert capsys.readouterr().err == want
+
+
+@pytest.mark.parametrize("name, row, col, cell, err", [
+    ("trajectory.csv", 100, 1, "1.0000005", ""),
+    ("trajectory.csv", 100, 1, "1.000002", "z_s leaves [-1, 1] by 2.000e-06"),
+    ("dataset.csv", 700, 5, "1.0000005", ""),
+    ("dataset.csv", 700, 5, "1.000002", "a window or label leaves [-1, 1]"),
+])
+def test_z_bound_at_its_tolerance(tmp_path, name, row, col, cell, err, capsys):
+    # Z_BOUND leaves 1e-6 of slack above |<Z>| = 1 for integration rounding; the stage
+    # that reads the file holds a z_s cell, or a test-half label, to it
+    run = markov_run(tmp_path, "simulate", "dataset")
+    set_cell(run / name, row, col, cell)
+    capsys.readouterr()
+    reader = ["dataset"] if name == "trajectory.csv" else ["score", "--on-truth"]
+    rc = cli.main([*reader, "--config", MARKOV, "--out", str(run)])
+    assert rc == (cli.EXIT_MALFORMED if err else 0)
+    assert capsys.readouterr().err == (f"malformed input: {err}\n" if err else "")
 
 
 def test_parser_is_built_once_and_calls_share_no_state(tmp_path, capsys):

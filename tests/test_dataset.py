@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from qrevival import dataset as dset
 from qrevival import dynamics as dy
+from test_table import _per_cell_bytes
 
 
 def _traj(z_s, z_a):
@@ -145,10 +146,36 @@ _PROPERTY = settings(max_examples=25, deadline=None,
 _to_12_digits = np.vectorize(lambda v: float(f"{v:.12g}"))
 
 
-def _random_dataset(data, w, n):
+def _random_dataset(data, w, n, elements=st.floats(-1.0, 1.0)):
     """A dataset of n windows of length w cut from a random trajectory in [-1, 1]."""
-    z = data.draw(arrays(float, (2, n + w), elements=st.floats(-1.0, 1.0)))
+    z = data.draw(arrays(float, (2, n + w), elements=elements))
     return dset.build_windows(_traj(z[0], z[1]), window_len=w)
+
+
+def _assert_per_cell_bytes(tmp_path, ds):
+    path = os.path.join(tmp_path, "ds.csv")
+    dset.write_dataset(ds, path)
+    header = [f"x{j + 1}" for j in range(ds.window_len)] + ["y", "t_index", "split"]
+    split = ["train"] * ds.split_index + ["test"] * (len(ds) - ds.split_index)
+    columns = [*ds.xs.T.tolist(), ds.ys.tolist(), ds.t_index.tolist(), split]
+    with open(path, "rb") as f:
+        assert f.read() == _per_cell_bytes(os.path.join(tmp_path, "ref.csv"), header, columns)
+
+
+# signed zeros, the smallest subnormals and the ends of the range, among arbitrary draws
+_EDGE_CELLS = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.5e-310, -1.0, 1.0]),
+                        st.floats(-1.0, 1.0))
+
+
+@_PROPERTY
+@given(data=st.data(), w=st.integers(1, 6), n=st.integers(1, 60))
+def test_write_dataset_matches_per_cell_csv_writer(tmp_path, data, w, n):
+    _assert_per_cell_bytes(tmp_path, _random_dataset(data, w, n, _EDGE_CELLS))
+
+
+@pytest.mark.parametrize("w", [1, 5])
+def test_empty_dataset_matches_per_cell_csv_writer(tmp_path, w):
+    _assert_per_cell_bytes(tmp_path, dset.WindowDataset(np.empty((0, w)), np.empty(0), []))
 
 
 @_PROPERTY

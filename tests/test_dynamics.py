@@ -471,6 +471,10 @@ def test_validate_density_matrix_rejections():
     dy.validate_density_matrix(I4 / 4.0)
     with pytest.raises(ValueError, match="trace"):
         dy.validate_density_matrix(I4 / 2.0)
+    # TRACE_TOL = 1e-9: a trace of 1 + 5e-10 passes, one of 1 + 2e-9 does not
+    dy.validate_density_matrix(np.diag([0.5 + 5e-10, 0.5, 0.0, 0.0]).astype(complex))
+    with pytest.raises(ValueError, match=r"^trace violated: \|tr - 1\| = 2\.000e-09$"):
+        dy.validate_density_matrix(np.diag([0.5 + 2e-9, 0.5, 0.0, 0.0]).astype(complex))
     bad_herm = np.array(I4 / 4.0, dtype=complex)
     bad_herm[0, 1] = 1e-3
     with pytest.raises(ValueError, match="[Hh]ermit"):
