@@ -85,7 +85,7 @@ class RunConfig:
                 raise ValueError(f"{name} must be a {cls.__name__}, got {getattr(self, name)!r}")
         for name in ("g", "epsilon"):
             object.__setattr__(self, name, positive_real(name, getattr(self, name)))
-        if self.initial_state not in dy.INITIAL_KETS:
+        if not isinstance(self.initial_state, str) or self.initial_state not in dy.INITIAL_KETS:
             raise ValueError(f"initial_state must be one of {list(dy.INITIAL_KETS)}, "
                              f"got {self.initial_state!r}")
         count("window_len", self.window_len, 2)

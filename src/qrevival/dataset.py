@@ -107,14 +107,14 @@ def _check_shift(xcols, path) -> None:
 
 def write_dataset(ds: WindowDataset, path) -> None:
     """CSV `x1..xw,y,t_index,split` through write_table; the series x1, then the last row's
-    x2..xw, is formatted once, and window column j is its cells j..j+n-1. The cells are an
-    object array, so the columns pass through write_table as the same str objects."""
+    x2..xw, is formatted once, and window column j is its cells j..j+n-1. The cells and the
+    split column are object arrays, so they pass through write_table as the same str objects."""
     _check_shift(ds.xs.T, path)
     w, n = ds.window_len, len(ds)
     z = np.array([FLOAT_CELL % x for x in
                   np.concatenate([ds.xs[:, 0], ds.xs[-1:, 1:].ravel()]).tolist()], dtype=object)
-    write_table(path, _header(w),
-                [*(z[j:j + n] for j in range(w)), ds.ys, ds.t_index, _split_column(ds)])
+    write_table(path, _header(w), [*(z[j:j + n] for j in range(w)), ds.ys, ds.t_index,
+                                   np.array(_split_column(ds), dtype=object)])
 
 
 def read_dataset(path) -> WindowDataset:

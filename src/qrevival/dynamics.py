@@ -86,6 +86,10 @@ class ChannelSpec:
             value = positive_real(f"{self.kind} params.{name}", getattr(self, attr))
             object.__setattr__(self, attr, value)
         object.__setattr__(self, "rate_clamp", positive_real("rate_clamp", self.rate_clamp))
+        a, w2, _ = self.oscillator          # past a double, the closed forms give NaN at once
+        if not (math.isfinite(a * a) and math.isfinite(w2)):
+            raise ValueError(f"{self.kind} params overflow a double: a^2 = {a * a!r}, "
+                             f"w2 = {w2!r}")
 
     @property
     def c(self) -> complex:

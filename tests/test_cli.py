@@ -126,38 +126,44 @@ def test_huge_coupling_exits_3_without_a_warning(tmp_path, g, capsys):
         "integration failure: non-finite state (t=0.0239044)\n"
 
 
-@pytest.mark.parametrize("mutate", [
-    lambda d: d.update(extra_key=1),
-    lambda d: d["channel"].update(unexpected=2),
-    lambda d: d["channel"]["params"].update(b=1.0),
-    lambda d: d["grid"].update(dt=0.1),
-    lambda d: d["train"].update(momentum=0.9),
-    lambda d: d.pop("grid"),
-    lambda d: d.pop("channel"),
-    lambda d: d.update(initial_state="sideways"),
-    lambda d: d.update(window_len=1),
-    lambda d: d.update(epsilon=-0.1),
-    lambda d: d.update(output_dir=""),
-    lambda d: d["channel"].update(kind="thermal"),
-    lambda d: d["train"].update(seed=-1),
+@pytest.mark.parametrize("mutate, word", [
+    (lambda d: d.update(extra_key=1), "extra_key"),
+    (lambda d: d["channel"].update(unexpected=2), "unexpected"),
+    (lambda d: d["channel"]["params"].update(b=1.0), "['b']"),
+    (lambda d: d["grid"].update(dt=0.1), "dt"),
+    (lambda d: d["train"].update(momentum=0.9), "momentum"),
+    (lambda d: d.pop("grid"), "grid"),
+    (lambda d: d.pop("channel"), "channel"),
+    (lambda d: d.update(initial_state="sideways"), "initial_state must be one of"),
+    # a value that is not a string, which no dict lookup may see
+    (lambda d: d.update(initial_state=["x"]), "initial_state must be one of"),
+    (lambda d: d.update(window_len=1), "window_len"),
+    (lambda d: d.update(epsilon=-0.1), "epsilon"),
+    (lambda d: d.update(output_dir=""), "output_dir"),
+    (lambda d: d["channel"].update(kind="thermal"), "thermal"),
+    (lambda d: d["train"].update(seed=-1), "seed"),
     # the dropped shuffle knob and figure switch are unknown keys
-    lambda d: d["train"].update(shuffle_within_train=True),
-    lambda d: d.update(emit_plots=True),
+    (lambda d: d["train"].update(shuffle_within_train=True), "shuffle_within_train"),
+    (lambda d: d.update(emit_plots=True), "emit_plots"),
     # wrong JSON types and non-finite reals
-    lambda d: d["train"].update(epochs=2.9),
-    lambda d: d["grid"].update(n_steps=1000.7),
-    lambda d: d.update(window_len=5.9),
-    lambda d: d["grid"].update(n_steps="1000"),
-    lambda d: d.update(g=True),
-    lambda d: d["train"].update(lr=math.inf),
-    lambda d: d["channel"].update(rate_clamp=math.inf),
-    lambda d: d["grid"].update(t_end=math.inf),
-    lambda d: d.update(g=10 ** 400),
+    (lambda d: d["train"].update(epochs=2.9), "epochs"),
+    (lambda d: d["grid"].update(n_steps=1000.7), "n_steps"),
+    (lambda d: d.update(window_len=5.9), "window_len"),
+    (lambda d: d["grid"].update(n_steps="1000"), "n_steps"),
+    (lambda d: d.update(g=True), "g must"),
+    (lambda d: d["train"].update(lr=math.inf), "lr"),
+    (lambda d: d["channel"].update(rate_clamp=math.inf), "rate_clamp"),
+    (lambda d: d["grid"].update(t_end=math.inf), "t_end"),
+    (lambda d: d.update(g=10 ** 400), "g must"),
+    # kappa^2 overflows a double, which would clamp every rate to the cap
+    (lambda d: d["channel"]["params"].update(kappa=1.4e154), "rtn_dephasing params overflow"),
 ])
-def test_invalid_config_exits_2(tmp_path, mutate, capsys):
+def test_invalid_config_exits_2(tmp_path, mutate, word, capsys):
     doc = rtn_doc(tmp_path / "run")
     mutate(doc)
     assert cli.main(["simulate", "--config", write_doc(tmp_path, doc)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and word in err
 
 
 def test_config_defaults_come_from_the_dataclasses(tmp_path):
@@ -423,6 +429,8 @@ def params_body(**extra):
     ("dataset", META, sidecar(channel={"kind": "thermal", "params": {}})),
     ("dataset", META, sidecar(channel={"params": {}})),
     ("dataset", META, sidecar(channel=[1, 2])),
+    # channel params whose oscillator overflows a double
+    ("dataset", META, sidecar(channel=rtn_channel(v=7e153, kappa=1.0 / 7.0))),
     # trajectory sidecars that are not an object, or whose g, dt,
     # initial_state or clamp_events has the wrong type or sign, or is NaN
     ("dataset", META, "[1, 2]"),

@@ -22,6 +22,7 @@ from scipy.integrate import solve_ivp
 
 from qrevival import cli
 from qrevival import dynamics as dy
+from qrevival import memory_metric as mm
 from qrevival.linalg import I4, KET_PLUS, KET0, KET1, dm
 
 # G(t) and gamma(t) for the monotone-decay parameters b=5, lam=1
@@ -222,6 +223,27 @@ def test_param_validation():
         dy.RTNParams(v=0.0, kappa=1.0)
     with pytest.raises(ValueError):
         dy.RTNParams(v=1.0, kappa=-2.0)
+    # a^2 or w2 past a double: the closed forms would give NaN from t = 0 on, and the clamp
+    # would run every step at the cap
+    for chan, kwargs in ((dy.ADParams, dict(b=3e154, lam=1.0)),
+                         (dy.RTNParams, dict(v=1.0, kappa=1.4e154)),
+                         (dy.RTNParams, dict(v=7e153, kappa=4.0))):
+        with pytest.raises(ValueError, match=f"^{chan.kind} params overflow a double"):
+            chan(**kwargs)
+
+
+@pytest.mark.parametrize("name, params", [("ad_markovian", dict(b=2e154)),
+                                          ("rtn_markovian", dict(kappa=1.3e154)),
+                                          ("rtn_markovian", dict(v=6e153))])
+def test_rates_just_below_the_oscillator_overflow(name, params):
+    cfg = cli.load_run_config(os.path.join(CONFIGS, f"{name}.json"))
+    chan, times, dt = dataclasses.replace(cfg.channel, **params), cfg.grid.times(), cfg.grid.dt
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        raw = chan.signed_rate(np.concatenate([times, times[:-1] + dt / 2.0]))
+    assert np.all(np.isfinite(raw))
+    # v 6e153 makes the RTN channel non-Markovian, where the signed rate changes sign
+    assert np.all(raw >= 0.0) == (not chan.non_markovian)
 
 
 def _dissipator(chan, rho):
@@ -411,12 +433,22 @@ def test_evolve_evaluates_the_signed_rate_once(monkeypatch):
     assert calls == [(2 * grid.n_steps + 1,)]          # every node and midpoint, once
 
 
-@pytest.mark.parametrize("name, events", [("ad_markovian", 0), ("ad_non_markovian", 2008),
-                                          ("rtn_markovian", 0), ("rtn_non_markovian", 1996)])
-def test_clamp_events_on_the_shipped_configs(name, events):
-    cfg = cli.load_run_config(os.path.join(CONFIGS, f"{name}.json"))
-    traj = dy.evolve(dy.initial_state(cfg.initial_state), cfg.grid, cfg.g, cfg.channel)
-    assert traj.clamp_events == events
+@pytest.mark.parametrize("name, events, n_rev", [("ad_markovian", 0, 0),
+                                                 ("ad_non_markovian", 2008, 84),
+                                                 ("rtn_markovian", 0, 0),
+                                                 ("rtn_non_markovian", 1996, 188)])
+def test_clamp_events_on_the_shipped_configs(tmp_path, name, events, n_rev):
+    # the one place that pins each shipped config's clamp events and truth count; the stages
+    # run through their files, so the 12-digit round trip of every value is in the path. The
+    # truth counts hold on any numpy and BLAS: the nearest test-half differences lie 7.9e-6
+    # (ad) and 9.3e-5 (rtn) from epsilon, while the stepping by powers of one matrix moves
+    # values by about 3e-14
+    cfg, out = os.path.join(CONFIGS, f"{name}.json"), str(tmp_path)
+    for stage in (["simulate"], ["dataset"], ["score", "--on-truth"]):
+        assert cli.main([*stage, "--config", cfg, "--out", out]) == 0
+    assert dy.read_trajectory(tmp_path / cli.TRAJECTORY_CSV).clamp_events == events
+    report = mm.read_report(tmp_path / cli.TRUTH_REPORT_JSON)
+    assert (report.n_rev, report.n_eval) == (n_rev, 500)
 
 
 def test_cross_integrator_markovian():
@@ -599,10 +631,29 @@ def _plain_evolve(rho0, grid, g, chan):
     return z
 
 
+MIDPOINT_JUMP_DT = 0.05
+
+
+class _MidpointJump(dy.RTNParams):
+    """RTN dephasing whose rate is 0.5 at the nodes of a grid of step MIDPOINT_JUMP_DT, and
+    1 at its midpoints before t = 1, 2 after: two runs of steps that share the node rate."""
+
+    def signed_rate(self, t):
+        t = np.asarray(t, dtype=float)
+        k = t / MIDPOINT_JUMP_DT
+        return np.where(np.abs(k - np.round(k)) < 0.25, 0.5, np.where(t < 1.0, 1.0, 2.0))
+
+
 @pytest.mark.parametrize("name", ["ad_markovian", "ad_non_markovian", "rtn_markovian",
-                                  "rtn_non_markovian", "noise_free", "noise_free_partial"])
+                                  "rtn_non_markovian", "noise_free", "noise_free_partial",
+                                  "midpoint_jump"])
 def test_evolve_matches_plain_reference(name):
-    if name == "noise_free":
+    if name == "midpoint_jump":
+        # a power cache keyed by less than the whole rate triple reuses the first run's
+        # powers for the second
+        grid, g, chan, tag = (dy.TimeGrid(t_end=2.0, n_steps=40), 1.0, _MidpointJump(1.0, 1.0),
+                              dy.STATE_PLUS_EXCITED)
+    elif name == "noise_free":
         # two full validation blocks and no partial one
         grid, g, chan, tag = (dy.TimeGrid(t_end=3.0, n_steps=2 * dy.BLOCK), 1.0, dy.NoiseFree(),
                               dy.STATE_TILTED_EXCITED)
