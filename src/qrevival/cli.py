@@ -219,8 +219,12 @@ def cmd_predict(cfg: RunConfig) -> None:
     [out] = _outputs(cfg.output_dir, PREDICTIONS_CSV)
     ds_path, params_path = _inputs(cfg, DATASET_CSV, PARAMS_JSON)
     _, test = dsmod.chronological_split(dsmod.read_dataset(ds_path))
+    params = mlp.load_params(params_path)
+    if params.n_in != test.window_len:
+        raise ValueError(f"{params_path} takes windows of {params.n_in} samples, but "
+                         f"{ds_path} holds windows of {test.window_len}")
     try:
-        preds = mlp.predict_series(mlp.load_params(params_path), test.xs)
+        preds = mlp.predict_series(params, test.xs)
     except FloatingPointError as e:
         raise StageError(EXIT_INTEGRATION, f"prediction failure: {e}") from e
     write_predictions(test.t_index, preds, out)
@@ -299,8 +303,6 @@ def _svg_chart(path, title, series, markers=()) -> None:
     ys_all = np.concatenate([np.asarray(s[2], dtype=float) for s in series])
     x0, x1 = float(xs_all.min()), float(xs_all.max())
     y0, y1 = float(ys_all.min()), float(ys_all.max())
-    if x1 == x0:
-        x1 = x0 + 1.0
     pad = 0.05 * (y1 - y0 or 1.0)
     y0, y1 = y0 - pad, y1 + pad
 

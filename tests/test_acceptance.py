@@ -1,13 +1,16 @@
 """Acceptance gate: nine criteria, each with pinned tolerances and runtime caps.
 
-Criteria 7-9 exercise the four shipped configs in `configs/` end to end
-through the CLI stage functions; module-scope fixtures share those runs.
-Run with `pytest -v` to get one pass/fail line per criterion.
+This file is the one place that checks each criterion's behaviour. Criteria 7-9 exercise
+the four shipped configs in `configs/` end to end through the CLI, in two module-scope
+fixtures: two `run-all`s of the shipped pair config (the two non-Markovian configs), and
+one pipeline of the two Markovian configs. Run with `pytest -v` to get one pass/fail line
+per criterion.
 """
 
 import dataclasses
 import json
 import os
+import pathlib
 import time
 
 import numpy as np
@@ -62,11 +65,13 @@ def test_criterion_3_noise_free_exchange_oracle():
     grid = dy.TimeGrid(t_end=5.0, n_steps=5000)
     traj = dy.evolve(rho0, grid, 1.0, dy.ChannelSpec.noise_free())
     err = float(np.max(np.abs(traj.z_s - np.cos(4.0 * traj.times))))
+    err_a = float(np.max(np.abs(traj.z_a + np.cos(4.0 * traj.times))))
     elapsed = time.time() - t0
     assert err < 1e-6
+    assert err_a < 1e-6
     assert elapsed < 5.0
-    print(f"criterion 3: PASS - max |z_s - cos(4t)| = {err:.3e} < 1e-6, "
-          f"{elapsed:.2f}s")
+    print(f"criterion 3: PASS - max |z_s - cos(4t)| = {err:.3e}, max |z_a + cos(4t)| = "
+          f"{err_a:.3e} < 1e-6, {elapsed:.2f}s")
 
 
 # ---------- criterion 4: physicality suite ----------
@@ -135,31 +140,27 @@ def test_criterion_6_gradient_verification():
 
 # ---------- criteria 7-9: shipped pipeline configs ----------
 
-PIPELINE_CONFIGS = ("ad_non_markovian.json", "rtn_non_markovian.json",
-                    "ad_markovian.json", "rtn_markovian.json")
+def _test_mse(run_dir):
+    """Mean squared error of a run's predictions against its test-half labels."""
+    ds = dsmod.read_dataset(os.path.join(run_dir, cli.DATASET_CSV))
+    _, test = dsmod.chronological_split(ds)
+    _, preds = cli.read_predictions(os.path.join(run_dir, cli.PREDICTIONS_CSV))
+    return float(np.mean((preds - test.ys) ** 2))
 
 
 @pytest.fixture(scope="module")
-def pipeline_runs(tmp_path_factory):
-    """Run all four shipped configs end to end; return per-run measurements."""
-    base = tmp_path_factory.mktemp("pipelines")
-    runs = {}
-    for name in PIPELINE_CONFIGS:
-        cfg = cli.load_run_config(config_path(name))
-        cfg = dataclasses.replace(cfg, output_dir=str(base / name[:-5]))
-        t0 = time.time()
-        rc = cli.run_pipeline(cfg)
-        wall = time.time() - t0
-        assert rc == 0, f"pipeline {name} exited {rc}"
-        ds = dsmod.read_dataset(os.path.join(cfg.output_dir, cli.DATASET_CSV))
-        _, test = dsmod.chronological_split(ds)
-        _, preds = cli.read_predictions(
-            os.path.join(cfg.output_dir, cli.PREDICTIONS_CSV))
-        report = mm.read_report(os.path.join(cfg.output_dir, cli.REPORT_JSON))
-        test_mse = float(np.mean((preds - test.ys) ** 2))
-        runs[name] = {"config": cfg, "report": report, "test_mse": test_mse,
-                      "wall": wall}
-    return runs
+def markovian_runs(tmp_path_factory):
+    """The two Markovian configs as one pipeline: they share a grid, a window length and a
+    train section, so one training call trains both. Returns (reports by name, wall)."""
+    base = tmp_path_factory.mktemp("markovian")
+    names = ("ad_markovian", "rtn_markovian")
+    cfgs = [dataclasses.replace(cli.load_run_config(config_path(f"{name}.json")),
+                                output_dir=str(base / name)) for name in names]
+    t0 = time.time()
+    assert cli.run_pipeline(*cfgs) == 0
+    wall = time.time() - t0
+    return {name: mm.read_report(os.path.join(cfg.output_dir, cli.REPORT_JSON))
+            for name, cfg in zip(names, cfgs)}, wall
 
 
 @pytest.fixture(scope="module")
@@ -178,22 +179,28 @@ def comparison_runs(tmp_path_factory):
     return outs, walls
 
 
-def test_criterion_7_fit_quality(pipeline_runs):
-    ad_nm = pipeline_runs["ad_non_markovian.json"]
-    rtn_nm = pipeline_runs["rtn_non_markovian.json"]
-    ad_m = pipeline_runs["ad_markovian.json"]
-    assert ad_nm["test_mse"] < 1e-2
-    assert rtn_nm["test_mse"] < 1e-2
-    assert ad_m["report"].score < 0.01
-    for run in (ad_nm, rtn_nm, ad_m):
-        assert run["wall"] < 120.0
-    print(f"criterion 7: PASS - test mse {ad_nm['test_mse']:.2e} (ad) / "
-          f"{rtn_nm['test_mse']:.2e} (rtn) < 1e-2; markovian ad score "
-          f"{ad_m['report'].score:.4f} < 0.01; slowest pipeline "
-          f"{max(r['wall'] for r in (ad_nm, rtn_nm, ad_m)):.0f}s")
+def test_criterion_7_fit_quality(markovian_runs, comparison_runs):
+    # the pair config's runs are the shipped non-Markovian configs but for output_dir
+    pair = cli.load_pair_config(config_path("run_all.json"))
+    for cfg, name in zip(pair, ("ad_non_markovian", "rtn_non_markovian")):
+        shipped = cli.load_run_config(config_path(f"{name}.json"))
+        assert cfg == dataclasses.replace(shipped, output_dir=cfg.output_dir), name
+    reports, markovian_wall = markovian_runs
+    outs, walls = comparison_runs
+    ad_mse, rtn_mse = (_test_mse(os.path.join(outs[0], key)) for key in ("ad", "rtn"))
+    ad_m = reports["ad_markovian"].score
+    assert ad_mse < 1e-2
+    assert rtn_mse < 1e-2
+    assert ad_m < 0.01
+    assert walls[0] < 120.0
+    assert markovian_wall < 120.0
+    print(f"criterion 7: PASS - test mse {ad_mse:.2e} (ad) / {rtn_mse:.2e} (rtn) < 1e-2; "
+          f"markovian ad score {ad_m:.4f} < 0.01; run-all {walls[0]:.0f}s, "
+          f"markovian pair {markovian_wall:.0f}s")
 
 
-def test_criterion_8_score_comparison(pipeline_runs, comparison_runs):
+def test_criterion_8_score_comparison(markovian_runs, comparison_runs):
+    reports, _ = markovian_runs
     outs, walls = comparison_runs
     with open(os.path.join(outs[0], cli.COMPARISON_JSON)) as f:
         comparison = json.load(f)
@@ -201,29 +208,25 @@ def test_criterion_8_score_comparison(pipeline_runs, comparison_runs):
     assert comparison["epsilon"] == 0.015
     assert comparison["rtn_score"] > comparison["ad_score"]
     assert 1.5 <= comparison["ratio"] <= 3.5
-    for name in ("ad_markovian.json", "rtn_markovian.json"):
-        assert pipeline_runs[name]["report"].score < 0.01
+    for report in reports.values():
+        assert report.score < 0.01
     assert walls[0] < 300.0
     print(f"criterion 8: PASS - raw counts {comparison['ad_n_rev']}/500 (ad) "
           f"vs {comparison['rtn_n_rev']}/500 (rtn), scores "
           f"{comparison['ad_score']:.3f} < {comparison['rtn_score']:.3f}, "
           f"ratio {comparison['ratio']:.3f} in [1.5, 3.5], markovian scores "
-          f"{pipeline_runs['ad_markovian.json']['report'].score:.3f} / "
-          f"{pipeline_runs['rtn_markovian.json']['report'].score:.3f} < 0.01, "
-          f"{walls[0]:.0f}s")
+          f"{reports['ad_markovian'].score:.3f} / "
+          f"{reports['rtn_markovian'].score:.3f} < 0.01, {walls[0]:.0f}s")
 
 
 def test_criterion_9_run_all_determinism(comparison_runs):
     outs, _ = comparison_runs
-    files = [cli.COMPARISON_JSON,
-             os.path.join("ad", cli.REPORT_JSON),
-             os.path.join("rtn", cli.REPORT_JSON),
-             os.path.join("ad", cli.PREDICTIONS_CSV),
-             os.path.join("rtn", cli.PREDICTIONS_CSV)]
-    for rel in files:
-        with open(os.path.join(outs[0], rel), "rb") as fa, \
-                open(os.path.join(outs[1], rel), "rb") as fb:
-            a, b = fa.read(), fb.read()
-        assert a == b, f"{rel} differs between identical runs"
-    print(f"criterion 9: PASS - {len(files)} score artifacts byte-identical "
+    trees = [{p.relative_to(out): p.read_bytes() for p in pathlib.Path(out).rglob("*")
+              if p.is_file()} for out in outs]
+    # comparison.json and ten files per run: every stage output and both figures
+    assert len(trees[0]) == 21
+    assert trees[0].keys() == trees[1].keys()
+    for rel, body in trees[0].items():
+        assert body == trees[1][rel], f"{rel} differs between identical runs"
+    print(f"criterion 9: PASS - all {len(trees[0])} files byte-identical "
           f"across repeated run-all executions")

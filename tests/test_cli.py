@@ -277,6 +277,23 @@ def test_overflowing_prediction_exits_3(tmp_path, capsys):
     assert not (run / "predictions.csv").exists()
 
 
+def test_params_of_another_width_exits_5(tmp_path, capsys):
+    # a network trained on 5-sample windows against a dataset rebuilt with 4
+    run = tmp_path / "run"
+    cfg = write_doc(tmp_path, rtn_doc(run))
+    assert chain(cfg, "simulate", "dataset", "train") == 0
+    params = (run / "params.json").read_bytes()
+    narrow = write_doc(tmp_path, rtn_doc(run, window_len=4), "narrow.json")
+    assert cli.main(["dataset", "--config", narrow]) == 0
+    (run / "params.json").write_bytes(params)       # dataset removed it as a later output
+    capsys.readouterr()
+    assert cli.main(["predict", "--config", narrow]) == cli.EXIT_MALFORMED
+    assert capsys.readouterr().err == (
+        f"malformed input: {run / 'params.json'} takes windows of 5 samples, "
+        f"but {run / 'dataset.csv'} holds windows of 4\n")
+    assert not (run / "predictions.csv").exists()
+
+
 def test_failed_stage_leaves_no_stale_output(tmp_path, capsys):
     # a failing stage removes what an earlier run of it wrote, so the next stage
     # finds its input missing instead of reading stale files
@@ -917,19 +934,6 @@ def test_run_all_matches_manual_chain(tmp_path, capsys):
     assert comparison["rtn_n_rev"] == rtn_rep.n_rev
     assert comparison["n_eval"] == ad_rep.n_eval
     assert comparison["epsilon"] == 0.015
-
-
-def test_run_all_reruns_byte_identical(tmp_path, capsys):
-    cfg = write_doc(tmp_path, pair_doc(tmp_path), "pair.json")
-    trees = []
-    for name in ("one", "two"):
-        out = tmp_path / name
-        assert cli.main(["run-all", "--config", cfg, "--out", str(out)]) == 0
-        trees.append({p.relative_to(out): p.read_bytes()
-                      for p in out.rglob("*") if p.is_file()})
-    assert len(trees[0]) == 21 and trees[0].keys() == trees[1].keys()
-    for rel, body in trees[0].items():
-        assert body == trees[1][rel], rel
 
 
 def test_plots_emitted(tmp_path, capsys):

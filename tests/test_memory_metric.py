@@ -26,18 +26,6 @@ def test_heaviside_strict():
         mm.heaviside(float("nan"))
 
 
-def test_worked_sequence_count():
-    assert mm.revival_count(WORKED, 0.015) == 4
-
-
-def test_worked_sequence_theta_terms():
-    eps = 0.015
-    diffs = np.diff(WORKED)
-    terms = [mm.heaviside(d - eps) for d in diffs]
-    assert terms == [1, 1, 0, 1, 1]
-    assert sum(terms) == 4
-
-
 def test_count_edge_cases():
     assert mm.revival_count([1.0, 0.9, 0.8, 0.7], 0.015) == 0
     # steps equal to epsilon exactly do not count (strict step at 0)

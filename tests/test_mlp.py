@@ -150,17 +150,6 @@ def test_batch_gradient_is_mean_of_row_gradients():
     assert np.max(np.abs(g - mean)) <= 1e-12 * np.max(np.abs(mean))
 
 
-def test_gradient_matches_finite_differences():
-    rng = np.random.default_rng(42)
-    worst = 0.0
-    for _ in range(20):
-        p = mlp.init_params(rng)
-        x = rng.uniform(-1.0, 1.0, 5)
-        y = float(rng.uniform(-1.0, 1.0))
-        worst = max(worst, mlp.gradient_max_rel_error(p, x, y))
-    assert worst < 1e-4
-
-
 def _fd_one_entry_at_a_time(p, x, y, h=1e-5):
     """Central differences as one forward pass per perturbed entry, on a copy of p."""
     q = mlp.MLPParams(p.vec.copy(), p.n_in)
