@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import warnings
 
 import numpy as np
@@ -277,20 +278,21 @@ def test_overflowing_prediction_exits_3(tmp_path, capsys):
     assert not (run / "predictions.csv").exists()
 
 
-def test_params_of_another_width_exits_5(tmp_path, capsys):
-    # a network trained on 5-sample windows against a dataset rebuilt with 4
+@pytest.mark.parametrize("window_len", [4, 6])
+def test_params_of_another_width_exits_5(tmp_path, window_len, capsys):
+    # a network trained on 5-sample windows against a dataset rebuilt narrower or wider
     run = tmp_path / "run"
     cfg = write_doc(tmp_path, rtn_doc(run))
     assert chain(cfg, "simulate", "dataset", "train") == 0
     params = (run / "params.json").read_bytes()
-    narrow = write_doc(tmp_path, rtn_doc(run, window_len=4), "narrow.json")
-    assert cli.main(["dataset", "--config", narrow]) == 0
+    other = write_doc(tmp_path, rtn_doc(run, window_len=window_len), "other.json")
+    assert cli.main(["dataset", "--config", other]) == 0
     (run / "params.json").write_bytes(params)       # dataset removed it as a later output
     capsys.readouterr()
-    assert cli.main(["predict", "--config", narrow]) == cli.EXIT_MALFORMED
+    assert cli.main(["predict", "--config", other]) == cli.EXIT_MALFORMED
     assert capsys.readouterr().err == (
         f"malformed input: {run / 'params.json'} takes windows of 5 samples, "
-        f"but {run / 'dataset.csv'} holds windows of 4\n")
+        f"but {run / 'dataset.csv'} holds windows of {window_len}\n")
     assert not (run / "predictions.csv").exists()
 
 
@@ -945,6 +947,21 @@ def test_plots_emitted(tmp_path, capsys):
             body = (out / key / name).read_text()
             assert body.startswith("<svg"), (key, name)
             assert "polyline" in body
+
+
+def test_dark_state_plots_flat_series(tmp_path, capsys):
+    # |11> does not evolve, so both trajectory series are flat at Z = 1: the chart's
+    # y range falls back to a unit span around them instead of dividing by zero
+    run = tmp_path / "dark"
+    cfg = write_doc(tmp_path, rtn_doc(run, initial_state="excited_excited"))
+    assert cli.run_pipeline(cli.load_run_config(cfg)) == 0
+    body = (run / "trajectory.svg").read_text()
+    labels = re.findall(r'text-anchor="end"[^>]*>([^<]*)<', body)
+    assert labels == ["0.95", "0.975", "1", "1.02", "1.05"]
+    points = re.findall(r'points="([^"]*)"', body)
+    assert len(points) == 2
+    for series in points:
+        assert {pt.split(",")[1] for pt in series.split()} == {"207.50"}   # mid-axis
 
 
 @pytest.mark.parametrize("stage", ALL_STAGES + ("run-all",))
