@@ -32,7 +32,6 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8      # Adam moment decay rates and denomina
 _BETA1, _1_BETA1, _BETA2, _1_BETA2 = map(np.array, (BETA1, 1 - BETA1, BETA2, 1 - BETA2))
 
 _FIELDS = ("w1", "b1", "w2", "b2", "w3", "b3")
-FD_CHUNK = 32           # entries per stacked pass of fd_gradients: a (64, P) stack
 _ZERO = np.zeros(())    # ReLU threshold; numpy would convert a Python 0.0 on every call
 
 
@@ -232,21 +231,22 @@ def predict_series(p: MLPParams, xs) -> np.ndarray:
 def fd_gradients(p: MLPParams, x, y: float, h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of the squared loss, in p.vec's layout; p is only read.
 
-    Per chunk of up to m = min(FD_CHUNK, P) entries j_i, one forward pass runs one stack of
-    2m copies of p.vec: copy i holds p.vec[j_i] + h at entry j_i, copy m + i p.vec[j_i] - h.
+    Copy (s, r, c) of block a, whose input column is u, moves a[r, c] by s h (s = +-1). It
+    shares p's layers below a, and its a @ u, linear in a, is p's with row r moved by s h u[c].
+    So the 2 rows cols copies of a (rows, cols) block are the columns of one pre-activation,
+    and each layer above takes them all through p's weights in one matmul.
     """
-    m = min(FD_CHUNK, p.vec.size)
-    q = MLPParams(np.tile(p.vec, (2 * m, 1)), p.n_in)
-    pairs, xa, buf = q.vec.reshape(2, m, -1), columns([x]), Buffers(1, q)
-    out = np.empty_like(p.vec)
-    for lo in range(0, p.vec.size, m):
-        js = np.arange(lo, min(lo + m, p.vec.size))
-        copies = np.arange(js.size)
-        pairs[:, copies, js] = [p.vec[js] + h, p.vec[js] - h]
-        up, dn = (forward(q, xa, buf)[0].reshape(2, m)[:, :js.size] - y) ** 2
-        pairs[:, copies, js] = p.vec[js]
-        out[js] = (up - dn) / (2.0 * h)
-    return out
+    blocks, u, out = (p.a1, p.a2, p.a3), columns([x])[:, 0], []
+    for k, a in enumerate(blocks):
+        z = a @ u
+        shift = np.eye(z.size)[:, None, :, None] * np.multiply.outer([h, -h], u)[:, None]
+        zs = (z[:, None, None, None] + shift).reshape(z.size, -1)     # column (s, r, c)
+        for above in blocks[k + 1:]:
+            zs = above[:, :-1] @ np.maximum(zs, _ZERO) + above[:, -1:]
+        up, dn = (zs.reshape(2, -1) - y) ** 2
+        out.append((up - dn) / (2.0 * h))
+        u = np.append(np.maximum(z, _ZERO), 1.0)
+    return np.concatenate(out)
 
 
 def gradient_max_rel_error(p: MLPParams, x, y: float, h: float = 1e-5) -> float:

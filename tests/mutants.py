@@ -63,6 +63,8 @@ MUTANTS = (
      "(key := step_rates[:, k0 + j].tobytes())", "(key := step_rates[0, k0 + j].tobytes())"),
     ("channel without its oscillator overflow check", "dynamics.py",
      "if not (math.isfinite(a * a) and math.isfinite(w2)):", "if False:"),
+    ("fd_gradients shifts a pre-activation by h, not h u[c]", "mlp.py",
+     "np.multiply.outer([h, -h], u)", "np.multiply.outer([h, -h], np.ones_like(u))"),
 )
 
 

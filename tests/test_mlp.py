@@ -165,12 +165,8 @@ def _fd_one_entry_at_a_time(p, x, y, h=1e-5):
     return out
 
 
-# P = 32 n_in + 577 leaves a partial last chunk at the default FD_CHUNK; chunks of 7
-# split each layer across passes, and 10_000 runs every entry in one pass
-@pytest.mark.parametrize("n_in, chunk", [(5, None), (3, None), (8, 7), (5, 10_000)])
-def test_fd_gradients_match_one_entry_at_a_time(monkeypatch, n_in, chunk):
-    if chunk is not None:
-        monkeypatch.setattr(mlp, "FD_CHUNK", chunk)
+@pytest.mark.parametrize("n_in", [1, 3, 5, 8])
+def test_fd_gradients_match_one_entry_at_a_time(n_in):
     rng = np.random.default_rng(11)
     for _ in range(6):
         p = mlp.init_params(rng, n_in=n_in)
@@ -180,6 +176,27 @@ def test_fd_gradients_match_one_entry_at_a_time(monkeypatch, n_in, chunk):
         got = mlp.fd_gradients(p, x, y)
         assert p.vec.tobytes() == before.tobytes()
         assert np.max(np.abs(got - _fd_one_entry_at_a_time(p, x, y))) <= 1e-10
+
+
+def test_dead_units_give_exact_zero_gradients():
+    p = _params(4)
+    x = np.array([0.9, -0.7, 0.4, -0.2, 0.6])
+    y = 0.3
+    _, (_, h1, h2) = mlp.forward(p, mlp.columns([x]))
+    assert h1[2, 0] > 0.0 and h2[3, 0] > 0.0
+    p.b1[2], p.b2[3] = -50.0, -50.0         # kills unit 2 of h1 and unit 3 of h2
+    y_hat, acts = mlp.forward(p, mlp.columns([x]))
+    assert acts[1][2, 0] == 0.0 and acts[2][3, 0] == 0.0
+    m = _zero_params()
+    m.a1[2] = m.a2[:, 2] = 1.0             # into and out of the dead unit of h1
+    m.a2[3] = m.a3[0, 3] = 1.0             # into and out of the dead unit of h2
+    dead = m.vec == 1.0
+    assert np.count_nonzero(dead) == 6 + 16 + 33 + 1 - 1     # a2[3, 2] is in both
+    fd = mlp.fd_gradients(p, x, y)
+    analytic = mlp.backward(p, acts, y_hat, y)
+    assert np.all(fd[dead] == 0.0) and np.all(analytic[dead] == 0.0)
+    # and elsewhere the two vanish at the same entries, the units dead at init among them
+    assert np.array_equal(fd == 0.0, analytic == 0.0)
 
 
 def test_adam_zero_gradient():
