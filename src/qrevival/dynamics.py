@@ -4,7 +4,7 @@ The pair is coupled by an exchange (XY) Hamiltonian; a single decoherence
 channel acts on the ancilla with a time-dependent scalar rate factored out
 of a fixed collapse operator. The signed time-local rates go transiently
 negative in the memory-bearing regime; the evolution applies their clamped
-positive part (see ChannelSpec.rate for why). Integration is fixed-step RK4 on
+positive part (see ChannelSpec.clamp for why). Integration is fixed-step RK4 on
 vec(rho), each step v <- P v with P from the rate monomials; equal rates reuse powers of P.
 
 Every channel is one damped oscillator (a, w2, scale) with collapse operator L; for a real or
@@ -16,7 +16,7 @@ imaginary c = sqrt(a^2 - w2), g = 1 - exp(-2 c t) is bounded on t >= 0 and nothi
     RTN dephasing (v, kappa)       (kappa, 4 v^2, 1/2)  L = I (x) Z
     noise-free                     (0, 0, 0)            L = 0
 
-The signed rate diverges where f crosses zero; `rate` clamps it to [0, rate_clamp]
+The signed rate diverges where f crosses zero; `clamp` maps it into [0, rate_clamp]
 and every altered evaluation is counted in the trajectory metadata.
 """
 
@@ -126,7 +126,11 @@ class ChannelSpec:
             return scale * w2 * np.real(g / (c * (2.0 - g) + a * g))
 
     def rate(self, t):
-        """Evolution rate: positive part of signed_rate, clamped to [0, rate_clamp].
+        """clamp(signed_rate(t)); only the tests and bench/run.py's dynamics_work call it."""
+        return self.clamp(self.signed_rate(t))
+
+    def clamp(self, raw):
+        """Evolution rate: signed `raw`, NaN and +inf to rate_clamp, clipped to [0, rate_clamp].
 
         Negative-rate (backflow) windows suspend the dissipator instead of
         inverting it, so every instantaneous generator stays completely
@@ -139,10 +143,6 @@ class ChannelSpec:
         Rates that are nonnegative to begin with are returned unchanged, so
         Markovian and noise-free runs are identical under either reading.
         """
-        return self.clamp(self.signed_rate(t))
-
-    def clamp(self, raw):
-        """The rule of `rate`: NaN and +inf to rate_clamp, then clipped to [0, rate_clamp]."""
         return np.clip(np.nan_to_num(raw, nan=self.rate_clamp, posinf=self.rate_clamp,
                                      neginf=0.0), 0.0, self.rate_clamp)
 
@@ -270,7 +270,7 @@ def initial_state(tag: str) -> np.ndarray:
 HERM_TOL = 1e-9
 TRACE_TOL = 1e-9
 EIG_FLOOR = -1e-6
-# states that evolve validates and reads out per call
+# states that evolve validates at a time; it also cuts runs of equal rates every BLOCK steps
 BLOCK = 64
 # powers P^1 .. P^POWERS of a step matrix that evolve caches per rate triple (a power of 2)
 POWERS = 16
@@ -348,6 +348,8 @@ class Trajectory:
         if self.initial_state not in (tags := [*INITIAL_KETS, STATE_CUSTOM]):
             raise ValueError(f"initial_state {self.initial_state!r} is not one of {tags}")
         count("clamp_events", self.clamp_events, 0)
+        if self.clamp_events > (evals := max(2 * n - 1, 0)):    # each node and midpoint
+            raise ValueError(f"clamp_events {self.clamp_events} exceeds {evals} rate evaluations")
 
     def __len__(self) -> int:
         return len(self.times)
@@ -408,54 +410,52 @@ def evolve(rho0: np.ndarray, grid: TimeGrid, g: float, chan: ChannelSpec,
            initial_state_tag: str = STATE_CUSTOM) -> Trajectory:
     """Classical fixed-step RK4 over the grid on row-major vec(rho); validates every state.
 
-    The generator is L_H + rate * L_D, L_H = -i[H, .] and L_D the channel's rate-free
-    dissipator (zero for noise_free), both Kronecker closed forms (_generators). A step is
-    v <- P v, P = I + E (_terms); one gemm per block gives the P of each run of equal rates
-    (_step_matrices), and a longer run takes P^1 v .. P^POWERS v at once (_powers).
-    Nothing repairs the state: states are validated in blocks of BLOCK, and the first
-    to break a tolerance (dt too large or rate_clamp too generous) raises by its t.
+    The generator is L_H + rate * L_D: L_H = -i[H, .], L_D the channel's rate-free dissipator
+    (zero for noise_free), both Kronecker closed forms (_generators). Three passes over one
+    array of all states: step, v <- P v with P = I + E (_terms), one gemm giving the P of up to
+    POWERS runs of equal rates (_step_matrices) and a longer run taking P^1 v .. P^POWERS v at
+    once (_powers); check BLOCK states at a time, the first to break a tolerance (dt too large
+    or rate_clamp too generous) raising by its t, as nothing repairs it; read out all states.
     """
     validate_density_matrix(rho0, context="initial state")
     times, dt, n = grid.times(), grid.dt, grid.n_steps
 
-    # rates at nodes and midpoints, evaluated and clamped once up front; count every node
-    # and midpoint where the raw signed rate had to be altered (negative, over cap, or
-    # non-finite at a coherence zero)
+    # rates at every node and midpoint, clamped once up front; count each evaluation the
+    # clamp altered (negative, over the cap, or non-finite at a coherence zero)
     raw = chan.signed_rate(np.concatenate([times, times[:-1] + dt / 2.0]))
     clamped = chan.clamp(raw)
     n_clamped = int(np.count_nonzero(clamped != raw))
     step_rates = np.stack([clamped[:n], clamped[n + 1:], clamped[1:n + 1]])  # r1, r2, r3
-    # a run of equal rates starts where they change and at each block's first step
+    # a run of equal rates starts where they change and at every BLOCK-th step
     starts = np.append(True, np.any(np.diff(step_rates), axis=0))
-    starts[::BLOCK] = True
+    starts[::BLOCK] = True          # keeps each state's bits: it sets where power stacks begin
+    js = np.flatnonzero(starts).tolist()
+    ends = js[1:] + [n]
+
+    v = np.empty((n + 1, 16), dtype=complex)        # row k is vec(rho) at times[k]
+    v[0], powers = np.ravel(rho0), {}
+    # a huge g overflows the generators, and a state past the first unphysical one may
+    # overflow before it is checked; either way the check names the first bad state
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = _terms(g, type(chan), dt)
+        for c in range(0, len(js), POWERS):
+            p = _step_matrices(terms, *step_rates[:, js[c:c + POWERS]]) + np.eye(16)
+            for j, j_end, pj in zip(js[c:c + POWERS], ends[c:c + POWERS], p):
+                if j_end - j == 1:
+                    np.dot(pj, v[j], out=v[j + 1])
+                    continue
+                if (key := step_rates[:, j].tobytes()) not in powers:
+                    powers[key] = _powers(pj)
+                for i in range(j, j_end, POWERS):
+                    out = v[i + 1:min(i + POWERS, j_end) + 1]
+                    np.matmul(powers[key][:len(out)], v[i], out=out)
+        for k in range(1, n + 1, BLOCK):
+            validate_density_matrix(v[k:k + BLOCK].reshape(-1, 4, 4),
+                                    context=lambda i: f"t={times[k + i]:.6g}")
 
     # rows vec(Z^T), so that vec(Z^T) . vec(rho) = tr(Z rho)
     readout = np.stack([Z_S_OP.T.ravel(), Z_A_OP.T.ravel()])
-    z = np.empty((2, n + 1))
-    v = np.array(rho0, dtype=complex).ravel()
-    z[:, 0] = (readout @ v).real
-    blk, powers = np.empty((BLOCK, 16), dtype=complex), {}
-    # a huge g overflows the generators, and a state past the first unphysical one may
-    # overflow before its block is checked; either way the check names the first bad state
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = _terms(g, type(chan), dt)
-        for k0 in range(0, n, BLOCK):
-            m = min(BLOCK, n - k0)
-            js = np.flatnonzero(starts[k0:k0 + m]).tolist()
-            p = _step_matrices(terms, *step_rates[:, [k0 + j for j in js]]) + np.eye(16)
-            for j, j_end, pj in zip(js, js[1:] + [m], p):
-                if j_end - j == 1:
-                    v = np.dot(pj, v, out=blk[j])
-                    continue
-                if (key := step_rates[:, k0 + j].tobytes()) not in powers:
-                    powers[key] = _powers(pj)
-                for i in range(j, j_end, POWERS):
-                    out = blk[i:min(i + POWERS, j_end)]
-                    v = np.matmul(powers[key][:len(out)], v, out=out)[-1]
-            validate_density_matrix(blk[:m].reshape(m, 4, 4),
-                                    context=lambda i: f"t={times[k0 + 1 + i]:.6g}")
-            z[:, k0 + 1: k0 + m + 1] = (readout @ blk[:m, :, None])[..., 0].real.T
-
+    z = (readout @ v[:, :, None])[..., 0].real.T
     return Trajectory(times, z[0], z[1], channel=chan, g=g, dt=dt,
                       initial_state=initial_state_tag, clamp_events=n_clamped)
 

@@ -60,11 +60,14 @@ MUTANTS = (
      "drift > 1e-11 *", "drift > 1e-3 *"),
     ("Z_BOUND 1 + 1e-6 to 1 + 1e-2", "dynamics.py", "Z_BOUND = 1.0 + 1e-6", "Z_BOUND = 1.0 + 1e-2"),
     ("power-cache key reduced to the node rate", "dynamics.py",
-     "(key := step_rates[:, k0 + j].tobytes())", "(key := step_rates[0, k0 + j].tobytes())"),
+     "(key := step_rates[:, j].tobytes())", "(key := step_rates[0, j].tobytes())"),
     ("channel without its oscillator overflow check", "dynamics.py",
      "if not (math.isfinite(a * a) and math.isfinite(w2)):", "if False:"),
     ("fd_gradients shifts a pre-activation by h, not h u[c]", "mlp.py",
      "np.multiply.outer([h, -h], u)", "np.multiply.outer([h, -h], np.ones_like(u))"),
+    ("clamp_events bound 2 n - 1 to 2 n", "dynamics.py", "max(2 * n - 1, 0)", "max(2 * n, 0)"),
+    ("each check slice runs to the last state", "dynamics.py",
+     "validate_density_matrix(v[k:k + BLOCK]", "validate_density_matrix(v[k:]"),
 )
 
 

@@ -472,6 +472,8 @@ def params_body(**extra):
     ("dataset", META, sidecar(clamp_events=-1)),
     ("dataset", META, sidecar(clamp_events=2.5)),
     ("dataset", META, sidecar(clamp_events="3")),
+    # more clamp events than the 2 * 55 - 1 rate evaluations of a 55-point trajectory
+    ("dataset", META, sidecar(clamp_events=110)),
     # trajectory sidecars without a key their writer writes, or with a key it does not
     ("dataset", META, sidecar(drop="clamp_events")),
     ("dataset", META, sidecar(noise=0.1)),
@@ -495,12 +497,14 @@ def test_malformed_stage_file_exits_5(tmp_path, stage, name, body, capsys):
 
 
 def test_complete_sidecar_is_read(tmp_path, capsys):
-    # the base of the one-defect sidecars above is itself well formed
+    # the base of the one-defect sidecars above is itself well formed, also with one clamp
+    # event at each of its 2 * 55 - 1 rate evaluations
     run = tmp_path / "run"
     cfg = write_doc(tmp_path, rtn_doc(run))
     assert cli.main(["simulate", "--config", cfg]) == 0
-    (run / META).write_text(sidecar())
-    assert cli.main(["dataset", "--config", cfg]) == 0
+    for body in (sidecar(), sidecar(clamp_events=109)):
+        (run / META).write_text(body)
+        assert cli.main(["dataset", "--config", cfg]) == 0
 
 
 @pytest.mark.parametrize("kind", ["absent", "directory"])
