@@ -231,21 +231,24 @@ def predict_series(p: MLPParams, xs) -> np.ndarray:
 def fd_gradients(p: MLPParams, x, y: float, h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of the squared loss, in p.vec's layout; p is only read.
 
-    Copy (s, r, c) of block a, whose input column is u, moves a[r, c] by s h (s = +-1). It
-    shares p's layers below a, and its a @ u, linear in a, is p's with row r moved by s h u[c].
-    So the 2 rows cols copies of a (rows, cols) block are the columns of one pre-activation,
-    and each layer above takes them all through p's weights in one matmul.
+    Copy (s, r, c) of block a, whose input column is u, moves a[r, c] by s h (s = +-1), so
+    of p's forward pass it changes only z[r] = (a @ u)[r], by s h u[c]. The layer above sees
+    p's pre-activation plus its weight column r times relu(z[r] + s h u[c]) - relu(z[r]): one
+    broadcast multiply-add for all 2 rows cols copies. Only the layers above that take a matmul.
     """
-    blocks, u, out = (p.a1, p.a2, p.a3), columns([x])[:, 0], []
-    for k, a in enumerate(blocks):
-        z = a @ u
-        shift = np.eye(z.size)[:, None, :, None] * np.multiply.outer([h, -h], u)[:, None]
-        zs = (z[:, None, None, None] + shift).reshape(z.size, -1)     # column (s, r, c)
-        for above in blocks[k + 1:]:
-            zs = above[:, :-1] @ np.maximum(zs, _ZERO) + above[:, -1:]
-        up, dn = (zs.reshape(2, -1) - y) ** 2
+    blocks, us, zs, out = (p.a1, p.a2, p.a3), [columns([x])[:, 0]], [], []
+    for a in blocks:                                    # p's own forward pass
+        zs.append(a @ us[-1])
+        us.append(np.append(np.maximum(zs[-1], _ZERO), 1.0))
+    for k in range(len(blocks)):
+        z = zs[k][:, None] + np.multiply.outer([h, -h], us[k])[:, None]    # (2, rows, cols)
+        if k + 1 < len(blocks):
+            step = np.maximum(z, _ZERO) - us[k + 1][:-1, None]           # of unit r, per copy
+            z = zs[k + 1][:, None, None, None] + blocks[k + 1][:, None, :-1, None] * step
+            for above in blocks[k + 2:]:
+                z = above[:, :-1] @ np.maximum(z.reshape(len(z), -1), _ZERO) + above[:, -1:]
+        up, dn = (z.reshape(2, -1) - y) ** 2
         out.append((up - dn) / (2.0 * h))
-        u = np.append(np.maximum(z, _ZERO), 1.0)
     return np.concatenate(out)
 
 

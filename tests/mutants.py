@@ -3,8 +3,11 @@
 Each mutant replaces one line's text in one source file. For each, the script
 copies src/, tests/, configs/ and pyproject.toml to a temporary directory,
 applies the mutant there, runs `pytest -x -q` on the copy and prints whether
-the suite killed it (failed) or let it survive (passed). The repository is
-never modified. A full run takes about 5 minutes on 2 cores.
+the suite killed it (a test failed: exit 1), let it survive (exit 0) or errored
+(any other exit, such as 2 for a collection error, 3 for an internal error or
+5 for no tests), with the exit code. The run fails unless every mutant is
+killed. The repository is never modified. A full run takes about 4 minutes on
+2 cores.
 
     python tests/mutants.py            # run every mutant
     python tests/mutants.py --check    # only check that each mutant still applies
@@ -64,7 +67,9 @@ MUTANTS = (
     ("channel without its oscillator overflow check", "dynamics.py",
      "if not (math.isfinite(a * a) and math.isfinite(w2)):", "if False:"),
     ("fd_gradients shifts a pre-activation by h, not h u[c]", "mlp.py",
-     "np.multiply.outer([h, -h], u)", "np.multiply.outer([h, -h], np.ones_like(u))"),
+     "np.multiply.outer([h, -h], us[k])", "np.multiply.outer([h, -h], np.ones_like(us[k]))"),
+    ("fd_gradients drops the ReLU from the changed unit", "mlp.py",
+     "step = np.maximum(z, _ZERO) - us[k + 1][:-1, None]", "step = z - zs[k][:, None]"),
     ("clamp_events bound 2 n - 1 to 2 n", "dynamics.py", "max(2 * n - 1, 0)", "max(2 * n, 0)"),
     ("each check slice runs to the last state", "dynamics.py",
      "validate_density_matrix(v[k:k + BLOCK]", "validate_density_matrix(v[k:]"),
@@ -95,22 +100,28 @@ def _copy(dst):
             shutil.copy(src, dst)
 
 
-def _suite_passes(root) -> bool:
+def _suite_exit(root) -> int:
     env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
     done = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
                           cwd=root, env=env, stdout=subprocess.DEVNULL,
                           stderr=subprocess.DEVNULL)
-    return done.returncode == 0
+    return done.returncode
+
+
+def outcome(code: int) -> str:
+    """A mutant's outcome from the exit code of the suite run on it."""
+    return {0: "survived", 1: "killed"}.get(code, f"errored (exit {code})")
 
 
 def run() -> int:
-    """Run every mutant; 1 if any survives."""
+    """Run every mutant; 1 unless each is killed."""
     with tempfile.TemporaryDirectory() as tmp:
         _copy(tmp)
-        if not _suite_passes(tmp):
-            print("the suite fails without a mutant; nothing to measure")
+        code = _suite_exit(tmp)
+        if code != 0:
+            print(f"the suite fails without a mutant (exit {code}); nothing to measure")
             return 1
-    survivors = []
+    missed = []
     for name, path, original, mutated in MUTANTS:
         with tempfile.TemporaryDirectory() as tmp:
             _copy(tmp)
@@ -118,11 +129,11 @@ def run() -> int:
                 text = f.read()
             with open(_source(tmp, path), "w") as f:
                 f.write(text.replace(original, mutated))
-            survived = _suite_passes(tmp)
-        print(f"{'survived' if survived else 'killed':8}  {path:17} {name}", flush=True)
-        if survived:
-            survivors.append(name)
-    return 1 if survivors else 0
+            result = outcome(_suite_exit(tmp))
+        print(f"{result:8}  {path:17} {name}", flush=True)
+        if result != "killed":
+            missed.append(name)
+    return 1 if missed else 0
 
 
 def main(argv=None) -> int:

@@ -178,6 +178,30 @@ def test_fd_gradients_match_one_entry_at_a_time(n_in):
         assert np.max(np.abs(got - _fd_one_entry_at_a_time(p, x, y))) <= 1e-10
 
 
+def test_fd_gradients_across_a_relu_kink():
+    """Copies whose changed unit crosses 0, where its change is not linear in h."""
+    p, h = _params(3), 1e-5
+    x, y = np.array([0.9, -0.7, 0.4, -0.2, 0.6]), 0.3
+    u = mlp.columns([x])[:, 0]
+    p.b1[4] -= p.a1[4] @ u - 0.5 * h                # z1[4] = h / 2
+    h1 = np.append(np.maximum(p.a1 @ u, 0.0), 1.0)
+    p.b2[7] -= p.a2[7] @ h1 + 0.3 * h               # z2[7] = -0.3 h
+    z1, z2 = p.a1[4] @ u, p.a2[7] @ h1
+    assert abs(z1) < h * np.max(np.abs(u)) and abs(z2) < h * np.max(np.abs(h1))
+    assert p.w2[:, 4] @ (p.a2 @ h1 > 0) != 0.0 and p.w3[7] != 0.0
+    before = p.vec.copy()
+    got = mlp.fd_gradients(p, x, y, h)
+    assert p.vec.tobytes() == before.tobytes()
+    assert np.max(np.abs(got - _fd_one_entry_at_a_time(p, x, y, h))) <= 1e-10
+    # the copies of b1[4] and b2[7] do cross: their differences are off the slopes backward takes
+    y_hat, acts = mlp.forward(p, mlp.columns([x]))
+    analytic = mlp.backward(p, acts, y_hat, y)
+    m = _zero_params()
+    m.b1[4] = m.b2[7] = 1.0
+    kink = m.vec == 1.0
+    assert np.all(np.abs(got[kink] - analytic[kink]) > 0.1 * np.abs(analytic[kink]))
+
+
 def test_dead_units_give_exact_zero_gradients():
     p = _params(4)
     x = np.array([0.9, -0.7, 0.4, -0.2, 0.6])
