@@ -70,6 +70,10 @@ class StageError(Exception):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One pipeline's config. It checks its own fields, so `dataclasses.replace` raises
+    ValueError for a bad value, as TimeGrid and TrainConfig do; `channel`, `grid` and
+    `train` must be instances of their types, which check their contents."""
+
     channel: dy.ChannelSpec
     g: float
     grid: dy.TimeGrid
@@ -146,7 +150,9 @@ def _inputs(cfg: RunConfig, *names):
 def _outputs(out_dir: str, *names):
     """Paths of a stage's outputs in out_dir. They are removed first, with the outputs of
     every later stage: a failed stage leaves none, and no later stage reads older files.
-    An output that is still there is not a file, and is a bad config (exit 2)."""
+    An output that is still there is not a file, and is a bad config (exit 2). The
+    comparison comes last, so run-all removes nothing else from its own directory, which
+    may hold a truth_report.json of its own."""
     stage = next(i for i, outs in enumerate(STAGE_OUTPUTS) if names[0] in outs)
     for name in names + sum(STAGE_OUTPUTS[stage + 1:], ()):
         if os.path.isfile(path := os.path.join(out_dir, name)):

@@ -1,11 +1,12 @@
 """Hand-run mutation check of the stated tolerances and rules.
 
 Each mutant replaces one line's text in one source file. For each, the script
-copies src/, tests/, configs/ and pyproject.toml to a temporary directory,
-applies the mutant there, runs `pytest -x -q` on the copy and prints whether
-the suite killed it (a test failed: exit 1), let it survive (exit 0) or errored
-(any other exit, such as 2 for a collection error, 3 for an internal error or
-5 for no tests), with the exit code. The run fails unless every mutant is
+copies src/, tests/, configs/, pyproject.toml and README.md (which
+tests/test_readme.py reads) to a temporary directory, applies the mutant
+there, runs `pytest -x -q` on the copy and prints whether the suite killed it
+(a test failed: exit 1), let it survive (exit 0) or errored (any other exit,
+such as 2 for a collection error, 3 for an internal error or 5 for no tests),
+with the exit code. The run fails unless every mutant is
 killed. The repository is never modified. A full run takes about 4 minutes on
 2 cores.
 
@@ -25,7 +26,7 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-COPIED = ("src", "tests", "configs", "pyproject.toml")
+COPIED = ("src", "tests", "configs", "pyproject.toml", "README.md")
 
 # (name, file under src/qrevival, original text, mutated text)
 MUTANTS = (

@@ -1,10 +1,10 @@
 """Acceptance gate: nine criteria, each with pinned tolerances and runtime caps.
 
 This file is the one place that checks each criterion's behaviour. Criteria 7-9 exercise
-the four shipped configs in `configs/` end to end through the CLI, in two module-scope
-fixtures: two `run-all`s of the shipped pair config (the two non-Markovian configs), and
-one pipeline of the two Markovian configs. Run with `pytest -v` to get one pass/fail line
-per criterion.
+the four shipped configs in `configs/` end to end through the CLI, in two fixtures: two
+`run-all`s of the shipped pair config (the two non-Markovian configs; `comparison_runs` in
+conftest.py, which test_readme.py shares), and one pipeline of the two Markovian configs.
+Run with `pytest -v` to get one pass/fail line per criterion.
 """
 
 import dataclasses
@@ -161,22 +161,6 @@ def markovian_runs(tmp_path_factory):
     wall = time.time() - t0
     return {name: mm.read_report(os.path.join(cfg.output_dir, cli.REPORT_JSON))
             for name, cfg in zip(names, cfgs)}, wall
-
-
-@pytest.fixture(scope="module")
-def comparison_runs(tmp_path_factory):
-    """Two identical run-all executions of the shipped pair config."""
-    outs = []
-    walls = []
-    for label in ("first", "second"):
-        out = str(tmp_path_factory.mktemp(f"run_all_{label}"))
-        t0 = time.time()
-        rc = cli.main(["run-all", "--config", config_path("run_all.json"),
-                       "--out", out])
-        walls.append(time.time() - t0)
-        assert rc == 0, f"run-all exited {rc}"
-        outs.append(out)
-    return outs, walls
 
 
 def test_criterion_7_fit_quality(markovian_runs, comparison_runs):

@@ -10,6 +10,8 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -25,6 +27,8 @@ from qrevival import cli
 from qrevival import dynamics as dy
 from qrevival import memory_metric as mm
 from qrevival.linalg import I4, KET_PLUS, KET0, KET1, dm
+
+import truth
 
 # G(t) and gamma(t) for the monotone-decay parameters b=5, lam=1
 AD_SLOW = {
@@ -419,10 +423,14 @@ def test_evolve_evaluates_the_signed_rate_once(monkeypatch):
     assert calls == [(2 * grid.n_steps + 1,)]          # every node and midpoint, once
 
 
-@pytest.mark.parametrize("name, events, n_rev", [("ad_markovian", 0, 0),
-                                                 ("ad_non_markovian", 2008, 84),
-                                                 ("rtn_markovian", 0, 0),
-                                                 ("rtn_non_markovian", 1996, 188)])
+# clamp events and truth revival count of each shipped config
+SHIPPED = {"ad_markovian": (0, 0), "ad_non_markovian": (2008, 84), "rtn_markovian": (0, 0),
+           "rtn_non_markovian": (1996, 188)}
+# the instructions each OpenBLAS kernel needs, by their /proc/cpuinfo names
+KERNELS = {"Haswell": {"avx2", "fma"}, "Sandybridge": {"avx"}}
+
+
+@pytest.mark.parametrize("name, events, n_rev", [(k, *v) for k, v in SHIPPED.items()])
 def test_clamp_events_on_the_shipped_configs(tmp_path, name, events, n_rev):
     # the one place that pins each shipped config's clamp events and truth count; the stages
     # run through their files, so the 12-digit round trip of every value is in the path. The
@@ -435,6 +443,49 @@ def test_clamp_events_on_the_shipped_configs(tmp_path, name, events, n_rev):
     assert dy.read_trajectory(tmp_path / cli.TRAJECTORY_CSV).clamp_events == events
     report = mm.read_report(tmp_path / cli.TRUTH_REPORT_JSON)
     assert (report.n_rev, report.n_eval) == (n_rev, 500)
+
+
+def _openblas_dynamic_arch() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):           # no mode="dicts" before numpy 1.26
+        return False
+    return ("openblas" in blas.get("name", "").lower()
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", ""))
+
+
+def _cpu_flags() -> set:
+    try:
+        with open("/proc/cpuinfo") as f:
+            return next((set(line.split(":", 1)[1].split()) for line in f
+                         if line.startswith("flags")), set())
+    except OSError:
+        return set()
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_truth_is_the_same_under_other_blas_kernels(kernel):
+    # OPENBLAS_CORETYPE makes OpenBLAS's DYNAMIC_ARCH take the kernel it would pick on another
+    # CPU. It acts only where OpenBLAS loads, so the rerun is a subprocess, and a kernel whose
+    # instructions the CPU lacks could fail there, so it is skipped. The last bits of z_s may
+    # move (by about 1e-14); the clamp events and the truth counts may not
+    if not _openblas_dynamic_arch():
+        pytest.skip("numpy's BLAS is not OpenBLAS built with DYNAMIC_ARCH")
+    if missing := KERNELS[kernel] - _cpu_flags():
+        pytest.skip(f"the CPU lacks {sorted(missing)}, which the {kernel} kernel needs")
+    names = ["ad_non_markovian", "rtn_non_markovian"]
+    paths = [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, OPENBLAS_CORETYPE=kernel,
+               PYTHONPATH=os.pathsep.join(filter(None, paths)))     # this process's qrevival
+    done = subprocess.run([sys.executable, truth.__file__, *names], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    other = json.loads(done.stdout)
+    for name in names:
+        own = truth.truth(name)
+        assert (own["clamp_events"], own["n_rev"]) == SHIPPED[name]
+        assert (other[name]["clamp_events"], other[name]["n_rev"]) == SHIPPED[name]
+        assert np.max(np.abs(np.subtract(own["z_s"], other[name]["z_s"]))) <= 1e-11
 
 
 def test_cross_integrator_markovian():

@@ -1,0 +1,284 @@
+"""README.md against the code: each table, number and command that it states.
+
+The results table is read against the run-all tree of the shared `comparison_runs`
+fixture (conftest.py) and the truth reports scored from its datasets, so no network is
+trained here.
+"""
+
+import dataclasses
+import functools
+import inspect
+import json
+import os
+import re
+import shlex
+import shutil
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from qrevival import cli, linalg as la, mlp
+from qrevival import dynamics as dy
+from qrevival import memory_metric as mm
+
+ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+CONFIGS = os.path.join(ROOT, "configs")
+with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as _f:
+    README = _f.read()
+
+# the stage that writes each group of cli.STAGE_OUTPUTS
+WRITERS = ("simulate", "dataset", "train", "predict", "score", "run-all", "score --on-truth",
+           "run-all")
+# the collapse operator of each README symbol
+JUMPS = {"I⊗σ₋": np.kron(la.I2, la.SIGMA_MINUS), "I⊗Z": np.kron(la.I2, la.Z),
+         "0": np.zeros((4, 4))}
+
+
+def _cells(line: str) -> list:
+    line = line.strip()
+    return [c.strip() for c in line.strip("|").split("|")] if line.startswith("|") else []
+
+
+def table(first: str) -> list:
+    """The body rows, as lists of cells, of the README table whose header starts with `first`."""
+    lines = README.splitlines()
+    for i, line in enumerate(lines[:-1]):
+        if _cells(line)[:1] == [first] and lines[i + 1].strip().startswith("|---"):
+            rows = []
+            for body in lines[i + 2:]:
+                if not _cells(body):
+                    break
+                rows.append(_cells(body))
+            return rows
+    raise AssertionError(f"README has no table headed {first!r}")
+
+
+def ticks(text: str) -> list:
+    """The `backticked` spans of text."""
+    return re.findall(r"`([^`]*)`", text)
+
+
+def channel_class(label: str):
+    """The channel class of a README label: `RTN dephasing (...)` is rtn_dephasing's."""
+    kind = re.split(r" [(`]", label)[0].lower().replace(" ", "_").replace("-", "_")
+    return dy.CHANNELS[kind]
+
+
+def config_path(name: str) -> str:
+    return os.path.join(CONFIGS, name)
+
+
+# ---------- pipeline ----------
+
+def _evaluate(expr: str, names, values):
+    """A README expression such as `b^2 < 2*lambda`, with the channel's parameter values."""
+    env = dict(zip(names, values))
+    code = re.sub(r"[A-Za-z_]\w*", lambda m: f"env[{m.group()!r}]", expr.replace("^", "**"))
+    return eval(code, {"env": env})
+
+
+def test_channel_table_matches_the_oscillators():
+    rows = table("channel")
+    assert sorted(channel_class(row[0]).kind for row in rows) == sorted(dy.CHANNELS)
+    rng = np.random.default_rng(5)
+    for label, a, w2, scale, jump, when in rows:
+        cls = channel_class(label)
+        assert tuple(ticks(label)) == cls.NAMES
+        assert np.array_equal(JUMPS[ticks(jump)[0]], cls.JUMP), label
+        for _ in range(20):
+            values = np.exp(rng.uniform(-3.0, 3.0, len(cls.NAMES))).tolist()
+            chan = cls(*values)
+            stated = [_evaluate(ticks(cell)[0], cls.NAMES, values) for cell in (a, w2, scale)]
+            np.testing.assert_allclose(stated, chan.oscillator, rtol=1e-15, err_msg=label)
+            memory = when != "never" and _evaluate(ticks(when)[0], cls.NAMES, values)
+            assert memory == chan.non_markovian, (label, values)
+
+
+def test_network_shape_and_python_floor():
+    window = cli.RunConfig.__dataclass_fields__["window_len"].default
+    assert re.findall(r"(\d+)→(\d+)→(\d+)→1", README) == [(str(window), str(mlp.H1),
+                                                           str(mlp.H2))]
+    with open(os.path.join(ROOT, "pyproject.toml")) as f:
+        floor = re.search(r'requires-python = ">=([\d.]+)"', f.read())[1]
+    assert re.findall(r"Python ≥ (\d[\d.]*\d)", README) == [floor]
+
+
+def test_layout_lists_the_modules():
+    block = README.split("```\nsrc/qrevival/\n", 1)[1].split("```", 1)[0]
+    package = os.path.dirname(cli.__file__)
+    modules = [n for n in os.listdir(package) if n.endswith(".py") and n != "__init__.py"]
+    assert sorted(re.findall(r"^  (\w+\.py) ", block, re.M)) == sorted(modules)
+
+
+# ---------- quick start and results ----------
+
+def test_config_table_matches_the_shipped_configs():
+    rows = {ticks(row[0])[0]: row[1:] for row in table("config")}
+    assert sorted(rows) == sorted(n for n in os.listdir(CONFIGS) if n.endswith(".json"))
+    for name, (channel, regime, state) in rows.items():
+        if name == "run_all.json":      # the halves are the named configs but for output_dir
+            halves = [cli.load_run_config(config_path(half)) for half in ticks(channel)]
+            pair = cli.load_pair_config(config_path(name))
+            assert [dataclasses.replace(c, output_dir="-") for c in pair] == \
+                [dataclasses.replace(c, output_dir="-") for c in halves]
+            continue
+        cfg = cli.load_run_config(config_path(name))
+        assert type(cfg.channel) is channel_class(channel), name
+        params = dict(item.split("=") for item in ticks(channel)[0].split(", "))
+        assert cfg.channel.to_dict()["params"] == {k: float(Fraction(v)) for k, v in params.items()}
+        assert cfg.channel.non_markovian == {"memory-bearing": True, "memoryless": False}[regime]
+        assert ticks(state) == [cfg.initial_state]
+
+
+@pytest.fixture(scope="module")
+def run_tree(comparison_runs, tmp_path_factory):
+    """({file name: path}, {"ad", "rtn": truth report}) of the first shared run-all tree: a
+    pipeline file is the RTN pipeline's, and the truth reports, truth_report.json among the
+    paths, come from `score --on-truth` on copies of the tree's two datasets."""
+    out = comparison_runs[0][0]
+    truth_dir = tmp_path_factory.mktemp("truth")
+    reports = {}
+    for key in ("ad", "rtn"):
+        (truth_dir / key).mkdir()
+        shutil.copy(os.path.join(out, key, cli.DATASET_CSV), truth_dir / key)
+        assert cli.main(["score", "--on-truth", "--config",
+                         config_path(f"{key}_non_markovian.json"), "--out",
+                         str(truth_dir / key)]) == 0
+        reports[key] = mm.read_report(truth_dir / key / cli.TRUTH_REPORT_JSON)
+    files = {name: os.path.join(out, "rtn", name) for name in os.listdir(os.path.join(out, "rtn"))}
+    files[cli.COMPARISON_JSON] = os.path.join(out, cli.COMPARISON_JSON)
+    files[cli.TRUTH_REPORT_JSON] = str(truth_dir / "rtn" / cli.TRUTH_REPORT_JSON)
+    return files, reports
+
+
+def test_results_table_matches_run_all_and_the_truth(run_tree):
+    files, truth = run_tree
+    with open(files[cli.COMPARISON_JSON]) as f:
+        comparison = json.load(f)
+    assert cli.load_pair_config(config_path("run_all.json"))[0].train.seed == 0
+    learned, labels = table("series scored")
+    assert "seed 0" in learned[0] and "--on-truth" in labels[0]
+    assert learned[1:] == [str(comparison["ad_n_rev"]), str(comparison["rtn_n_rev"]),
+                           f"{comparison['ratio']:.2f}"]
+    assert labels[1:] == [str(truth["ad"].n_rev), str(truth["rtn"].n_rev),
+                          f"{truth['rtn'].score / truth['ad'].score:.2f}"]
+    assert re.findall(r"`n_eval` (\d+)", README) == [str(comparison["n_eval"])]
+    assert truth["ad"].n_eval == truth["rtn"].n_eval == comparison["n_eval"]
+
+
+def test_every_command_parses():
+    blocks = re.findall(r"```sh\n(.*?)```", README, re.S)
+    lines = [line for block in blocks for line in block.splitlines()
+             if line.startswith("qrevival ")]
+    assert lines
+    for line in lines:
+        try:
+            args = cli._build_parser().parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
+        assert os.path.isfile(os.path.join(ROOT, args.config)), line
+
+
+# ---------- configuration ----------
+
+def _fields() -> dict:
+    """{dotted config key: its dataclass field, or None}: RunConfig's fields, with `grid`
+    and `train` expanded into theirs and `channel` into `kind`, `params` and ChannelSpec's."""
+    sections = {"channel": {"kind": None, "params": None,
+                            **{f.name: f for f in dataclasses.fields(dy.ChannelSpec)}},
+                "grid": {f.name: f for f in dataclasses.fields(dy.TimeGrid)},
+                "train": {f.name: f for f in dataclasses.fields(mlp.TrainConfig)}}
+    keys = {}
+    for f in dataclasses.fields(cli.RunConfig):
+        keys.update({f"{f.name}.{k}": v for k, v in sections[f.name].items()}
+                    if f.name in sections else {f.name: f})
+    return keys
+
+
+def _load(key: str, *value):
+    """The shipped AD config loaded with `key` set to value, or without `key`."""
+    with open(config_path("ad_non_markovian.json")) as f:
+        doc = json.load(f)
+    *path, last = key.split(".")
+    section = functools.reduce(dict.__getitem__, path, doc)
+    if value:
+        section[last] = value[0]
+    else:
+        del section[last]
+    return cli.run_config_from_dict(doc)
+
+
+def _get(cfg, key: str):
+    return functools.reduce(getattr, key.split("."), cfg)
+
+
+def test_config_table_holds_every_key_default_and_bound():
+    rows = {ticks(key)[0]: (value, default) for key, value, default in table("key")}
+    fields = _fields()
+    assert sorted(rows) == sorted(fields)
+    # every integer field states its bound, and every real field that it is positive
+    for kind, t in (("integer ≥", int), ("positive real", float)):
+        assert sorted(k for k, (value, _) in rows.items() if value.startswith(kind)) == \
+            sorted(k for k, f in fields.items() if f and f.type in (t, t.__name__))
+    for key, (value, default) in rows.items():
+        if default == "required":
+            with pytest.raises(ValueError, match="missing keys"):
+                _load(key)
+        else:
+            assert _get(_load(key), key) == json.loads(ticks(default)[0]), key
+        if bound := re.match(r"integer ≥ (\d+)$", value):
+            low = int(bound[1])
+            assert _get(_load(key, low), key) == low
+            with pytest.raises(ValueError, match=key.split(".")[-1]):
+                _load(key, low - 1)
+        elif value.startswith("positive real"):
+            one = _get(_load(key, 1), key)     # an integer for a real is stored as a float
+            assert type(one) is float and one == 1.0
+            with pytest.raises(ValueError, match=key.split(".")[-1]):
+                _load(key, 0)
+
+
+def test_initial_state_tags():
+    section = README.split("Initial-state tags", 1)[1].split("\n\n", 1)[0]
+    assert re.findall(r"^- `(\w+)`", section, re.M) == list(dy.INITIAL_KETS)
+
+
+# ---------- outputs, exit codes and messages ----------
+
+def test_outputs_table_matches_the_stage_outputs(run_tree):
+    files, _ = run_tree
+    rows = table("file")
+    assert [(ticks(name)[0], ticks(writer)[0]) for name, writer, _ in rows] == \
+        [(name, writer) for names, writer in zip(cli.STAGE_OUTPUTS, WRITERS) for name in names]
+    for cell, _, contents in rows:
+        name = ticks(cell)[0]
+        if name.endswith(".csv"):
+            assert contents.startswith("columns"), name
+            with open(files[name], newline="") as f:
+                assert f.readline().rstrip("\r\n") == ticks(contents)[0], name
+        elif name.endswith(".json"):
+            assert contents.startswith("keys"), name
+            with open(files[name]) as f:
+                assert sorted(json.load(f)) == ticks(re.split(r"[:;]", contents)[0]), name
+
+
+def _code_prefixes() -> dict:
+    """{exit code: stderr prefixes} as cli.py writes them: the message of each StageError,
+    and each message that `main` prints before it returns a code."""
+    source = inspect.getsource(cli)
+    found = re.findall(r'StageError\((EXIT_\w+), f?"([^":]*:)', source) + [
+        (code, prefix) for prefix, code in re.findall(
+            r'print\(f?"([^":]*:)[^\n]*file=sys\.stderr\)\s*return (EXIT_\w+)', source)]
+    prefixes = {0: set()}
+    for code, prefix in found:
+        prefixes.setdefault(getattr(cli, code), set()).add(prefix)
+    return prefixes
+
+
+def test_exit_code_table_matches_the_cli():
+    stated = {int(ticks(code)[0]): set(ticks(prefixes)) for code, prefixes, _ in table("code")}
+    codes = {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+    prefixes = _code_prefixes()
+    assert set(prefixes) == {0, *codes}
+    assert stated == prefixes
