@@ -1,13 +1,21 @@
-"""Fixtures that more than one test module shares."""
+"""Fixtures, paths and settings that more than one test module shares."""
 
 import os
 import time
 
 import pytest
+from hypothesis import HealthCheck, settings
 
 from qrevival import cli
 
 CONFIGS = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "configs")
+
+# one profile for every property test, which sets only its own max_examples: no per-example
+# deadline, since an example's wall time says nothing about the rule it checks; and tmp_path
+# is shared by a test's examples, each of which overwrites the files it reads back
+settings.register_profile("qrevival", deadline=None,
+                          suppress_health_check=[HealthCheck.function_scoped_fixture])
+settings.load_profile("qrevival")
 
 
 @pytest.fixture(scope="session")

@@ -20,13 +20,7 @@ from qrevival import cli, linalg as la, mlp
 from qrevival import dataset as dsmod
 from qrevival import dynamics as dy
 from qrevival import memory_metric as mm
-
-CONFIG_DIR = os.path.abspath(
-    os.path.join(os.path.dirname(__file__), os.pardir, "configs"))
-
-
-def config_path(name):
-    return os.path.join(CONFIG_DIR, name)
+from conftest import CONFIGS
 
 
 # ---------- criteria 1-2: rate and decoherence-function regimes ----------
@@ -154,7 +148,7 @@ def markovian_runs(tmp_path_factory):
     train section, so one training call trains both. Returns (reports by name, wall)."""
     base = tmp_path_factory.mktemp("markovian")
     names = ("ad_markovian", "rtn_markovian")
-    cfgs = [dataclasses.replace(cli.load_run_config(config_path(f"{name}.json")),
+    cfgs = [dataclasses.replace(cli.load_run_config(os.path.join(CONFIGS, f"{name}.json")),
                                 output_dir=str(base / name)) for name in names]
     t0 = time.time()
     assert cli.run_pipeline(*cfgs) == 0
@@ -165,9 +159,9 @@ def markovian_runs(tmp_path_factory):
 
 def test_criterion_7_fit_quality(markovian_runs, comparison_runs):
     # the pair config's runs are the shipped non-Markovian configs but for output_dir
-    pair = cli.load_pair_config(config_path("run_all.json"))
+    pair = cli.load_pair_config(os.path.join(CONFIGS, "run_all.json"))
     for cfg, name in zip(pair, ("ad_non_markovian", "rtn_non_markovian")):
-        shipped = cli.load_run_config(config_path(f"{name}.json"))
+        shipped = cli.load_run_config(os.path.join(CONFIGS, f"{name}.json"))
         assert cfg == dataclasses.replace(shipped, output_dir=cfg.output_dir), name
     reports, markovian_wall = markovian_runs
     outs, walls = comparison_runs

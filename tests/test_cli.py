@@ -10,16 +10,18 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qrevival import cli, memory_metric as mm, mlp
 from qrevival import dataset as dsmod
 from qrevival import dynamics as dy
+from conftest import CONFIGS
 
 # worked revival sequence with four above-threshold upward steps
 WORKED = [0.90, 0.92, 0.94, 0.93, 0.95, 0.97]
+MARKOV = os.path.join(CONFIGS, "rtn_markovian.json")
 
 
 def rtn_doc(out_dir, **over):
@@ -102,8 +104,7 @@ def test_simulate_noise_free_zero_clamp_events(tmp_path, capsys):
 
 def test_simulate_past_the_hyperbolic_overflow(tmp_path, capsys):
     # at b 100, c t passes the ~710 where sinh and cosh overflow a double near t = 14.2
-    with open(os.path.join(os.path.dirname(__file__), os.pardir, "configs",
-                           "ad_markovian.json")) as f:
+    with open(os.path.join(CONFIGS, "ad_markovian.json")) as f:
         doc = dict(json.load(f), output_dir=str(tmp_path / "run"))
     doc["channel"]["params"]["b"] = 100.0
     with warnings.catch_warnings():
@@ -116,8 +117,7 @@ def test_simulate_past_the_hyperbolic_overflow(tmp_path, capsys):
 def test_huge_coupling_exits_3_without_a_warning(tmp_path, g, capsys):
     # the Hamiltonian (g 1e308) or the RK4 term table (g 1e200) overflows, so the
     # first state is non-finite; a warning raised as an error would end in a traceback
-    with open(os.path.join(os.path.dirname(__file__), os.pardir, "configs",
-                           "rtn_markovian.json")) as f:
+    with open(MARKOV) as f:
         doc = dict(json.load(f), g=g, output_dir=str(tmp_path / "run"))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -143,9 +143,6 @@ def test_huge_coupling_exits_3_without_a_warning(tmp_path, g, capsys):
     (lambda d: d.update(output_dir=""), "output_dir"),
     (lambda d: d["channel"].update(kind="thermal"), "thermal"),
     (lambda d: d["train"].update(seed=-1), "seed"),
-    # the dropped shuffle knob and figure switch are unknown keys
-    (lambda d: d["train"].update(shuffle_within_train=True), "shuffle_within_train"),
-    (lambda d: d.update(emit_plots=True), "emit_plots"),
     # wrong JSON types and non-finite reals
     (lambda d: d["train"].update(epochs=2.9), "epochs"),
     (lambda d: d["grid"].update(n_steps=1000.7), "n_steps"),
@@ -320,8 +317,7 @@ def test_failed_stage_leaves_no_stale_output(tmp_path, capsys):
     assert not (run / "params.json").exists() and not (run / "loss.csv").exists()
     assert cli.main(["predict", "--config", cfg]) == cli.EXIT_MISSING
     # a failed simulate leaves no trajectory of another config for dataset to window
-    markov = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "rtn_markovian.json")
-    assert cli.main(["simulate", "--config", markov, "--out", str(run)]) == 0
+    assert cli.main(["simulate", "--config", MARKOV, "--out", str(run)]) == 0
     assert cli.main(["dataset", "--config", cfg]) == 0
     ad = write_doc(tmp_path, failing_ad_doc(run), "ad.json")
     assert cli.main(["simulate", "--config", ad]) == cli.EXIT_INTEGRATION
@@ -579,20 +575,8 @@ def test_score_worked_sequence_fixture(tmp_path, capsys):
     assert "n_rev=4" in capsys.readouterr().out
 
 
-def test_predictions_roundtrip_bytes(tmp_path):
-    path = tmp_path / "predictions.csv"
-    cli.write_predictions([3, 4, 5], [0.25, -0.125, 1.0 / 3.0], path)
-    t_idx, preds = cli.read_predictions(path)
-    again = tmp_path / "again.csv"
-    cli.write_predictions(t_idx, preds, again)
-    assert path.read_bytes() == again.read_bytes()
-
-
-_PROPERTY = settings(max_examples=25, deadline=None,
-                     suppress_health_check=[HealthCheck.function_scoped_fixture])
-
-
-@_PROPERTY
+@settings(max_examples=25)
+@example(start=3, preds=[0.25, -0.125, 1 / 3])
 @given(start=st.integers(0, 10 ** 6),
        preds=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
                       max_size=40))
@@ -606,9 +590,9 @@ def test_predictions_roundtrip_property(tmp_path, start, preds):
     assert first.read_bytes() == second.read_bytes()
 
 
-@_PROPERTY
-@given(data=st.data(), start=st.integers(0, 1000), n=st.integers(1, 40),
-       fault=st.sampled_from(["nan", "inf", "shift"]))
+@pytest.mark.parametrize("fault", ["nan", "inf", "shift"])
+@settings(max_examples=25)
+@given(data=st.data(), start=st.integers(0, 1000), n=st.integers(1, 40))
 def test_read_predictions_rejects_corrupted_cell(tmp_path, data, start, n, fault):
     assume(fault != "shift" or n >= 2)      # a lone row may move anywhere >= 0
     path = tmp_path / "p.csv"
@@ -625,16 +609,6 @@ def test_read_predictions_rejects_corrupted_cell(tmp_path, data, start, n, fault
         csv.writer(f).writerows(rows)
     with pytest.raises(ValueError):
         cli.read_predictions(path)
-
-
-def test_train_deterministic_bytes(tmp_path, capsys):
-    paths = []
-    for name in ("a", "b"):
-        run = tmp_path / name
-        cfg = write_doc(tmp_path, rtn_doc(run), f"{name}.json")
-        assert chain(cfg, "simulate", "dataset", "train") == 0
-        paths.append(run / "params.json")
-    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_seed_override_changes_params(tmp_path, capsys):
@@ -713,9 +687,6 @@ def test_score_on_truth_writes_truth_report(tmp_path, capsys):
     _, test = dsmod.chronological_split(ds)
     expect = mm.score_pipeline(test.ys, epsilon=0.015)
     assert mm.read_report(run / "truth_report.json") == expect
-
-
-MARKOV = os.path.join(os.path.dirname(__file__), os.pardir, "configs", "rtn_markovian.json")
 
 
 def markov_run(tmp_path, *stages):

@@ -5,7 +5,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -130,19 +130,6 @@ def test_stack_shapes():
     assert xe.shape == (0, 5) and ye.shape == (0,)
 
 
-def test_determinism():
-    rng = np.random.default_rng(9)
-    z_s = rng.uniform(-1, 1, 30)
-    z_a = rng.uniform(-1, 1, 30)
-    a = dset.build_windows(_traj(z_s, z_a))
-    b = dset.build_windows(_traj(z_s, z_a))
-    assert np.array_equal(a.xs, b.xs) and np.array_equal(a.ys, b.ys)
-    assert np.array_equal(a.t_index, b.t_index)
-
-
-_PROPERTY = settings(max_examples=25, deadline=None,
-                     suppress_health_check=[HealthCheck.function_scoped_fixture])
-
 _to_12_digits = np.vectorize(lambda v: float(f"{v:.12g}"))
 
 
@@ -167,7 +154,7 @@ _EDGE_CELLS = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.5e-310, -
                         st.floats(-1.0, 1.0))
 
 
-@_PROPERTY
+@settings(max_examples=25)
 @given(data=st.data(), w=st.integers(1, 6), n=st.integers(1, 60))
 def test_write_dataset_matches_per_cell_csv_writer(tmp_path, data, w, n):
     _assert_per_cell_bytes(tmp_path, _random_dataset(data, w, n, _EDGE_CELLS))
@@ -178,7 +165,7 @@ def test_empty_dataset_matches_per_cell_csv_writer(tmp_path, w):
     _assert_per_cell_bytes(tmp_path, dset.WindowDataset(np.empty((0, w)), np.empty(0), []))
 
 
-@_PROPERTY
+@settings(max_examples=25)
 @given(data=st.data(), w=st.integers(1, 6), n=st.integers(1, 60))
 def test_csv_roundtrip(tmp_path, data, w, n):
     ds = _random_dataset(data, w, n)
@@ -198,9 +185,9 @@ def test_csv_roundtrip(tmp_path, data, w, n):
         assert f1.read() == f2.read()
 
 
-@_PROPERTY
-@given(data=st.data(), w=st.integers(1, 6), n=st.integers(1, 60),
-       fault=st.sampled_from(["nan", "range", "gap", "split", "shift"]))
+@pytest.mark.parametrize("fault", ["nan", "range", "gap", "split", "shift"])
+@settings(max_examples=25)
+@given(data=st.data(), w=st.integers(1, 6), n=st.integers(1, 60))
 def test_read_rejects_corrupted_cell(tmp_path, data, w, n, fault):
     assume(fault != "gap" or n >= 2)        # a lone row's t_index has no gap
     assume(fault != "shift" or (w >= 2 and n >= 2))     # else every window cell is unique

@@ -18,7 +18,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import solve_ivp
@@ -29,6 +29,7 @@ from qrevival import memory_metric as mm
 from qrevival.linalg import I4, KET_PLUS, KET0, KET1, dm
 
 import truth
+from conftest import CONFIGS
 
 # G(t) and gamma(t) for the monotone-decay parameters b=5, lam=1
 AD_SLOW = {
@@ -54,7 +55,6 @@ RTN_SLOW = {
 }
 RTN_SLOW_FIRST_ZERO = 0.82324569047297439
 RTN_SLOW_CHI = 13.964240043768941
-CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 
 def test_ad_decay_amplitude_oracle():
@@ -526,16 +526,6 @@ def test_rk4_step_halving_convergence():
     assert errs[1] / max(errs[2], 1e-16) > 8.0
 
 
-def test_evolve_deterministic():
-    chan = dy.ChannelSpec.rtn_dephasing(v=1.0, kappa=1.0 / 7.0, rate_clamp=30.0)
-    grid = dy.TimeGrid(t_end=3.0, n_steps=300)
-    rho0 = dy.initial_state(dy.STATE_PLUS_EXCITED)
-    a = dy.evolve(rho0, grid, 1.0, chan)
-    b = dy.evolve(rho0, grid, 1.0, chan)
-    assert np.array_equal(a.z_s, b.z_s)
-    assert np.array_equal(a.z_a, b.z_a)
-
-
 def test_validate_density_matrix_rejections():
     dy.validate_density_matrix(I4 / 4.0)
     for shape in ((3, 3), (2, 4, 3)):
@@ -619,7 +609,7 @@ _FAULTS = ("hermiticity", "trace", "hermiticity+trace", "positivity", "positivit
            "nan", "inf")
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(data=st.data(), m=st.integers(1, 70), seed=st.integers(0, 2 ** 32 - 1))
 def test_validate_stack_matches_one_state_at_a_time(data, m, seed):
     rng = np.random.default_rng(seed)
@@ -841,8 +831,7 @@ _channels = st.one_of(
     st.builds(dy.NoiseFree, rate_clamp=_positive))
 
 
-@settings(max_examples=30, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=30)
 @given(data=st.data(), chan=_channels, n=st.integers(1, 40),
        dt=st.floats(1e-3, 10.0), g=_positive,
        tag=st.sampled_from([*dy.INITIAL_KETS, dy.STATE_CUSTOM]))
@@ -856,6 +845,9 @@ def test_trajectory_files_roundtrip_property(tmp_path, data, chan, n, dt, g, tag
     first = os.path.join(tmp_path, "a.csv")
     dy.write_trajectory(traj, first)
     back = dy.read_trajectory(first)
+    # each column value is the written one rounded to 12 significant digits
+    for column, written in zip((back.times, back.z_s, back.z_a), (traj.times, *z)):
+        assert np.array_equal(column, [float(f"{v:.12g}") for v in written])
     assert (back.channel, back.g, back.initial_state, back.clamp_events) == \
         (chan, g, tag, clamp_events)
     second = os.path.join(tmp_path, "b.csv")
@@ -863,29 +855,6 @@ def test_trajectory_files_roundtrip_property(tmp_path, data, chan, n, dt, g, tag
     for suffix in ("", ".meta.json"):
         with open(first + suffix, "rb") as f1, open(second + suffix, "rb") as f2:
             assert f1.read() == f2.read()
-
-
-def test_trajectory_roundtrip(tmp_path):
-    chan = dy.ChannelSpec.amplitude_damping(b=5.0, lam=1.0)
-    grid = dy.TimeGrid(t_end=1.0, n_steps=100)
-    traj = dy.evolve(dy.initial_state(dy.STATE_EXCITED_EXCITED), grid, 1.0, chan,
-                     initial_state_tag=dy.STATE_EXCITED_EXCITED)
-    csv_path = os.path.join(tmp_path, "traj.csv")
-    dy.write_trajectory(traj, csv_path)
-    back = dy.read_trajectory(csv_path)
-    assert np.allclose(back.times, traj.times, atol=1e-12)
-    assert np.allclose(back.z_s, traj.z_s, atol=1e-12)
-    assert back.channel == chan
-    assert back.g == 1.0
-    assert back.initial_state == dy.STATE_EXCITED_EXCITED
-    # re-export reproduces both files byte for byte
-    second = os.path.join(tmp_path, "traj2.csv")
-    dy.write_trajectory(back, second)
-    with open(csv_path, "rb") as f1, open(second, "rb") as f2:
-        assert f1.read() == f2.read()
-    with open(csv_path + ".meta.json", "rb") as f1, \
-            open(second + ".meta.json", "rb") as f2:
-        assert f1.read() == f2.read()
 
 
 def test_sidecar_keys_are_the_trajectory_fields(tmp_path):

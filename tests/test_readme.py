@@ -21,9 +21,9 @@ import pytest
 from qrevival import cli, linalg as la, mlp
 from qrevival import dynamics as dy
 from qrevival import memory_metric as mm
+from conftest import CONFIGS
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
-CONFIGS = os.path.join(ROOT, "configs")
 with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as _f:
     README = _f.read()
 
@@ -63,10 +63,6 @@ def channel_class(label: str):
     """The channel class of a README label: `RTN dephasing (...)` is rtn_dephasing's."""
     kind = re.split(r" [(`]", label)[0].lower().replace(" ", "_").replace("-", "_")
     return dy.CHANNELS[kind]
-
-
-def config_path(name: str) -> str:
-    return os.path.join(CONFIGS, name)
 
 
 # ---------- pipeline ----------
@@ -118,12 +114,12 @@ def test_config_table_matches_the_shipped_configs():
     assert sorted(rows) == sorted(n for n in os.listdir(CONFIGS) if n.endswith(".json"))
     for name, (channel, regime, state) in rows.items():
         if name == "run_all.json":      # the halves are the named configs but for output_dir
-            halves = [cli.load_run_config(config_path(half)) for half in ticks(channel)]
-            pair = cli.load_pair_config(config_path(name))
+            halves = [cli.load_run_config(os.path.join(CONFIGS, half)) for half in ticks(channel)]
+            pair = cli.load_pair_config(os.path.join(CONFIGS, name))
             assert [dataclasses.replace(c, output_dir="-") for c in pair] == \
                 [dataclasses.replace(c, output_dir="-") for c in halves]
             continue
-        cfg = cli.load_run_config(config_path(name))
+        cfg = cli.load_run_config(os.path.join(CONFIGS, name))
         assert type(cfg.channel) is channel_class(channel), name
         params = dict(item.split("=") for item in ticks(channel)[0].split(", "))
         assert cfg.channel.to_dict()["params"] == {k: float(Fraction(v)) for k, v in params.items()}
@@ -143,7 +139,7 @@ def run_tree(comparison_runs, tmp_path_factory):
         (truth_dir / key).mkdir()
         shutil.copy(os.path.join(out, key, cli.DATASET_CSV), truth_dir / key)
         assert cli.main(["score", "--on-truth", "--config",
-                         config_path(f"{key}_non_markovian.json"), "--out",
+                         os.path.join(CONFIGS, f"{key}_non_markovian.json"), "--out",
                          str(truth_dir / key)]) == 0
         reports[key] = mm.read_report(truth_dir / key / cli.TRUTH_REPORT_JSON)
     files = {name: os.path.join(out, "rtn", name) for name in os.listdir(os.path.join(out, "rtn"))}
@@ -156,7 +152,7 @@ def test_results_table_matches_run_all_and_the_truth(run_tree):
     files, truth = run_tree
     with open(files[cli.COMPARISON_JSON]) as f:
         comparison = json.load(f)
-    assert cli.load_pair_config(config_path("run_all.json"))[0].train.seed == 0
+    assert cli.load_pair_config(os.path.join(CONFIGS, "run_all.json"))[0].train.seed == 0
     learned, labels = table("series scored")
     assert "seed 0" in learned[0] and "--on-truth" in labels[0]
     assert learned[1:] == [str(comparison["ad_n_rev"]), str(comparison["rtn_n_rev"]),
@@ -165,6 +161,31 @@ def test_results_table_matches_run_all_and_the_truth(run_tree):
                           f"{truth['rtn'].score / truth['ad'].score:.2f}"]
     assert re.findall(r"`n_eval` (\d+)", README) == [str(comparison["n_eval"])]
     assert truth["ad"].n_eval == truth["rtn"].n_eval == comparison["n_eval"]
+
+
+def test_noise_free_limit_matches_simulate(tmp_path, capsys):
+    section = README.split("**The noise-free limit.**", 1)[1].split("\n\n**", 1)[0]
+    ((t_end, n_steps),) = re.findall(r"`t_end` (\d+), `n_steps` (\d+)\)", section)
+    (runs,) = re.findall(r"runs from `(\w+)`", section)
+    fails = dict(re.findall(r"^- `(\w+)`: `([^`]*)`", section, re.M))
+    (finer,) = re.findall(r"At `n_steps` (\d+), both states run", section)
+    assert sorted([runs, *fails]) == sorted(dy.INITIAL_KETS)
+    shipped = [n for n in os.listdir(CONFIGS) if n.endswith(".json") and n != "run_all.json"]
+    assert {cli.load_run_config(os.path.join(CONFIGS, n)).grid for n in shipped} == \
+        {dy.TimeGrid(t_end=float(t_end), n_steps=int(n_steps))}
+    with open(os.path.join(CONFIGS, "ad_non_markovian.json")) as f:
+        doc = dict(json.load(f), channel={"kind": "noise_free"})
+    cfg = tmp_path / "noise_free.json"
+    # the stderr of each run: every state runs at the finer grid
+    cases = {**{(s, steps): "" for s in (runs, *fails) for steps in (n_steps, finer)},
+             **{(s, n_steps): f"integration failure: {m}\n" for s, m in fails.items()}}
+    for (state, steps), err in cases.items():
+        doc.update(initial_state=state, output_dir=str(tmp_path / state / steps))
+        doc["grid"] = dict(doc["grid"], n_steps=int(steps))
+        cfg.write_text(json.dumps(doc))
+        rc = cli.main(["simulate", "--config", str(cfg)])
+        assert (rc, capsys.readouterr().err) == \
+            (cli.EXIT_INTEGRATION if err else 0, err), (state, steps)
 
 
 def test_every_command_parses():
@@ -198,7 +219,7 @@ def _fields() -> dict:
 
 def _load(key: str, *value):
     """The shipped AD config loaded with `key` set to value, or without `key`."""
-    with open(config_path("ad_non_markovian.json")) as f:
+    with open(os.path.join(CONFIGS, "ad_non_markovian.json")) as f:
         doc = json.load(f)
     *path, last = key.split(".")
     section = functools.reduce(dict.__getitem__, path, doc)

@@ -7,7 +7,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qrevival import cli, table
@@ -32,8 +32,7 @@ def _per_cell_bytes(path, header, columns) -> bytes:
         return f.read()
 
 
-@settings(max_examples=80, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=80)
 @given(data=st.data(), kinds=st.lists(st.sampled_from(sorted(_COLUMN)), min_size=1, max_size=5),
        n=st.integers(0, 12))
 def test_write_table_matches_per_cell_csv_writer(tmp_path, data, kinds, n):
