@@ -271,10 +271,29 @@ def initial_state(tag: str) -> np.ndarray:
 HERM_TOL = 1e-9
 TRACE_TOL = 1e-9
 EIG_FLOOR = -1e-6
-# states that evolve validates at a time; it also cuts runs of equal rates every BLOCK steps
+# evolve cuts runs of equal rates every BLOCK steps, which fixes where each power stack starts
 BLOCK = 64
 # powers P^1 .. P^POWERS of a step matrix that evolve caches per rate triple (a power of 2)
 POWERS = 16
+
+
+def _min_pivot(v: np.ndarray) -> np.ndarray:
+    """Per row of v (row-major vec(rho)), the least of the four LDL^H pivots of
+    sym - EIG_FLOOR I, sym = (rho + rho^dag)/2: Gaussian elimination on its lower triangle,
+    one (m,) column per entry. The pivots are the squares of Cholesky's diagonal."""
+    s = {(i, j): 0.5 * (v[:, 4 * i + j] + v[:, 4 * j + i].conj())
+         for i in range(4) for j in range(i)}
+    s.update({(i, i): v[:, 5 * i].real - EIG_FLOOR for i in range(4)})
+    pivot = s[0, 0]
+    for k in range(3):
+        inv, conj = 1.0 / s[k, k], {j: s[j, k].conj() for j in range(k + 1, 4)}
+        for i in range(k + 1, 4):
+            l_ik = s[i, k] * inv
+            s[i, i] = s[i, i] - (l_ik * conj[i]).real
+            for j in range(k + 1, i):
+                s[i, j] = s[i, j] - l_ik * conj[j]
+        pivot = np.minimum(pivot, s[k + 1, k + 1])
+    return pivot
 
 
 def validate_density_matrix(rho: np.ndarray, context: str | Callable[[int], str] = "") -> None:
@@ -282,32 +301,36 @@ def validate_density_matrix(rho: np.ndarray, context: str | Callable[[int], str]
 
     rho is a 4x4 state or an (m, 4, 4) stack; a stack raises for its first failing state,
     as one call per state would. `context` labels the state, or maps that index to a label.
-    Positivity is gated by one Cholesky factorization of sym - EIG_FLOOR I, which exists
-    iff every eigenvalue exceeds EIG_FLOOR; to rounding, so a success admits eigenvalues
-    down to about EIG_FLOOR - 1e-15. Only a failed factorization runs eigvalsh.
+    Each check is a pass over the (m,) columns of the row-major vec layout (column 4i + j
+    holds rho[:, i, j]). Positivity is gated by the four LDL^H pivots of sym - EIG_FLOOR I,
+    which are all positive iff every eigenvalue exceeds EIG_FLOOR; to rounding, so a success
+    admits eigenvalues down to about EIG_FLOOR - 1e-15. Only a state with a pivot <= 0 or
+    NaN runs eigvalsh.
     """
     def where(i):
         text = context(i) if callable(context) else context
         return f" ({text})" if text else ""
     if rho.shape[-2:] != (4, 4) or rho.ndim not in (2, 3):
         raise ValueError(f"density matrix must be 4x4, got {rho.shape}{where(0)}")
-    stack = rho.reshape(-1, 4, 4)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # a non-finite entry of rho leaves a non-finite entry in rho - rho^dag
-        herm = np.max(np.abs(stack - stack.conj().transpose(0, 2, 1)), axis=(1, 2))
-        tr = np.abs(np.trace(stack, axis1=1, axis2=2) - 1.0)
-    cheap = np.flatnonzero(~np.isfinite(herm) | (herm > HERM_TOL) | (tr > TRACE_TOL))
-    i = cheap[0] if len(cheap) else len(stack)
-    ok = stack[:i]                      # positivity only before the first cheap failure
-    sym = 0.5 * (ok + ok.conj().transpose(0, 2, 1))
-    try:
-        np.linalg.cholesky(sym - EIG_FLOOR * la.I4)
-    except np.linalg.LinAlgError:       # some state is near or below the floor: find it
-        min_eig = np.linalg.eigvalsh(sym)[:, 0]
+    v = rho.reshape(-1, 16)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # max |rho - rho^dag| over the pairs i >= j, whose mirrors give the same bits; a
+        # non-finite entry leaves a non-finite term, a diagonal one as inf - inf = NaN
+        herm = functools.reduce(np.maximum, (np.abs(v[:, 4 * i + j] - v[:, 4 * j + i].conj())
+                                             for i in range(4) for j in range(i + 1)))
+        # summed in np.trace's pairwise order, so that |tr - 1| keeps its bits
+        tr = np.abs((v[:, 0] + v[:, 5]) + (v[:, 10] + v[:, 15]) - 1.0)
+        cheap = np.flatnonzero(~np.isfinite(herm) | (herm > HERM_TOL) | (tr > TRACE_TOL))
+        i = cheap[0] if len(cheap) else len(v)
+        # positivity only before the first cheap failure
+        low = np.flatnonzero(~(_min_pivot(v[:i]) > 0.0))
+    if len(low):                        # some state is near or below the floor: find it
+        near = v[low].reshape(-1, 4, 4)
+        min_eig = np.linalg.eigvalsh(0.5 * (near + near.conj().transpose(0, 2, 1)))[:, 0]
         neg = np.flatnonzero(min_eig < EIG_FLOOR)
         if len(neg):
             raise ValueError(f"positivity violated: min eigenvalue = {min_eig[neg[0]]:.3e}"
-                             f"{where(neg[0])}")
+                             f"{where(low[neg[0]])}")
     if len(cheap):
         if not np.isfinite(herm[i]):
             raise ValueError(f"non-finite state{where(i)}")
@@ -393,11 +416,12 @@ def _terms(g: float, cls: type, dt: float) -> np.ndarray:
     return terms
 
 
-def _step_matrices(terms: np.ndarray, r1, r2, r3) -> np.ndarray:
-    """(m, 16, 16) increments E of the m steps with rates r1[k], r2[k], r3[k]: one gemm."""
+def _monomials(r1, r2, r3) -> np.ndarray:
+    """(m, 12) rate monomials r1^a r2^b r3^c of the m steps with rates r1[k], r2[k], r3[k],
+    column 6a + 2b + c: row k times _terms is the step's increment E as (16, 16) complex."""
     mono = (np.stack([r1 ** 0, r1])[:, None, None]
             * np.stack([r2 ** 0, r2, r2 ** 2])[:, None] * np.stack([r3 ** 0, r3]))
-    return (mono.reshape(12, -1).T @ terms).view(complex).reshape(-1, 16, 16)
+    return mono.reshape(12, -1).T
 
 
 def _powers(p: np.ndarray) -> np.ndarray:
@@ -416,10 +440,11 @@ def evolve(rho0: np.ndarray, grid: TimeGrid, g: float, chan: ChannelSpec,
 
     The generator is L_H + rate * L_D: L_H = -i[H, .], L_D the channel's rate-free dissipator
     (zero for noise_free), both Kronecker closed forms (_generators). Three passes over one
-    array of all states: step, v <- P v with P = I + E (_terms), one gemm giving the P of up to
-    POWERS runs of equal rates (_step_matrices) and a longer run taking P^1 v .. P^POWERS v at
-    once (_powers); check BLOCK states at a time, the first to break a tolerance (dt too large
-    or rate_clamp too generous) raising by its t, as nothing repairs it; read out all states.
+    array of all states: step, v <- P v with P = I + E (_terms), one gemm on a slice of the
+    call's rate monomials (_monomials) giving the P of up to POWERS runs of equal rates and a
+    longer run taking P^1 v .. P^POWERS v at once (_powers); check all states in one call, the
+    first to break a tolerance (dt too large or rate_clamp too generous) raising by its t, as
+    nothing repairs it; read out all states.
 
     Most steps lie in long runs of equal rates: all of a noise-free run, the saturated tail of
     a Markovian one, and most of a memory-bearing one, whose clamped rate sits at 0 or the cap.
@@ -440,6 +465,7 @@ def evolve(rho0: np.ndarray, grid: TimeGrid, g: float, chan: ChannelSpec,
     starts[::BLOCK] = True          # keeps each state's bits: it sets where power stacks begin
     js = np.flatnonzero(starts).tolist()
     ends = js[1:] + [n]
+    mono, eye = _monomials(*step_rates[:, js]), np.eye(16)      # row r: run r's monomials
 
     v = np.empty((n + 1, 16), dtype=complex)        # row k is vec(rho) at times[k]
     v[0], powers = np.ravel(rho0), {}
@@ -448,7 +474,7 @@ def evolve(rho0: np.ndarray, grid: TimeGrid, g: float, chan: ChannelSpec,
     with np.errstate(over="ignore", invalid="ignore"):
         terms = _terms(g, type(chan), dt)
         for c in range(0, len(js), POWERS):
-            p = _step_matrices(terms, *step_rates[:, js[c:c + POWERS]]) + np.eye(16)
+            p = (mono[c:c + POWERS] @ terms).view(complex).reshape(-1, 16, 16) + eye
             for j, j_end, pj in zip(js[c:c + POWERS], ends[c:c + POWERS], p):
                 if j_end - j == 1:
                     np.dot(pj, v[j], out=v[j + 1])
@@ -458,9 +484,7 @@ def evolve(rho0: np.ndarray, grid: TimeGrid, g: float, chan: ChannelSpec,
                 for i in range(j, j_end, POWERS):
                     out = v[i + 1:min(i + POWERS, j_end) + 1]
                     np.matmul(powers[key][:len(out)], v[i], out=out)
-        for k in range(1, n + 1, BLOCK):
-            validate_density_matrix(v[k:k + BLOCK].reshape(-1, 4, 4),
-                                    context=lambda i: f"t={times[k + i]:.6g}")
+    validate_density_matrix(v[1:].reshape(-1, 4, 4), context=lambda i: f"t={times[i + 1]:.6g}")
 
     # rows vec(Z^T), so that vec(Z^T) . vec(rho) = tr(Z rho)
     readout = np.stack([Z_S_OP.T.ravel(), Z_A_OP.T.ravel()])

@@ -15,6 +15,7 @@ whose keys are all known and include the required ones (`check_keys`), and
 `json` reads `Infinity`, `NaN` and any integer.
 """
 
+import itertools
 import json
 import sys
 from dataclasses import MISSING
@@ -25,12 +26,15 @@ FLOAT_CELL, EOL = "%.12g", "\r\n"        # of every table writer: a float cell, 
 
 
 def write_table(path, header, columns) -> None:
-    """Header row, then row i of the equal-length `columns` (arrays or lists) per line."""
+    """Header row, then row i of the equal-length `columns` (arrays or lists) per line.
+
+    One `%` formats the table: the row format once per row, on the cells in row-major order."""
     columns = [np.asarray(c) for c in columns]
     fmt = ",".join(FLOAT_CELL if c.dtype.kind == "f" else "%s" for c in columns) + EOL
+    rows = list(zip(*(c.tolist() for c in columns)))
+    cells = tuple(itertools.chain.from_iterable(rows))
     with open(path, "w", newline="") as f:
-        f.write(",".join(header) + EOL)
-        f.writelines(fmt % row for row in zip(*(c.tolist() for c in columns)))
+        f.write(",".join(header) + EOL + (fmt * len(rows)) % cells)
 
 
 def read_table(path, header=None):

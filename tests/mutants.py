@@ -72,8 +72,10 @@ MUTANTS = (
     ("fd_gradients drops the ReLU from the changed unit", "mlp.py",
      "step = np.maximum(z, _ZERO) - us[k + 1][:-1, None]", "step = z - zs[k][:, None]"),
     ("clamp_events bound 2 n - 1 to 2 n", "dynamics.py", "max(2 * n - 1, 0)", "max(2 * n, 0)"),
-    ("each check slice runs to the last state", "dynamics.py",
-     "validate_density_matrix(v[k:k + BLOCK]", "validate_density_matrix(v[k:]"),
+    ("positivity pivot test > 0 to >=", "dynamics.py",
+     "_min_pivot(v[:i]) > 0.0", "_min_pivot(v[:i]) >= 0.0"),
+    ("hermiticity pairs without the diagonal", "dynamics.py",
+     "for i in range(4) for j in range(i + 1)", "for i in range(4) for j in range(i)"),
 )
 
 

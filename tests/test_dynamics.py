@@ -561,7 +561,7 @@ def _eigvalsh_spy(monkeypatch):
 
 def test_validate_gate_at_the_floor(monkeypatch):
     calls = _eigvalsh_spy(monkeypatch)
-    # lowest eigenvalue exactly EIG_FLOOR: the shifted factorization fails, eigvalsh admits it
+    # lowest eigenvalue exactly EIG_FLOOR: the last pivot is 0.0, so eigvalsh runs and admits it
     at_floor = np.diag([0.5 - dy.EIG_FLOOR, 0.3, 0.2, dy.EIG_FLOOR]).astype(complex)
     dy.validate_density_matrix(at_floor)
     assert len(calls) == 1
@@ -571,6 +571,29 @@ def test_validate_gate_at_the_floor(monkeypatch):
         dy.validate_density_matrix(np.stack([I4 / 4.0, at_floor, below, I4 / 2.0]),
                                    context=lambda i: f"t={i}")
     assert len(calls) == 2
+
+
+@settings(max_examples=200)
+@given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 8), at=st.integers(0, 7),
+       exponent=st.floats(-13.0, -7.0), below=st.booleans())
+def test_pivot_gate_agrees_with_eigvalsh_near_the_floor(seed, m, at, exponent, below):
+    # states of random eigenbasis and spectrum, one of them with its lowest eigenvalue
+    # EIG_FLOOR -+ 10^exponent: a check of the stack fails exactly on the minus side
+    rng, j = np.random.default_rng(seed), at % m
+    u = np.linalg.qr(rng.standard_normal((m, 4, 4)) + 1j * rng.standard_normal((m, 4, 4)))[0]
+    lam = rng.uniform(0.05, 1.0, (m, 4))
+    lam[j, 3] = dy.EIG_FLOOR + (-1.0 if below else 1.0) * 10.0 ** exponent
+    lam[:, :3] *= ((1.0 - lam[:, 3]) / lam[:, :3].sum(axis=1))[:, None]
+    rho = (u * lam[:, None, :]) @ u.conj().transpose(0, 2, 1)
+    rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
+    min_eig = np.linalg.eigvalsh(rho[j])[0]
+    assert (min_eig < dy.EIG_FLOOR) == below
+    if not below:
+        dy.validate_density_matrix(rho)
+        return
+    with pytest.raises(ValueError) as exc:
+        dy.validate_density_matrix(rho, context=lambda i: f"t={i}")
+    assert str(exc.value) == f"positivity violated: min eigenvalue = {min_eig:.3e} (t={j})"
 
 
 def test_evolve_runs_no_eigvalsh_on_the_shipped_configs(monkeypatch):
@@ -725,8 +748,8 @@ def test_evolve_fails_where_plain_rk4_fails():
 @pytest.mark.parametrize("name", ["ad_markovian", "ad_non_markovian", "rtn_markovian",
                                   "rtn_non_markovian"])
 def test_evolve_memory_peak_stays_block_sized(name):
-    # evolve keeps every state (256 B a step) but validates BLOCK of them at a time: the
-    # peak is 0.63-0.73 MB here, and 1.26-1.39 MB if one call validated all 1,004 states
+    # evolve keeps every state (256 B a step) and checks all 1,004 in one call, one (m,)
+    # column per matrix entry rather than (m, 4, 4) copies: the peak is 0.72-0.84 MB here
     cfg = cli.load_run_config(os.path.join(CONFIGS, f"{name}.json"))
     rho0 = dy.initial_state(cfg.initial_state)
     dy.evolve(rho0, cfg.grid, cfg.g, cfg.channel)       # fills the cache of _terms
@@ -765,7 +788,8 @@ def test_step_matrix_matches_rk4_stages(chan):
     rates = rng.uniform(0.0, chan.rate_clamp, (3, 40))
     rates[:, :8] = np.array(np.meshgrid([0.0, chan.rate_clamp], [0.0, chan.rate_clamp],
                                         [0.0, chan.rate_clamp])).reshape(3, 8)
-    e = dy._step_matrices(dy._terms(1.0, type(chan), dt), *rates)
+    terms = dy._terms(1.0, type(chan), dt)
+    e = (dy._monomials(*rates) @ terms).view(complex).reshape(-1, 16, 16)
     for k, (r1, r2, r3) in enumerate(rates.T):
         v = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         want = _rk4_step(l_h, l_d, v, dt, r1, r2, r3)
