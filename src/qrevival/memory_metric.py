@@ -9,7 +9,6 @@ is the last strictly-rising point of that run.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import List, Tuple
@@ -88,7 +87,7 @@ def score_pipeline(preds, epsilon: float) -> RevivalReport:
 
 
 def write_report(report: RevivalReport, path) -> None:
-    write_json(path, dataclasses.asdict(report))
+    write_json(path, vars(report))
 
 
 def read_report(path) -> RevivalReport:

@@ -3,9 +3,10 @@
 A table is a header row plus data rows of the same length. One row format per
 table writes a float column at 12 significant digits (`%.12g`), any other with
 `str`, and ends lines in `\\r\\n`; no cell holds a comma, quote or newline, so
-the bytes are those of `csv.writer`. `read_table` splits lines at commas into
-columns of string cells, each parsed whole by its stage reader; it unquotes
-nothing, so a quoted cell fails its column's parse.
+the bytes are those of `csv.writer`. `read_table` checks each row's width by
+its comma count, then splits the whole body at commas once into columns of
+string cells, each parsed whole by its stage reader; it unquotes nothing, so a
+quoted cell fails its column's parse. Neither side builds a list or tuple per row.
 
 A JSON file is one value with an indent of 2, sorted keys and a final
 newline. Every JSON reader holds a document to one rule: it is an object
@@ -28,13 +29,16 @@ FLOAT_CELL, EOL = "%.12g", "\r\n"        # of every table writer: a float cell, 
 def write_table(path, header, columns) -> None:
     """Header row, then row i of the equal-length `columns` (arrays or lists) per line.
 
-    One `%` formats the table: the row format once per row, on the cells in row-major order."""
+    One `%` formats the table: the row format once per row, on the cells gathered in
+    row-major order by slice assignment, which raises ValueError on columns of unequal length."""
     columns = [np.asarray(c) for c in columns]
     fmt = ",".join(FLOAT_CELL if c.dtype.kind == "f" else "%s" for c in columns) + EOL
-    rows = list(zip(*(c.tolist() for c in columns)))
-    cells = tuple(itertools.chain.from_iterable(rows))
+    k, n = len(columns), len(columns[0])
+    cells = [None] * (k * n)
+    for j, c in enumerate(columns):
+        cells[j::k] = c.tolist()
     with open(path, "w", newline="") as f:
-        f.write(",".join(header) + EOL + (fmt * len(rows)) % cells)
+        f.write(",".join(header) + EOL + (fmt * n) % tuple(cells))
 
 
 def read_table(path, header=None):
@@ -43,20 +47,22 @@ def read_table(path, header=None):
     Raises ValueError on an empty file, on a header other than `header`
     (when given) and on a row whose length differs from the header's.
     """
-    with open(path) as f:
-        got, *rows = [line.split(",") for line in f.read().splitlines()] or [None]
+    with open(path, newline="") as f:
+        lines = f.read().splitlines()
+    got = lines[0].split(",") if lines else None
     if got is None or (header is not None and got != list(header)):
         raise ValueError(f"bad header {got!r} in {path}")
-    for row in rows:
-        if len(row) != len(got):
-            raise ValueError(f"bad row {row!r} in {path}")
-    return got, list(zip(*rows)) or [()] * len(got)
+    k = len(got)
+    if set(map(str.count, lines, itertools.repeat(","))) != {k - 1}:
+        row = next(line for line in lines if line.count(",") != k - 1).split(",")
+        raise ValueError(f"bad row {row!r} in {path}")
+    cells = ",".join(lines).split(",")
+    return got, [tuple(cells[j::k]) for j in range(k, 2 * k)]
 
 
 def write_json(path, obj) -> None:
     with open(path, "w") as f:
-        json.dump(obj, f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def read_json(path):

@@ -76,6 +76,8 @@ MUTANTS = (
      "_min_pivot(v[:i]) > 0.0", "_min_pivot(v[:i]) >= 0.0"),
     ("hermiticity pairs without the diagonal", "dynamics.py",
      "for i in range(4) for j in range(i + 1)", "for i in range(4) for j in range(i)"),
+    ("read_table without its row-width check", "table.py",
+     'if set(map(str.count, lines, itertools.repeat(","))) != {k - 1}:', "if False:"),
 )
 
 

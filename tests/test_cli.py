@@ -717,6 +717,27 @@ def test_shifted_window_column_exits_5(tmp_path, capsys):
     assert not (run / "truth_report.json").exists()
 
 
+@pytest.mark.parametrize("short_row, long_row", [(3, 7), (7, 3)])
+@pytest.mark.parametrize("name, reader", [
+    ("trajectory.csv", ["dataset"]),
+    ("dataset.csv", ["score", "--on-truth"]),
+    ("predictions.csv", ["score"])])
+def test_row_of_another_width_exits_5(tmp_path, name, reader, short_row, long_row, capsys):
+    # one data row a cell short and one a cell long: the reader names the first of them
+    run = markov_run(tmp_path, "simulate", "dataset")
+    path = run / name
+    if name == "predictions.csv":
+        cli.write_predictions(np.arange(10), np.linspace(0.5, -0.5, 10), path)
+    lines = path.read_text().splitlines()
+    lines[short_row] = lines[short_row].rsplit(",", 1)[0]
+    lines[long_row] += ",0.25"
+    path.write_text("\n".join(lines) + "\n")
+    first = lines[min(short_row, long_row)].split(",")
+    capsys.readouterr()
+    assert cli.main([*reader, "--config", MARKOV, "--out", str(run)]) == cli.EXIT_MALFORMED
+    assert capsys.readouterr().err == f"malformed input: bad row {first!r} in {path}\n"
+
+
 @pytest.mark.parametrize("factor, err", [
     (1 + 5e-12, ""),
     (1 + 2e-11, "disagrees with the spacing of the times")])

@@ -1,7 +1,11 @@
-"""The CSV codec: the column-at-a-time writer against the per-cell csv.writer rule,
-and the column reader against the cells written."""
+"""The CSV and JSON codec: the column-at-a-time writer against the per-cell csv.writer
+rule, the whole-table reader against the cells written and the per-line reader, and the
+JSON writer against json.dump."""
 
 import csv
+import dataclasses
+import gc
+import json
 import math
 import os
 
@@ -30,6 +34,25 @@ def _per_cell_bytes(path, header, columns) -> bytes:
                     for row in zip(*columns))
     with open(path, "rb") as f:
         return f.read()
+
+
+def _per_line_read_table(path, header=None):
+    """read_table as one list per line: the reference the whole-table reader must match."""
+    with open(path) as f:
+        got, *rows = [line.split(",") for line in f.read().splitlines()] or [None]
+    if got is None or (header is not None and got != list(header)):
+        raise ValueError(f"bad header {got!r} in {path}")
+    for row in rows:
+        if len(row) != len(got):
+            raise ValueError(f"bad row {row!r} in {path}")
+    return got, list(zip(*rows)) or [()] * len(got)
+
+
+def _outcome(read, path, header):
+    try:
+        return read(path, header)
+    except ValueError as e:
+        return f"ValueError: {e}"
 
 
 @settings(max_examples=80)
@@ -95,3 +118,96 @@ def test_float_columns_parse_as_float_does(tmp_path):
     with open(path, "w") as f:
         f.write("t_index,y_hat\n")
     assert table.read_table(path) == (["t_index", "y_hat"], [(), ()])
+
+
+# every line boundary of str.splitlines
+_BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@settings(max_examples=300)
+@given(data=st.data(), k=st.integers(1, 3), n=st.integers(0, 6), trailing=st.booleans(),
+       given_header=st.sampled_from(["none", "own", "other"]))
+def test_read_table_matches_per_line_reader(tmp_path, data, k, n, trailing, given_header):
+    # rows mostly of the header's width, some wider, narrower or empty, and line breaks
+    # of every kind, a run of them making empty lines
+    cell = st.text("ab1.-é", max_size=3)
+    widths = data.draw(st.lists(st.one_of(st.just(k), st.integers(0, 4)), min_size=n, max_size=n))
+    lines = [",".join(data.draw(st.lists(cell, min_size=w, max_size=w))) for w in [k, *widths]]
+    breaks = data.draw(st.lists(st.lists(st.sampled_from(_BREAKS), min_size=1, max_size=2),
+                                min_size=len(lines), max_size=len(lines)))
+    text = "".join(line + "".join(b) for line, b in zip(lines, breaks))
+    if not trailing:
+        text = text.rstrip("".join(_BREAKS))
+    path = os.path.join(tmp_path, "t.csv")
+    with open(path, "wb") as f:
+        f.write(text.encode("utf-8"))
+    header = {"none": None, "own": lines[0].split(","), "other": ["x"] * k}[given_header]
+    assert _outcome(table.read_table, path, header) == _outcome(_per_line_read_table, path, header)
+
+
+@pytest.mark.parametrize("lengths", [(3, 2), (2, 3), (3, 3, 2)])
+def test_write_table_rejects_columns_of_unequal_length(tmp_path, lengths):
+    path = os.path.join(tmp_path, "t.csv")
+    with pytest.raises(ValueError):
+        table.write_table(path, [f"c{j}" for j in range(len(lengths))],
+                          [np.arange(m, dtype=float) for m in lengths])
+    assert not os.path.exists(path)
+
+
+def test_table_round_trip_runs_no_garbage_collection(tmp_path):
+    # a codec that builds a list or tuple per row sets off collections as the table grows
+    n = 2000
+    columns = [np.arange(n), np.linspace(-1.0, 1.0, n), [f"s{i}" for i in range(n)]]
+    path = os.path.join(tmp_path, "t.csv")
+    passes = []
+    def on_gc(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+    thresholds = gc.get_threshold()
+    gc.collect()
+    gc.set_threshold(700, 10, 10)
+    gc.callbacks.append(on_gc)
+    try:
+        table.write_table(path, ["i", "x", "s"], columns)
+        _, got = table.read_table(path, ["i", "x", "s"])
+    finally:
+        gc.callbacks.remove(on_gc)
+        gc.set_threshold(*thresholds)
+    assert passes == []
+    assert got[2] == tuple(columns[2])
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats(allow_nan=True, allow_infinity=True),
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
+    | st.dictionaries(st.text(), inner),
+    max_leaves=20)
+
+
+@given(obj=_JSON)
+def test_write_json_matches_json_dump(tmp_path, obj):
+    path, old = os.path.join(tmp_path, "new.json"), os.path.join(tmp_path, "old.json")
+    table.write_json(path, obj)
+    with open(old, "w") as f:
+        json.dump(obj, f, indent=2, sort_keys=True)
+        f.write("\n")
+    with open(path, "rb") as f, open(old, "rb") as g:
+        assert f.read() == g.read()
+
+
+@given(data=st.data(), n_eval=st.integers(1, 40),
+       epsilon=st.floats(1e-300, 1e300, allow_subnormal=False))
+def test_write_report_writes_the_asdict_bytes(tmp_path, data, n_eval, epsilon):
+    n_rev = data.draw(st.integers(0, n_eval))
+    starts = data.draw(st.lists(st.integers(0, n_eval - 1), max_size=5))
+    segments = [(t1, data.draw(st.integers(t1, n_eval - 1))) for t1 in starts]
+    report = mm.RevivalReport(n_rev=n_rev, n_eval=n_eval, score=n_rev / n_eval,
+                              segments=segments, epsilon=epsilon)
+    path, old = os.path.join(tmp_path, "report.json"), os.path.join(tmp_path, "old.json")
+    mm.write_report(report, path)
+    with open(old, "w") as f:
+        json.dump(dataclasses.asdict(report), f, indent=2, sort_keys=True)
+        f.write("\n")
+    with open(path, "rb") as f, open(old, "rb") as g:
+        assert f.read() == g.read()
