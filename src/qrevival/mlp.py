@@ -106,12 +106,12 @@ class TrainConfig:
 
 def init_params(rng: np.random.Generator, n_in: int = 5) -> MLPParams:
     """Uniform in +-sqrt(1/fan_in) per layer, weights drawn before biases."""
-    blocks = []
-    for rows, cols in _blocks(n_in):
-        s = math.sqrt(1.0 / (cols - 1))
-        w = rng.uniform(-s, s, size=(rows, cols - 1))
-        blocks.append(np.concatenate([w, rng.uniform(-s, s, size=(rows, 1))], axis=1).ravel())
-    return MLPParams(np.concatenate(blocks), n_in)
+    p = MLPParams(np.empty(n_params(n_in)), n_in)
+    for a in (p.a1, p.a2, p.a3):
+        s = math.sqrt(1.0 / (a.shape[1] - 1))
+        a[:, :-1] = rng.uniform(-s, s, size=a[:, :-1].shape)
+        a[:, -1] = rng.uniform(-s, s, size=len(a))
+    return p
 
 
 def columns(xs) -> np.ndarray:
@@ -235,22 +235,21 @@ def fd_gradients(p: MLPParams, x, y: float, h: float = 1e-5) -> np.ndarray:
     Copy (s, r, c) of block a, whose input column is u, moves a[r, c] by s h (s = +-1), so
     of p's forward pass it changes only z[r] = (a @ u)[r], by s h u[c]. The layer above sees
     p's pre-activation plus its weight column r times relu(z[r] + s h u[c]) - relu(z[r]): one
-    broadcast multiply-add for all 2 rows cols copies. Only the layers above that take a matmul.
+    broadcast multiply-add for all 2 rows cols copies; only block 1's then take the head's matmul.
     """
-    blocks, us, zs, out = (p.a1, p.a2, p.a3), [columns([x])[:, 0]], [], []
-    for a in blocks:                                    # p's own forward pass
-        zs.append(a @ us[-1])
-        us.append(np.append(np.maximum(zs[-1], _ZERO), 1.0))
-    for k in range(len(blocks)):
-        z = zs[k][:, None] + np.multiply.outer([h, -h], us[k])[:, None]    # (2, rows, cols)
-        if k + 1 < len(blocks):
-            step = np.maximum(z, _ZERO) - us[k + 1][:-1, None]           # of unit r, per copy
-            z = zs[k + 1][:, None, None, None] + blocks[k + 1][:, None, :-1, None] * step
-            for above in blocks[k + 2:]:
-                z = above[:, :-1] @ np.maximum(z.reshape(len(z), -1), _ZERO) + above[:, -1:]
-        up, dn = (z.reshape(2, -1) - y) ** 2
-        out.append((up - dn) / (2.0 * h))
-    return np.concatenate(out)
+    u1 = columns([x])[:, 0]                             # p's own forward pass
+    u2 = np.append(np.maximum(z1 := p.a1 @ u1, _ZERO), 1.0)
+    u3 = np.append(np.maximum(z2 := p.a2 @ u2, _ZERO), 1.0)
+    z3 = p.a3 @ u3
+    sh = np.array((h, -h))[:, None, None]               # s h, for the copies s = +1 and -1
+    z = z2[:, None, None, None] + p.a2[:, None, :-1, None] * (      # block 1 into layer 2:
+        np.maximum(z1[:, None] + sh * u1, _ZERO) - u2[:-1, None])   # (H2, 2, H1, n_in + 1)
+    o1 = p.a3[:, :-1] @ np.maximum(z.reshape(H2, -1), _ZERO) + p.a3[:, -1:]
+    o2 = z3 + p.a3[0, :-1, None] * (np.maximum(z2[:, None] + sh * u2, _ZERO) - u3[:-1, None])
+    o3 = z3 + sh * u3                                   # (2, 1, H2 + 1)
+    o = np.concatenate((o1.reshape(2, -1), o2.reshape(2, -1), o3.reshape(2, -1)), axis=1)
+    up, dn = (o - y) ** 2
+    return (up - dn) / (2.0 * h)
 
 
 def gradient_max_rel_error(p: MLPParams, x, y: float, h: float = 1e-5) -> float:

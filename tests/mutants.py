@@ -7,7 +7,7 @@ there, runs `pytest -x -q` on the copy and prints whether the suite killed it
 (a test failed: exit 1), let it survive (exit 0) or errored (any other exit,
 such as 2 for a collection error, 3 for an internal error or 5 for no tests),
 with the exit code. The run fails unless every mutant is
-killed. The repository is never modified. A full run takes about 4 minutes on
+killed. The repository is never modified. A full run takes about 5 minutes on
 2 cores.
 
     python tests/mutants.py            # run every mutant
@@ -38,6 +38,10 @@ MUTANTS = (
     ("RK4 dt^4/24 to dt^4/25", "dynamics.py", "dt ** 4 / 24.0", "dt ** 4 / 25.0"),
     ("Adam EPS 1e-8 to 1e-6", "mlp.py",
      "BETA1, BETA2, EPS = 0.9, 0.999, 1e-8", "BETA1, BETA2, EPS = 0.9, 0.999, 1e-6"),
+    ("Adam beta1 0.9 to 0.8", "mlp.py",
+     "BETA1, BETA2, EPS = 0.9, 0.999, 1e-8", "BETA1, BETA2, EPS = 0.8, 0.999, 1e-8"),
+    ("Adam beta2 0.999 to 0.99", "mlp.py",
+     "BETA1, BETA2, EPS = 0.9, 0.999, 1e-8", "BETA1, BETA2, EPS = 0.9, 0.99, 1e-8"),
     ("clamp ceiling to 2 cap", "dynamics.py",
      "neginf=0.0), 0.0, self.rate_clamp)", "neginf=0.0), 0.0, 2 * self.rate_clamp)"),
     ("run starts broken", "dynamics.py",
@@ -68,9 +72,10 @@ MUTANTS = (
     ("channel without its oscillator overflow check", "dynamics.py",
      "if not (math.isfinite(a * a) and math.isfinite(w2)):", "if False:"),
     ("fd_gradients shifts a pre-activation by h, not h u[c]", "mlp.py",
-     "np.multiply.outer([h, -h], us[k])", "np.multiply.outer([h, -h], np.ones_like(us[k]))"),
+     "z2[:, None] + sh * u2", "z2[:, None] + sh * np.ones_like(u2)"),
     ("fd_gradients drops the ReLU from the changed unit", "mlp.py",
-     "step = np.maximum(z, _ZERO) - us[k + 1][:-1, None]", "step = z - zs[k][:, None]"),
+     "np.maximum(z1[:, None] + sh * u1, _ZERO) - u2[:-1, None]",
+     "z1[:, None] + sh * u1 - z1[:, None]"),
     ("clamp_events bound 2 n - 1 to 2 n", "dynamics.py", "max(2 * n - 1, 0)", "max(2 * n, 0)"),
     ("positivity pivot test > 0 to >=", "dynamics.py",
      "_min_pivot(v[:i]) > 0.0", "_min_pivot(v[:i]) >= 0.0"),

@@ -243,6 +243,23 @@ def test_adam_first_step_hand_value():
     assert np.all(p.w1 == 0.0)
 
 
+def test_adam_second_and_third_steps_hand_value():
+    # bias correction cancels beta only at step 1; from step 2 on, 0.9 and 0.999 show
+    p, g = _zero_params(), _zero_params()
+    m, v = np.zeros(737), np.zeros(737)
+    m_t = v_t = b3 = 0.0
+    for t, g_t in enumerate((0.5, -0.2, 0.3), start=1):
+        g.b3[...] = g_t
+        mlp.adam_step(p, g.vec, m, v, t, 1e-3)
+        m_t, v_t = 0.9 * m_t + 0.1 * g_t, 0.999 * v_t + 0.001 * g_t ** 2
+        b3 -= 1e-3 * (m_t / (1 - 0.9 ** t)) / (np.sqrt(v_t / (1 - 0.999 ** t)) + 1e-8)
+        assert (m[-1], v[-1]) == (pytest.approx(m_t, rel=1e-14), pytest.approx(v_t, rel=1e-14))
+        assert p.b3 == pytest.approx(b3, rel=1e-12), t
+    # m_hat 0.5, 0.13158, 0.19373 and v_hat 0.25, 0.14495, 0.12661 at steps 1-3
+    assert p.b3 == pytest.approx(-1.8900462e-3, rel=1e-7)
+    assert np.count_nonzero(p.vec) == 1
+
+
 def test_adam_constant_gradient_step_magnitude():
     p = _zero_params()
     g = _zero_params()
@@ -397,6 +414,18 @@ def test_train_all_reaches_least_squares_floor():
     for report, n_rev in zip(reports, floor):
         assert abs(report.n_rev - n_rev) <= 5
     assert 1.5 <= reports[1].score / reports[0].score <= 3.5
+
+
+def test_shipped_pair_final_train_losses(comparison_runs):
+    # train seed 0's final train MSE, read from the run-all the suite trains once; across
+    # the SkylakeX, Haswell and Sandybridge kernels AD agrees to 1e-11 and RTN to 4.7e-4
+    # relative. Adam's beta2 at 0.99 moves AD's by 2.4%.
+    outs, _ = comparison_runs
+    (ad_epochs, ad), (_, rtn) = (_loss_rows(os.path.join(outs[0], key, cli.LOSS_CSV))
+                                 for key in ("ad", "rtn"))
+    assert ad_epochs[-1] == 500
+    assert ad[-1] == pytest.approx(2.9714881767e-4, rel=1e-8)
+    assert rtn[-1] == pytest.approx(1.275879e-8, rel=1e-2)
 
 
 def test_predict_series_basics():

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from qrevival import cli, linalg as la, mlp
+from qrevival import dataset as dsmod
 from qrevival import dynamics as dy
 from qrevival import memory_metric as mm
 from conftest import CONFIGS
@@ -186,6 +187,42 @@ def test_noise_free_limit_matches_simulate(tmp_path, capsys):
         rc = cli.main(["simulate", "--config", str(cfg)])
         assert (rc, capsys.readouterr().err) == \
             (cli.EXIT_INTEGRATION if err else 0, err), (state, steps)
+
+
+def test_departures_from_the_seed_spec_match_the_code(run_tree):
+    activation, normalization, repair, _, pairing = table("seed spec says")
+    # the hidden activation, on a probe whose pre-activations take both signs
+    hidden = {"ReLU": lambda z: np.maximum(z, 0.0), "tanh": np.tanh}
+    (stated,) = ticks(activation[1])
+    p = mlp.init_params(np.random.default_rng(0))
+    _, (xa, h1, _) = mlp.forward(p, mlp.columns([[0.9, -0.7, 0.4, -0.2, 0.6]]))
+    z1 = p.a1 @ xa[:, 0]
+    assert np.any(z1 > 0.1) and np.any(z1 < 0.0)
+    assert [np.array_equal(h1[:-1, 0], f(z1)) for f in hidden.values()] == \
+        [name == stated for name in hidden]
+    # the normalization, through score_pipeline, on a series where the two quotients differ
+    spec, code = (ticks(cell)[0].split(" = ")[1] for cell in normalization[:2])
+    report = mm.score_pipeline([0.0, 0.1, 0.0, 0.1], 0.015)
+    counts = (report.n_rev, report.n_eval)
+    assert report.score == _evaluate(code, ("n_rev", "n_eval"), counts) != \
+        _evaluate(spec, ("n_rev", "n_eval"), counts)
+    with open(run_tree[0][cli.COMPARISON_JSON]) as f:
+        comparison = json.load(f)
+    n_rev, n_eval = comparison["ad_n_rev"], comparison["n_eval"]
+    assert ticks(normalization[2])[:2] == [str(comparison["ad_score"]),
+                                           f"{n_rev / (n_eval - 1):.4f}"]
+    # no repair: the test named here pins the noise-free exit 3 that a repair would hide
+    (pin,) = ticks(repair[2])
+    assert pin == test_noise_free_limit_matches_simulate.__name__
+    # the pairing, and each channel's truth count from each start state
+    ad, rtn = cli.load_pair_config(os.path.join(CONFIGS, "run_all.json"))
+    assert ticks(pairing[0]) == [ad.initial_state, rtn.initial_state]
+    truth = ticks(pairing[2])       # a state, then its AD and RTN counts
+    for i, state in enumerate(truth[::3]):
+        for cfg, n in zip((ad, rtn), truth[3 * i + 1:3 * i + 3]):
+            traj = dy.evolve(dy.initial_state(state), cfg.grid, cfg.g, cfg.channel)
+            _, test = dsmod.chronological_split(dsmod.build_windows(traj, cfg.window_len))
+            assert mm.score_pipeline(test.ys, cfg.epsilon).n_rev == int(n), (cfg.channel, state)
 
 
 def test_every_command_parses():

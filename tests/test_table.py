@@ -5,13 +5,14 @@ JSON writer against json.dump."""
 import csv
 import dataclasses
 import gc
+import itertools
 import json
 import math
 import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qrevival import cli, table
@@ -122,20 +123,26 @@ def test_float_columns_parse_as_float_does(tmp_path):
 
 # every line boundary of str.splitlines
 _BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+# each one draw: any cell of up to 3 characters over "ab1.-é", and any line end, one
+# break or a run of two making an empty line
+_CELL = st.sampled_from(["".join(c) for m in range(4)
+                         for c in itertools.product("ab1.-é", repeat=m)])
+_END = st.sampled_from(_BREAKS + [a + b for a in _BREAKS for b in _BREAKS])
 
 
 @settings(max_examples=300)
-@given(data=st.data(), k=st.integers(1, 3), n=st.integers(0, 6), trailing=st.booleans(),
-       given_header=st.sampled_from(["none", "own", "other"]))
-def test_read_table_matches_per_line_reader(tmp_path, data, k, n, trailing, given_header):
-    # rows mostly of the header's width, some wider, narrower or empty, and line breaks
-    # of every kind, a run of them making empty lines
-    cell = st.text("ab1.-é", max_size=3)
-    widths = data.draw(st.lists(st.one_of(st.just(k), st.integers(0, 4)), min_size=n, max_size=n))
-    lines = [",".join(data.draw(st.lists(cell, min_size=w, max_size=w))) for w in [k, *widths]]
-    breaks = data.draw(st.lists(st.lists(st.sampled_from(_BREAKS), min_size=1, max_size=2),
-                                min_size=len(lines), max_size=len(lines)))
-    text = "".join(line + "".join(b) for line, b in zip(lines, breaks))
+@given(data=st.data(), k=st.integers(1, 3), header_end=_END,
+       rows=st.lists(st.tuples(st.one_of(st.none(), st.integers(0, 4)), _END), max_size=6),
+       trailing=st.booleans(), given_header=st.sampled_from(["none", "own", "other"]))
+def test_read_table_matches_per_line_reader(tmp_path, data, k, header_end, rows, trailing,
+                                            given_header):
+    # rows mostly of the header's width k (None), some wider, narrower or empty, and line
+    # breaks of every kind; the table's shape is drawn first, then all its cells at once
+    widths = [k] + [k if w is None else w for w, _ in rows]
+    cells = iter(data.draw(st.lists(_CELL, min_size=sum(widths), max_size=sum(widths))))
+    lines = [",".join(itertools.islice(cells, w)) for w in widths]
+    ends = [header_end] + [end for _, end in rows]
+    text = "".join(line + end for line, end in zip(lines, ends))
     if not trailing:
         text = text.rstrip("".join(_BREAKS))
     path = os.path.join(tmp_path, "t.csv")
@@ -177,15 +184,38 @@ def test_table_round_trip_runs_no_garbage_collection(tmp_path):
     assert got[2] == tuple(columns[2])
 
 
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.text()
-    | st.floats(allow_nan=True, allow_infinity=True),
-    lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
-    | st.dictionaries(st.text(), inner),
-    max_leaves=20)
+_LEAF = (st.none() | st.booleans() | st.integers() | st.text()
+         | st.floats(allow_nan=True, allow_infinity=True))
+# nested lists, tuples and dicts over at most 20 leaf slots (None), drawn before the leaves
+_SHAPE = st.recursive(st.none(), lambda inner: st.tuples(st.sampled_from((list, tuple, dict)),
+                                                          st.lists(inner)), max_leaves=20)
 
 
-@given(obj=_JSON)
+def _slots(shape):
+    return 1 if shape is None else sum(map(_slots, shape[1]))
+
+
+@st.composite
+def _json(draw):
+    """An object of json.dump's types: a shape, then all its leaves in one draw, and each
+    dict's keys in one draw; a repeated key keeps its last entry, so no draw is retried."""
+    shape = draw(_SHAPE)
+    leaves = iter(draw(st.lists(_LEAF, min_size=_slots(shape), max_size=_slots(shape))))
+
+    def fill(node):
+        if node is None:
+            return next(leaves)
+        kind, children = node
+        items = [fill(child) for child in children]
+        if kind is not dict:
+            return kind(items)
+        keys = draw(st.lists(st.text(), min_size=len(items), max_size=len(items)))
+        return dict(zip(keys, items))
+    return fill(shape)
+
+
+@example(obj={"": [math.nan, (math.inf, -math.inf)], "é": {"b": 1, "a": None}})
+@given(obj=_json())
 def test_write_json_matches_json_dump(tmp_path, obj):
     path, old = os.path.join(tmp_path, "new.json"), os.path.join(tmp_path, "old.json")
     table.write_json(path, obj)
