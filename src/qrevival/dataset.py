@@ -98,21 +98,21 @@ def _split_column(ds: WindowDataset) -> List[str]:
     return ["train"] * ds.split_index + ["test"] * (len(ds) - ds.split_index)
 
 
-def _check_shift(xcols, path) -> None:
-    """ValueError unless each column x_{j+1}, an array or a tuple of cells, is x_j shifted up."""
+def _series(xcols, path) -> list:
+    """The series x1, then the last row's x2..xw, behind window columns `xcols` (lists or
+    tuples of cells); ValueError unless each column x_{j+1} is x_j shifted up one row."""
     for j in range(1, len(xcols)):
-        if np.any(xcols[j][:-1] != xcols[j - 1][1:]):
+        if xcols[j][:-1] != xcols[j - 1][1:]:
             raise ValueError(f"column x{j + 1} is not x{j} shifted up one row in {path}")
+    return [*xcols[0], *(c[-1] for c in xcols[1:] if c)]
 
 
 def write_dataset(ds: WindowDataset, path) -> None:
-    """CSV `x1..xw,y,t_index,split` through write_table; the series x1, then the last row's
-    x2..xw, is formatted once, and window column j is its cells j..j+n-1. The cells and the
-    split column are object arrays, so they pass through write_table as the same str objects."""
-    _check_shift(ds.xs.T, path)
+    """CSV `x1..xw,y,t_index,split` through write_table; the windows' series is formatted
+    once, and window column j is its cells j..j+n-1. The cells and the split column are
+    object arrays, so they pass through write_table as the same str objects."""
     w, n = ds.window_len, len(ds)
-    z = np.array([FLOAT_CELL % x for x in
-                  np.concatenate([ds.xs[:, 0], ds.xs[-1:, 1:].ravel()]).tolist()], dtype=object)
+    z = np.array([FLOAT_CELL % x for x in _series(ds.xs.T.tolist(), path)], dtype=object)
     write_table(path, _header(w), [*(z[j:j + n] for j in range(w)), ds.ys, ds.t_index,
                                    np.array(_split_column(ds), dtype=object)])
 
@@ -124,9 +124,7 @@ def read_dataset(path) -> WindowDataset:
     if w < 1 or header != _header(w):
         raise ValueError(f"bad dataset header {header!r} in {path}")
     xcols, (ys, t_index, split) = columns[:w], columns[w:]
-    _check_shift(xcols, path)
-    # so x1 and the last row's x2..xw are the series `build_windows` slid over
-    z = np.array(xcols[0] + tuple(c[-1] for c in xcols[1:] if c), dtype=float)
+    z = np.array(_series(xcols, path), dtype=float)
     ds = WindowDataset(xs=sliding_window_view(z, w) if ys else np.empty((0, w)),
                        ys=np.array(ys, dtype=float), t_index=np.array(t_index, dtype=int))
     if list(split) != _split_column(ds):

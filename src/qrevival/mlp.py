@@ -90,7 +90,7 @@ class Buffers:
         self.grad = MLPParams(np.empty_like(p.vec), p.n_in)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 500
     batch_size: int = 32
@@ -100,7 +100,7 @@ class TrainConfig:
     def __post_init__(self):
         count("epochs", self.epochs, 1)
         count("batch_size", self.batch_size, 1)
-        self.lr = positive_real("lr", self.lr)
+        object.__setattr__(self, "lr", positive_real("lr", self.lr))
         count("seed", self.seed, 0)
 
 

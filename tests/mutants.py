@@ -7,7 +7,7 @@ there, runs `pytest -x -q` on the copy and prints whether the suite killed it
 (a test failed: exit 1), let it survive (exit 0) or errored (any other exit,
 such as 2 for a collection error, 3 for an internal error or 5 for no tests),
 with the exit code. The run fails unless every mutant is
-killed. The repository is never modified. A full run takes about 5 minutes on
+killed. The repository is never modified. A full run takes about 6 minutes on
 2 cores.
 
     python tests/mutants.py            # run every mutant
@@ -83,6 +83,51 @@ MUTANTS = (
      "for i in range(4) for j in range(i + 1)", "for i in range(4) for j in range(i)"),
     ("read_table without its row-width check", "table.py",
      'if set(map(str.count, lines, itertools.repeat(","))) != {k - 1}:', "if False:"),
+    ("dataset series without its shift check", "dataset.py",
+     "if xcols[j][:-1] != xcols[j - 1][1:]:", "if False:"),
+    ("dataset series tail from the first row", "dataset.py",
+     "*(c[-1] for c in xcols[1:] if c)", "*(c[0] for c in xcols[1:] if c)"),
+    # the physics and the learning, not only their checks
+    ("Hamiltonian XX + YY to XX - YY", "dynamics.py",
+     "np.kron(la.X, la.X) + np.kron(la.Y, la.Y)", "np.kron(la.X, la.X) - np.kron(la.Y, la.Y)"),
+    ("dissipator anticommutator 1/2 to 1/4", "dynamics.py",
+     "np.kron(j, j.conj()) - 0.5 * (", "np.kron(j, j.conj()) - 0.25 * ("),
+    ("RTN w2 4 v^2 to 3.9 v^2", "dynamics.py",
+     "return self.kappa, 4.0 * self.v * self.v, 0.5",
+     "return self.kappa, 3.9 * self.v * self.v, 0.5"),
+    ("RTN rate scale 0.5 to 0.45", "dynamics.py",
+     "return self.kappa, 4.0 * self.v * self.v, 0.5",
+     "return self.kappa, 4.0 * self.v * self.v, 0.45"),
+    ("AD rate scale 2 to 1.9", "dynamics.py",
+     "return self.b / 2.0, self.lam / 2.0, 2.0", "return self.b / 2.0, self.lam / 2.0, 1.9"),
+    ("AD jump sigma- to sigma+", "dynamics.py",
+     "A_AD = np.kron(la.I2, la.SIGMA_MINUS)", "A_AD = np.kron(la.I2, la.SIGMA_MINUS.T)"),
+    ("tilt sqrt(0.81) to sqrt(0.8)", "dynamics.py",
+     "TILT_EXCITED_AMPLITUDE = math.sqrt(0.81)", "TILT_EXCITED_AMPLITUDE = math.sqrt(0.8)"),
+    ("plus_excited ancilla ket excited to ground", "dynamics.py",
+     "STATE_PLUS_EXCITED: (la.KET_PLUS, la.KET0),", "STATE_PLUS_EXCITED: (la.KET_PLUS, la.KET1),"),
+    ("label taken at the window's end", "dataset.py",
+     "ys=traj.z_s[window_len:]", "ys=traj.z_s[window_len - 1:-1]"),
+    ("window shifted onto the label's time", "dataset.py",
+     "sliding_window_view(traj.z_a[:-1], window_len)",
+     "sliding_window_view(traj.z_a[1:], window_len)"),
+    ("Adam without bias correction", "mlp.py",
+     "c1, root_c2 = 1.0 - BETA1 ** t, math.sqrt(1.0 - BETA2 ** t)", "c1, root_c2 = 1.0, 1.0"),
+    ("Adam eps without sqrt(c2)", "mlp.py",
+     "np.add(np.sqrt(v, out=b), EPS * root_c2, out=b)", "np.add(np.sqrt(v, out=b), EPS, out=b)"),
+    ("init scale sqrt(1/fan) to sqrt(2/fan)", "mlp.py",
+     "s = math.sqrt(1.0 / (a.shape[1] - 1))", "s = math.sqrt(2.0 / (a.shape[1] - 1))"),
+    ("training without its shuffle", "mlp.py",
+     "np.take(data, rng.permutation(n),", "np.take(data, np.arange(n),"),
+    ("training ignores lr", "mlp.py",
+     "m, v, t, cfg.lr, buf)", "m, v, t, 1e-3, buf)"),
+    ("loss curve one epoch off", "mlp.py",
+     "curve[:, epoch] =", "curve[:, epoch - 1] ="),
+    ("H1 32 to 31", "mlp.py", "H1 = 32", "H1 = 31"),
+    ("epochs default 500 to 499", "mlp.py", "epochs: int = 500", "epochs: int = 499"),
+    ("batch_size default 32 to 16", "mlp.py", "batch_size: int = 32", "batch_size: int = 16"),
+    ("predictions scaled by 1 + 1e-9", "mlp.py",
+     "return forward(p, columns(xs))[0][0]", "return forward(p, columns(xs))[0][0] * (1 + 1e-9)"),
 )
 
 

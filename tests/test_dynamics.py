@@ -25,11 +25,9 @@ from scipy.integrate import solve_ivp
 
 from qrevival import cli
 from qrevival import dynamics as dy
-from qrevival import memory_metric as mm
 from qrevival.linalg import I4, KET_PLUS, KET0, KET1, dm
 
-import truth
-from conftest import CONFIGS
+from conftest import CONFIGS, read_truth, truth
 
 # G(t) and gamma(t) for the monotone-decay parameters b=5, lam=1
 AD_SLOW = {
@@ -430,19 +428,21 @@ SHIPPED = {"ad_markovian": (0, 0), "ad_non_markovian": (2008, 84), "rtn_markovia
 KERNELS = {"Haswell": {"avx2", "fma"}, "Sandybridge": {"avx"}}
 
 
+@pytest.fixture(scope="module")
+def shipped_truth(tmp_path_factory):
+    """{shipped config name: its truth}, each config run once for the module."""
+    return {name: truth(cli.load_run_config(os.path.join(CONFIGS, f"{name}.json")),
+                        tmp_path_factory.mktemp(name)) for name in SHIPPED}
+
+
 @pytest.mark.parametrize("name, events, n_rev", [(k, *v) for k, v in SHIPPED.items()])
-def test_clamp_events_on_the_shipped_configs(tmp_path, name, events, n_rev):
+def test_clamp_events_on_the_shipped_configs(shipped_truth, name, events, n_rev):
     # the one place that pins each shipped config's clamp events and truth count; the stages
     # run through their files, so the 12-digit round trip of every value is in the path. The
     # truth counts hold on any numpy and BLAS: the nearest test-half differences lie 7.9e-6
     # (ad) and 9.3e-5 (rtn) from epsilon, while the stepping by powers of one matrix moves
     # values by about 3e-14
-    cfg, out = os.path.join(CONFIGS, f"{name}.json"), str(tmp_path)
-    for stage in (["simulate"], ["dataset"], ["score", "--on-truth"]):
-        assert cli.main([*stage, "--config", cfg, "--out", out]) == 0
-    assert dy.read_trajectory(tmp_path / cli.TRAJECTORY_CSV).clamp_events == events
-    report = mm.read_report(tmp_path / cli.TRUTH_REPORT_JSON)
-    assert (report.n_rev, report.n_eval) == (n_rev, 500)
+    assert shipped_truth[name][:3] == (events, n_rev, 500)
 
 
 def _openblas_dynamic_arch() -> bool:
@@ -464,7 +464,7 @@ def _cpu_flags() -> set:
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
-def test_truth_is_the_same_under_other_blas_kernels(kernel):
+def test_truth_is_the_same_under_other_blas_kernels(shipped_truth, tmp_path, kernel):
     # OPENBLAS_CORETYPE makes OpenBLAS's DYNAMIC_ARCH take the kernel it would pick on another
     # CPU. It acts only where OpenBLAS loads, so the rerun is a subprocess, and a kernel whose
     # instructions the CPU lacks could fail there, so it is skipped. The last bits of z_s may
@@ -477,15 +477,19 @@ def test_truth_is_the_same_under_other_blas_kernels(kernel):
     paths = [os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, OPENBLAS_CORETYPE=kernel,
                PYTHONPATH=os.pathsep.join(filter(None, paths)))     # this process's qrevival
-    done = subprocess.run([sys.executable, truth.__file__, *names], env=env,
+    # one process runs the three stages of each config; its arguments are (config, out) pairs
+    stages = ("import sys; from qrevival import cli; a = sys.argv[1:]; sys.exit(any("
+              "cli.main([*s.split(), '--config', c, '--out', o]) for c, o in zip(a[::2], a[1::2])"
+              " for s in ('simulate', 'dataset', 'score --on-truth')))")
+    args = [arg for name in names
+            for arg in (os.path.join(CONFIGS, f"{name}.json"), str(tmp_path / name))]
+    done = subprocess.run([sys.executable, "-c", stages, *args], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    other = json.loads(done.stdout)
     for name in names:
-        own = truth.truth(name)
-        assert (own["clamp_events"], own["n_rev"]) == SHIPPED[name]
-        assert (other[name]["clamp_events"], other[name]["n_rev"]) == SHIPPED[name]
-        assert np.max(np.abs(np.subtract(own["z_s"], other[name]["z_s"]))) <= 1e-11
+        own, other = shipped_truth[name], read_truth(tmp_path / name)
+        assert other[:3] == own[:3]
+        assert np.max(np.abs(other[3] - own[3])) <= 1e-11
 
 
 def test_cross_integrator_markovian():

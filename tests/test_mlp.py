@@ -463,6 +463,8 @@ def test_train_config_validation():
         mlp.TrainConfig(lr=0.0)
     with pytest.raises(ValueError):
         mlp.TrainConfig(seed=-1)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        mlp.TrainConfig().seed = 7
 
 
 # Written by the flat-layout code (vec = w1, b1, w2, b2, w3, b3) with

@@ -19,10 +19,9 @@ import numpy as np
 import pytest
 
 from qrevival import cli, linalg as la, mlp
-from qrevival import dataset as dsmod
 from qrevival import dynamics as dy
 from qrevival import memory_metric as mm
-from conftest import CONFIGS
+from conftest import CONFIGS, truth
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as _f:
@@ -164,8 +163,33 @@ def test_results_table_matches_run_all_and_the_truth(run_tree):
     assert truth["ad"].n_eval == truth["rtn"].n_eval == comparison["n_eval"]
 
 
+@pytest.mark.seed_range
+def test_seed_ranges_match_run_all(tmp_path):
+    # ten run-alls, about 5 s, so pyproject.toml's addopts leaves this out of the default run
+    text = " ".join(README.split())
+    assert test_seed_ranges_match_run_all.__name__ in text
+    ((ad_lo, ad_hi, rtn_lo, rtn_hi, ratio_lo, ratio_hi),) = re.findall(
+        r"training seeds 0–9 the learned counts range over (\d+)–(\d+) \(AD\) and "
+        r"(\d+)–(\d+) \(RTN\), a ratio of ([\d.]+)–([\d.]+)\.", text)
+    runs = []
+    for seed in range(10):
+        out = tmp_path / str(seed)
+        assert cli.main(["run-all", "--config", os.path.join(CONFIGS, "run_all.json"),
+                         "--seed", str(seed), "--out", str(out)]) == 0
+        with open(out / cli.COMPARISON_JSON) as f:
+            runs.append(json.load(f))
+    for key, lo, hi in (("ad_n_rev", ad_lo, ad_hi), ("rtn_n_rev", rtn_lo, rtn_hi)):
+        counts = [run[key] for run in runs]
+        assert [str(min(counts)), str(max(counts))] == [lo, hi], (key, counts)
+    ratios = [run["ratio"] for run in runs]
+    assert [f"{min(ratios):.2f}", f"{max(ratios):.2f}"] == [ratio_lo, ratio_hi], ratios
+
+
 def test_noise_free_limit_matches_simulate(tmp_path, capsys):
-    section = README.split("**The noise-free limit.**", 1)[1].split("\n\n**", 1)[0]
+    # up to the next bold paragraph or heading, whichever comes first
+    section = re.split(r"\n\n\*\*|^#", README.split("**The noise-free limit.**", 1)[1],
+                       maxsplit=1, flags=re.M)[0]
+    assert "| seed spec says" not in section
     ((t_end, n_steps),) = re.findall(r"`t_end` (\d+), `n_steps` (\d+)\)", section)
     (runs,) = re.findall(r"runs from `(\w+)`", section)
     fails = dict(re.findall(r"^- `(\w+)`: `([^`]*)`", section, re.M))
@@ -189,7 +213,7 @@ def test_noise_free_limit_matches_simulate(tmp_path, capsys):
             (cli.EXIT_INTEGRATION if err else 0, err), (state, steps)
 
 
-def test_departures_from_the_seed_spec_match_the_code(run_tree):
+def test_departures_from_the_seed_spec_match_the_code(run_tree, tmp_path):
     activation, normalization, repair, _, pairing = table("seed spec says")
     # the hidden activation, on a probe whose pre-activations take both signs
     hidden = {"ReLU": lambda z: np.maximum(z, 0.0), "tanh": np.tanh}
@@ -217,12 +241,11 @@ def test_departures_from_the_seed_spec_match_the_code(run_tree):
     # the pairing, and each channel's truth count from each start state
     ad, rtn = cli.load_pair_config(os.path.join(CONFIGS, "run_all.json"))
     assert ticks(pairing[0]) == [ad.initial_state, rtn.initial_state]
-    truth = ticks(pairing[2])       # a state, then its AD and RTN counts
-    for i, state in enumerate(truth[::3]):
-        for cfg, n in zip((ad, rtn), truth[3 * i + 1:3 * i + 3]):
-            traj = dy.evolve(dy.initial_state(state), cfg.grid, cfg.g, cfg.channel)
-            _, test = dsmod.chronological_split(dsmod.build_windows(traj, cfg.window_len))
-            assert mm.score_pipeline(test.ys, cfg.epsilon).n_rev == int(n), (cfg.channel, state)
+    counts = ticks(pairing[2])      # a state, then its AD and RTN counts
+    for i, state in enumerate(counts[::3]):
+        for key, cfg, n in zip(("ad", "rtn"), (ad, rtn), counts[3 * i + 1:3 * i + 3]):
+            cfg = dataclasses.replace(cfg, initial_state=state)
+            assert truth(cfg, tmp_path / key / state)[1] == int(n), (key, state)
 
 
 def test_every_command_parses():
