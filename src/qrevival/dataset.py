@@ -99,8 +99,8 @@ def _split_column(ds: WindowDataset) -> List[str]:
 
 
 def _series(xcols, path) -> list:
-    """The series x1, then the last row's x2..xw, behind window columns `xcols` (lists or
-    tuples of cells); ValueError unless each column x_{j+1} is x_j shifted up one row."""
+    """The series x1, then the last row's x2..xw, behind a file's window columns `xcols`
+    (tuples of cells); ValueError unless each column x_{j+1} is x_j shifted up one row."""
     for j in range(1, len(xcols)):
         if xcols[j][:-1] != xcols[j - 1][1:]:
             raise ValueError(f"column x{j + 1} is not x{j} shifted up one row in {path}")
@@ -108,11 +108,16 @@ def _series(xcols, path) -> list:
 
 
 def write_dataset(ds: WindowDataset, path) -> None:
-    """CSV `x1..xw,y,t_index,split` through write_table; the windows' series is formatted
-    once, and window column j is its cells j..j+n-1. The cells and the split column are
+    """CSV `x1..xw,y,t_index,split` through write_table; the windows, checked as arrays to be
+    one slide of a series in _series's words (_series checks a file's cells), are that series
+    formatted once: window column j is its cells j..j+n-1. The cells and the split column are
     object arrays, so they pass through write_table as the same str objects."""
     w, n = ds.window_len, len(ds)
-    z = np.array([FLOAT_CELL % x for x in _series(ds.xs.T.tolist(), path)], dtype=object)
+    bad = np.flatnonzero(np.any(ds.xs[1:, :-1] != ds.xs[:-1, 1:], axis=0))
+    if len(bad):
+        raise ValueError(f"column x{bad[0] + 2} is not x{bad[0] + 1} shifted up one row in {path}")
+    series = np.append(ds.xs[:, 0], ds.xs[-1:, 1:])     # x1, then the last row's x2..xw
+    z = np.array([FLOAT_CELL % x for x in series.tolist()], dtype=object)
     write_table(path, _header(w), [*(z[j:j + n] for j in range(w)), ds.ys, ds.t_index,
                                    np.array(_split_column(ds), dtype=object)])
 

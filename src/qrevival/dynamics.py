@@ -442,16 +442,18 @@ def evolve(rho0: np.ndarray, grid: TimeGrid, g: float, chan: ChannelSpec,
     (zero for noise_free), both Kronecker closed forms (_generators). Three passes over one
     array of all states: step, v <- P v with P = I + E (_terms), one gemm on a slice of the
     call's rate monomials (_monomials) giving the P of up to POWERS runs of equal rates and a
-    longer run taking P^1 v .. P^POWERS v at once (_powers); check all states in one call, the
-    first to break a tolerance (dt too large or rate_clamp too generous) raising by its t, as
-    nothing repairs it; read out all states.
+    longer run taking P^1 v .. P^POWERS v at once (_powers); check all states, rho0 included
+    (only its shape is checked first), in one call, the first to break a tolerance raising by
+    its label (`initial state`, else t: dt too large or rate_clamp too generous), as nothing
+    repairs it; read out all states.
 
     Most steps lie in long runs of equal rates: all of a noise-free run, the saturated tail of
     a Markovian one, and most of a memory-bearing one, whose clamped rate sits at 0 or the cap.
     The scheme and its order are those of classical RK4, and the states equal stepwise RK4's to
     rounding (at most 3.2e-14 apart over 512 sweep points).
     """
-    validate_density_matrix(rho0, context="initial state")
+    if rho0.shape not in ((4, 4), (1, 4, 4)):
+        raise ValueError(f"density matrix must be 4x4, got {rho0.shape} (initial state)")
     times, dt, n = grid.times(), grid.dt, grid.n_steps
 
     # rates at every node and midpoint, clamped once up front; count each evaluation the
@@ -474,7 +476,8 @@ def evolve(rho0: np.ndarray, grid: TimeGrid, g: float, chan: ChannelSpec,
     with np.errstate(over="ignore", invalid="ignore"):
         terms = _terms(g, type(chan), dt)
         for c in range(0, len(js), POWERS):
-            p = (mono[c:c + POWERS] @ terms).view(complex).reshape(-1, 16, 16) + eye
+            p = (mono[c:c + POWERS] @ terms).view(complex).reshape(-1, 16, 16)
+            p += eye
             for j, j_end, pj in zip(js[c:c + POWERS], ends[c:c + POWERS], p):
                 if j_end - j == 1:
                     np.dot(pj, v[j], out=v[j + 1])
@@ -484,7 +487,8 @@ def evolve(rho0: np.ndarray, grid: TimeGrid, g: float, chan: ChannelSpec,
                 for i in range(j, j_end, POWERS):
                     out = v[i + 1:min(i + POWERS, j_end) + 1]
                     np.matmul(powers[key][:len(out)], v[i], out=out)
-    validate_density_matrix(v[1:].reshape(-1, 4, 4), context=lambda i: f"t={times[i + 1]:.6g}")
+    validate_density_matrix(v.reshape(-1, 4, 4),
+                            context=lambda i: "initial state" if i == 0 else f"t={times[i]:.6g}")
 
     # rows vec(Z^T), so that vec(Z^T) . vec(rho) = tr(Z rho)
     readout = np.stack([Z_S_OP.T.ravel(), Z_A_OP.T.ravel()])

@@ -53,3 +53,18 @@ def truth(cfg: cli.RunConfig, out) -> tuple:
     cli.cmd_dataset(cfg)
     cli.cmd_score(cfg, on_truth=True)
     return read_truth(out)
+
+
+@pytest.fixture(scope="session")
+def truth_of(tmp_path_factory):
+    """truth(cfg, out) as a function of cfg, each config run once for the suite into a
+    directory of its own. Configs that differ only in output_dir share one run, so a shipped
+    config and the run-all half equal to it are simulated, windowed and scored once."""
+    done = {}
+
+    def get(cfg: cli.RunConfig) -> tuple:
+        key = dataclasses.replace(cfg, output_dir=".")
+        if key not in done:
+            done[key] = truth(cfg, tmp_path_factory.mktemp("truth"))
+        return done[key]
+    return get

@@ -83,6 +83,10 @@ MUTANTS = (
      "for i in range(4) for j in range(i + 1)", "for i in range(4) for j in range(i)"),
     ("read_table without its row-width check", "table.py",
      'if set(map(str.count, lines, itertools.repeat(","))) != {k - 1}:', "if False:"),
+    ("write_dataset without its window check", "dataset.py",
+     "if len(bad):", "if False:"),
+    ("evolve names the initial state by its time", "dynamics.py",
+     '"initial state" if i == 0 else f"t={times[i]:.6g}"', 'f"t={times[i]:.6g}"'),
     ("dataset series without its shift check", "dataset.py",
      "if xcols[j][:-1] != xcols[j - 1][1:]:", "if False:"),
     ("dataset series tail from the first row", "dataset.py",

@@ -237,6 +237,27 @@ def test_writer_and_reader_keep_one_shift_rule(tmp_path):
         == f"column x3 is not x2 shifted up one row in {path}"
 
 
+def test_window_check_of_the_writer_is_the_series_rule(tmp_path):
+    # every single altered cell of a 6 x 4 window matrix: write_dataset's array check raises
+    # what the reader's _series raises on the same windows as cells, the first failing
+    # column first; a cell that only one window holds (the first or last series value) passes
+    path = os.path.join(tmp_path, "ds.csv")
+    ds = dset.build_windows(_traj(np.zeros(10), np.arange(10) / 8.0 - 0.5), window_len=4)
+    for i, j in np.ndindex(ds.xs.shape):
+        altered = dset.WindowDataset(ds.xs.copy(), ds.ys, ds.t_index)
+        altered.xs[i, j] = 0.875
+        try:
+            dset._series(altered.xs.T.tolist(), path)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as written:
+                dset.write_dataset(altered, path)
+            assert str(written.value) == str(exc)
+        else:
+            assert (i, j) in ((0, 0), (5, 3))
+            dset.write_dataset(altered, path)
+            assert np.array_equal(dset.read_dataset(path).xs, altered.xs)
+
+
 def test_read_rejects_malformed(tmp_path):
     path = os.path.join(tmp_path, "bad.csv")
     with open(path, "w") as f:

@@ -27,7 +27,7 @@ from qrevival import cli
 from qrevival import dynamics as dy
 from qrevival.linalg import I4, KET_PLUS, KET0, KET1, dm
 
-from conftest import CONFIGS, read_truth, truth
+from conftest import CONFIGS, read_truth
 
 # G(t) and gamma(t) for the monotone-decay parameters b=5, lam=1
 AD_SLOW = {
@@ -429,10 +429,10 @@ KERNELS = {"Haswell": {"avx2", "fma"}, "Sandybridge": {"avx"}}
 
 
 @pytest.fixture(scope="module")
-def shipped_truth(tmp_path_factory):
-    """{shipped config name: its truth}, each config run once for the module."""
-    return {name: truth(cli.load_run_config(os.path.join(CONFIGS, f"{name}.json")),
-                        tmp_path_factory.mktemp(name)) for name in SHIPPED}
+def shipped_truth(truth_of):
+    """{shipped config name: its truth}, from the suite's one run of each config."""
+    return {name: truth_of(cli.load_run_config(os.path.join(CONFIGS, f"{name}.json")))
+            for name in SHIPPED}
 
 
 @pytest.mark.parametrize("name, events, n_rev", [(k, *v) for k, v in SHIPPED.items()])
@@ -749,11 +749,49 @@ def test_evolve_fails_where_plain_rk4_fails():
         == "positivity violated: min eigenvalue = -1.005e-06 (t=2.24701)"
 
 
+def _entry(rho, entry, value):
+    rho = np.array(rho, dtype=complex)
+    rho[entry] = value
+    return rho
+
+
+@pytest.mark.parametrize("rho0", [
+    _entry(I4 / 4.0, (0, 1), np.nan),                       # non-finite
+    _entry(I4 / 4.0, (0, 1), 1e-3),                         # non-Hermitian
+    I4 / 2.0,                                               # trace 2
+    np.diag([0.5 - 2 * dy.EIG_FLOOR, 0.3, 0.2, 2 * dy.EIG_FLOOR]).astype(complex),
+], ids=["non-finite", "non-hermitian", "trace-2", "below-eig-floor"])
+def test_evolve_rejects_the_initial_state_as_the_check_does(rho0):
+    # evolve checks rho0 in the one call that checks every state; row 0 keeps its own label,
+    # so the message is the one a check of rho0 alone gives, whatever the later states do
+    with pytest.raises(ValueError) as alone:
+        dy.validate_density_matrix(rho0, context="initial state")
+    with pytest.raises(ValueError) as evolved:
+        dy.evolve(rho0, dy.TimeGrid(t_end=1.0, n_steps=8), 1.0, dy.ADParams(b=0.05, lam=10.0))
+    assert str(evolved.value) == str(alone.value)
+    assert str(alone.value).endswith(" (initial state)")
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 4, 4)])
+def test_evolve_takes_one_initial_state(shape):
+    # a stack of two physical states is one too many: the shape test names it before any
+    # step; a stack of one is the state itself (mixed, so that the coarse steps stay physical)
+    rho0 = 0.5 * dy.initial_state(dy.STATE_TILTED_EXCITED) + I4 / 8.0
+    grid, chan = dy.TimeGrid(t_end=1.0, n_steps=8), dy.NoiseFree()
+    with pytest.raises(ValueError) as exc:
+        dy.evolve(np.broadcast_to(rho0, shape) if shape[-1] == 4 else np.eye(3) / 3.0,
+                  grid, 1.0, chan)
+    assert str(exc.value) == f"density matrix must be 4x4, got {shape} (initial state)"
+    one, stacked = (dy.evolve(r, grid, 1.0, chan) for r in (rho0, rho0[None]))
+    assert np.array_equal(one.z_s, stacked.z_s) and np.array_equal(one.z_a, stacked.z_a)
+
+
 @pytest.mark.parametrize("name", ["ad_markovian", "ad_non_markovian", "rtn_markovian",
                                   "rtn_non_markovian"])
 def test_evolve_memory_peak_stays_block_sized(name):
-    # evolve keeps every state (256 B a step) and checks all 1,004 in one call, one (m,)
-    # column per matrix entry rather than (m, 4, 4) copies: the peak is 0.72-0.84 MB here
+    # evolve keeps every state (256 B a step) and checks all 1,005, rho0 included, in one
+    # call, one (m,) column per matrix entry rather than (m, 4, 4) copies: the peak is
+    # 0.72-0.84 MB here
     cfg = cli.load_run_config(os.path.join(CONFIGS, f"{name}.json"))
     rho0 = dy.initial_state(cfg.initial_state)
     dy.evolve(rho0, cfg.grid, cfg.g, cfg.channel)       # fills the cache of _terms

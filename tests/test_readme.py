@@ -21,7 +21,7 @@ import pytest
 from qrevival import cli, linalg as la, mlp
 from qrevival import dynamics as dy
 from qrevival import memory_metric as mm
-from conftest import CONFIGS, truth
+from conftest import CONFIGS
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as _f:
@@ -213,7 +213,7 @@ def test_noise_free_limit_matches_simulate(tmp_path, capsys):
             (cli.EXIT_INTEGRATION if err else 0, err), (state, steps)
 
 
-def test_departures_from_the_seed_spec_match_the_code(run_tree, tmp_path):
+def test_departures_from_the_seed_spec_match_the_code(run_tree, truth_of):
     activation, normalization, repair, _, pairing = table("seed spec says")
     # the hidden activation, on a probe whose pre-activations take both signs
     hidden = {"ReLU": lambda z: np.maximum(z, 0.0), "tanh": np.tanh}
@@ -245,7 +245,7 @@ def test_departures_from_the_seed_spec_match_the_code(run_tree, tmp_path):
     for i, state in enumerate(counts[::3]):
         for key, cfg, n in zip(("ad", "rtn"), (ad, rtn), counts[3 * i + 1:3 * i + 3]):
             cfg = dataclasses.replace(cfg, initial_state=state)
-            assert truth(cfg, tmp_path / key / state)[1] == int(n), (key, state)
+            assert truth_of(cfg)[1] == int(n), (key, state)
 
 
 def test_every_command_parses():
