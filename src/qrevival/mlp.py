@@ -16,6 +16,7 @@ writes into `Buffers`, for all the networks `train_all` trains on a (k, P) stack
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Tuple
@@ -34,6 +35,7 @@ _BETA1, _1_BETA1, _BETA2, _1_BETA2 = map(np.array, (BETA1, 1 - BETA1, BETA2, 1 -
 
 _FIELDS = ("w1", "b1", "w2", "b2", "w3", "b3")
 _ZERO = np.zeros(())    # ReLU threshold; numpy would convert a Python 0.0 on every call
+_ONE = np.ones(1)       # the entry that extends an input or activation vector by a 1
 
 
 def _blocks(n_in: int):
@@ -104,14 +106,26 @@ class TrainConfig:
         count("seed", self.seed, 0)
 
 
+@functools.cache
+def _init_layout(n_in: int):
+    """Per layer, its bound sqrt(1/fan_in) and the positions in p.vec of its draw:
+    the weights of its [W | b] block, row-major, then its biases."""
+    layout, start = [], 0
+    for rows, cols in _blocks(n_in):
+        at = start + np.arange(rows * cols).reshape(rows, cols)
+        s = math.sqrt(1.0 / (cols - 1))
+        layout.append((s, np.concatenate((at[:, :-1].ravel(), at[:, -1]))))
+        start += rows * cols
+    return tuple(layout)
+
+
 def init_params(rng: np.random.Generator, n_in: int = 5) -> MLPParams:
-    """Uniform in +-sqrt(1/fan_in) per layer, weights drawn before biases."""
-    p = MLPParams(np.empty(n_params(n_in)), n_in)
-    for a in (p.a1, p.a2, p.a3):
-        s = math.sqrt(1.0 / (a.shape[1] - 1))
-        a[:, :-1] = rng.uniform(-s, s, size=a[:, :-1].shape)
-        a[:, -1] = rng.uniform(-s, s, size=len(a))
-    return p
+    """Uniform in +-sqrt(1/fan_in) per layer, each layer one draw: the same stream as
+    drawing its weights (row-major), then its biases, scattered into its block."""
+    vec = np.empty(n_params(n_in))
+    for s, at in _init_layout(n_in):
+        vec[at] = rng.uniform(-s, s, size=len(at))
+    return MLPParams(vec, n_in)
 
 
 def columns(xs) -> np.ndarray:
@@ -236,10 +250,11 @@ def fd_gradients(p: MLPParams, x, y: float, h: float = 1e-5) -> np.ndarray:
     of p's forward pass it changes only z[r] = (a @ u)[r], by s h u[c]. The layer above sees
     p's pre-activation plus its weight column r times relu(z[r] + s h u[c]) - relu(z[r]): one
     broadcast multiply-add for all 2 rows cols copies; only block 1's then take the head's matmul.
+    Each input column u is the vector below it extended by a 1, in one concatenate.
     """
-    u1 = columns([x])[:, 0]                             # p's own forward pass
-    u2 = np.append(np.maximum(z1 := p.a1 @ u1, _ZERO), 1.0)
-    u3 = np.append(np.maximum(z2 := p.a2 @ u2, _ZERO), 1.0)
+    u1 = np.concatenate((x, _ONE))                      # p's own forward pass
+    u2 = np.concatenate((np.maximum(z1 := p.a1 @ u1, _ZERO), _ONE))
+    u3 = np.concatenate((np.maximum(z2 := p.a2 @ u2, _ZERO), _ONE))
     z3 = p.a3 @ u3
     sh = np.array((h, -h))[:, None, None]               # s h, for the copies s = +1 and -1
     z = z2[:, None, None, None] + p.a2[:, None, :-1, None] * (      # block 1 into layer 2:
@@ -255,7 +270,7 @@ def fd_gradients(p: MLPParams, x, y: float, h: float = 1e-5) -> np.ndarray:
 def gradient_max_rel_error(p: MLPParams, x, y: float, h: float = 1e-5) -> float:
     """max_j |analytic_j - fd_j| / max(|analytic_j|, |fd_j|, 1e-8)."""
     buf = Buffers(1, p)
-    y_hat, acts = forward(p, columns([x]), buf)
+    y_hat, acts = forward(p, np.concatenate((x, _ONE))[:, None], buf)
     analytic = backward(p, acts, y_hat, y, buf)
     numeric = fd_gradients(p, x, y, h)
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)

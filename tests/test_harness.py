@@ -14,7 +14,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def test_failing_property_test_reports_its_falsifying_example(tmp_path):
     """Under the project's warning filters, a failing @given test fails (exit 1) with its
-    example, instead of ending the session in an internal error (exit 3)."""
+    example, instead of ending the session in an internal error (exit 3), and the mutation
+    run reads its node id from the short summary."""
     (tmp_path / "test_fails.py").write_text(textwrap.dedent("""
         from hypothesis import given, strategies as st
 
@@ -27,6 +28,7 @@ def test_failing_property_test_reports_its_falsifying_example(tmp_path):
                            "test_fails.py"], cwd=tmp_path, capture_output=True, text=True)
     assert done.returncode == 1, done.stdout + done.stderr
     assert "Falsifying example" in done.stdout
+    assert mutants.first_failed(done.stdout) == "test_fails.py::test_fails"
 
 
 @pytest.mark.parametrize("code, expected", [

@@ -21,6 +21,7 @@ import pytest
 from qrevival import cli, linalg as la, mlp
 from qrevival import dynamics as dy
 from qrevival import memory_metric as mm
+from qrevival.table import FLOAT_CELL
 from conftest import CONFIGS
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
@@ -318,6 +319,11 @@ def test_config_table_holds_every_key_default_and_bound():
             assert type(one) is float and one == 1.0
             with pytest.raises(ValueError, match=key.split(".")[-1]):
                 _load(key, 0)
+
+
+def test_byte_identity_names_the_tables_float_format():
+    section = README.split('**What "byte-identical" covers.**', 1)[1].split("\n\n", 1)[0]
+    assert re.findall(r"`(%[^`]*)`", section) == [FLOAT_CELL]
 
 
 def test_initial_state_tags():
