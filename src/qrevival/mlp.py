@@ -11,7 +11,8 @@ Weights and biases live in one float64 vector, one block [W | b] per layer; the
 named arrays, which params.json keeps, are views into it. Inputs and hidden
 activations are columns, one per window, over a row of ones, so a layer is one
 matmul (bias included) and one ReLU, and its gradient one matmul. A minibatch
-writes into `Buffers`, for all the networks `train_all` trains on a (k, P) stack.
+writes into `Buffers`, for all the networks `train_all` trains on a (k, P) stack;
+the gradient check reuses one set of one-column `Buffers` per input width.
 """
 
 from __future__ import annotations
@@ -250,16 +251,19 @@ def fd_gradients(p: MLPParams, x, y: float, h: float = 1e-5) -> np.ndarray:
     of p's forward pass it changes only z[r] = (a @ u)[r], by s h u[c]. The layer above sees
     p's pre-activation plus its weight column r times relu(z[r] + s h u[c]) - relu(z[r]): one
     broadcast multiply-add for all 2 rows cols copies; only block 1's then take the head's matmul.
-    Each input column u is the vector below it extended by a 1, in one concatenate.
+    Each input column u is the vector below it extended by a 1, in one concatenate. Block 1's
+    copies are laid out (2, n_in + 1, H1), so the broadcast into layer 2 runs along H1; they
+    are swapped back before the concatenate, so the output order is p.vec's as for the others.
     """
     u1 = np.concatenate((x, _ONE))                      # p's own forward pass
     u2 = np.concatenate((np.maximum(z1 := p.a1 @ u1, _ZERO), _ONE))
     u3 = np.concatenate((np.maximum(z2 := p.a2 @ u2, _ZERO), _ONE))
     z3 = p.a3 @ u3
     sh = np.array((h, -h))[:, None, None]               # s h, for the copies s = +1 and -1
-    z = z2[:, None, None, None] + p.a2[:, None, :-1, None] * (      # block 1 into layer 2:
-        np.maximum(z1[:, None] + sh * u1, _ZERO) - u2[:-1, None])   # (H2, 2, H1, n_in + 1)
+    d = np.maximum(z1 + sh * u1[:, None], _ZERO) - u2[:-1]          # block 1, (2, n_in + 1, H1)
+    z = z2[:, None, None, None] + p.a2[:, None, None, :-1] * d      # into layer 2, along H1
     o1 = p.a3[:, :-1] @ np.maximum(z.reshape(H2, -1), _ZERO) + p.a3[:, -1:]
+    o1 = o1.reshape(2, -1, H1).swapaxes(1, 2)           # copies back in (s, r, c) order
     o2 = z3 + p.a3[0, :-1, None] * (np.maximum(z2[:, None] + sh * u2, _ZERO) - u3[:-1, None])
     o3 = z3 + sh * u3                                   # (2, 1, H2 + 1)
     o = np.concatenate((o1.reshape(2, -1), o2.reshape(2, -1), o3.reshape(2, -1)), axis=1)
@@ -267,9 +271,20 @@ def fd_gradients(p: MLPParams, x, y: float, h: float = 1e-5) -> np.ndarray:
     return (up - dn) / (2.0 * h)
 
 
+@functools.cache
+def _column_buffers(n_in: int) -> Buffers:
+    """One-column `Buffers` for networks of input width n_in, made once and reused."""
+    return Buffers(1, MLPParams(np.zeros(n_params(n_in)), n_in))
+
+
 def gradient_max_rel_error(p: MLPParams, x, y: float, h: float = 1e-5) -> float:
-    """max_j |analytic_j - fd_j| / max(|analytic_j|, |fd_j|, 1e-8)."""
-    buf = Buffers(1, p)
+    """max_j |analytic_j - fd_j| / max(|analytic_j|, |fd_j|, 1e-8); p is only read.
+
+    forward and backward write into the one-column `Buffers` kept per input width; each call
+    rewrites all they read but its rows of ones, which stay 1, so no call sees another's
+    values. Not safe to call from two threads at once.
+    """
+    buf = _column_buffers(p.n_in)
     y_hat, acts = forward(p, np.concatenate((x, _ONE))[:, None], buf)
     analytic = backward(p, acts, y_hat, y, buf)
     numeric = fd_gradients(p, x, y, h)

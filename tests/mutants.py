@@ -75,8 +75,10 @@ MUTANTS = (
     ("fd_gradients shifts a pre-activation by h, not h u[c]", "mlp.py",
      "z2[:, None] + sh * u2", "z2[:, None] + sh * np.ones_like(u2)"),
     ("fd_gradients drops the ReLU from the changed unit", "mlp.py",
-     "np.maximum(z1[:, None] + sh * u1, _ZERO) - u2[:-1, None]",
-     "z1[:, None] + sh * u1 - z1[:, None]"),
+     "np.maximum(z1 + sh * u1[:, None], _ZERO) - u2[:-1]",
+     "z1 + sh * u1[:, None] - z1"),
+    ("column buffers keyed by one width", "mlp.py",
+     "_column_buffers(p.n_in)", "_column_buffers(5)"),
     ("clamp_events bound 2 n - 1 to 2 n", "dynamics.py", "max(2 * n - 1, 0)", "max(2 * n, 0)"),
     ("positivity pivot test > 0 to >=", "dynamics.py",
      "_min_pivot(v[:i]) > 0.0", "_min_pivot(v[:i]) >= 0.0"),

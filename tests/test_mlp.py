@@ -166,18 +166,15 @@ def test_batch_gradient_is_mean_of_row_gradients():
 
 
 def _fd_one_entry_at_a_time(p, x, y, h=1e-5):
-    """Central differences as one forward pass per perturbed entry, on a copy of p."""
-    q = mlp.MLPParams(p.vec.copy(), p.n_in)
-    out = np.empty_like(q.vec)
-    for j in range(q.vec.size):
-        keep = q.vec[j]
-        q.vec[j] = keep + h
-        up = (_forward(q, x)[0].item() - y) ** 2
-        q.vec[j] = keep - h
-        dn = (_forward(q, x)[0].item() - y) ** 2
-        q.vec[j] = keep
-        out[j] = (up - dn) / (2.0 * h)
-    return out
+    """Central differences as one full forward pass per perturbed entry: a stack of 2P
+    copies of p, where copy j moves entry j by +h and copy P + j moves it by -h."""
+    n = p.vec.size
+    vec, j = np.tile(p.vec, (2 * n, 1)), np.arange(n)
+    vec[j, j] += h
+    vec[n + j, j] -= h
+    y_hat = mlp.forward(mlp.MLPParams(vec, p.n_in), mlp.columns([x]))[0]     # (2P, 1, 1)
+    up, dn = (y_hat.reshape(2, n) - y) ** 2
+    return (up - dn) / (2.0 * h)
 
 
 @pytest.mark.parametrize("n_in", [1, 3, 5, 8])
@@ -215,6 +212,35 @@ def test_fd_gradients_across_a_relu_kink():
     m.b1[4] = m.b2[7] = 1.0
     kink = m.vec == 1.0
     assert np.all(np.abs(got[kink] - analytic[kink]) > 0.1 * np.abs(analytic[kink]))
+
+
+def _max_rel_error_on_fresh_buffers(p, x, y, h=1e-5):
+    """gradient_max_rel_error's formula, with forward and backward on a new Buffers."""
+    buf = mlp.Buffers(1, p)
+    y_hat, acts = mlp.forward(p, mlp.columns([x]), buf)
+    analytic = mlp.backward(p, acts, y_hat, y, buf)
+    numeric = mlp.fd_gradients(p, x, y, h)
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
+    return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def test_gradient_check_leaves_no_trace_in_its_reused_buffers():
+    """Widths 1-8 in turn share the cached one-column buffers, with a NaN input every
+    5th draw: each result is the fresh-buffer one bit for bit, NaN included."""
+    rng = np.random.default_rng(21)
+    for i in range(120):
+        n_in = 1 + i % 8
+        p = mlp.init_params(rng, n_in=n_in)
+        x = rng.uniform(-1.0, 1.0, n_in)
+        y = float(rng.uniform(-1.0, 1.0))
+        if i % 5 == 2:
+            x[rng.integers(n_in)] = np.nan
+        before = p.vec.copy()
+        got = mlp.gradient_max_rel_error(p, x, y)
+        assert p.vec.tobytes() == before.tobytes()
+        want = _max_rel_error_on_fresh_buffers(p, x, y)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (i, got, want)
+        assert np.isnan(got) == (i % 5 == 2)
 
 
 def test_dead_units_give_exact_zero_gradients():
